@@ -9,14 +9,12 @@ with a 1e-9 comparison slack.
 Two solvers are provided. `solve_bruteforce` exhaustively enumerates small
 instances and is the testing oracle. `solve_exact` runs depth-first branch
 and bound over per-block choices, using a subgradient-optimized Lagrangian
-relaxation of the two budget constraints for lower bounds and a greedy
-repair heuristic for the starting incumbent; it proves optimality or
-infeasibility on any instance.
+relaxation of the two budget constraints for lower bounds; it proves
+optimality or infeasibility on any instance.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -100,10 +98,6 @@ class AllocationProblem:
     def min_feasible_mem(self) -> int:
         return sum(min(c.mem_bytes for _, c in self.usable(i)) for i in range(len(self.blocks)))
 
-    def min_feasible_mean_ratio(self) -> float:
-        n = len(self.blocks)
-        return sum(min(c.time_ratio for _, c in self.usable(i)) for i in range(n)) / n
-
 
 @dataclass(frozen=True)
 class AllocationSolution:
@@ -112,7 +106,6 @@ class AllocationSolution:
     objective: float
     total_mem: int
     mean_time_ratio: float
-    bound_gap: float = 0.0
     nodes_explored: int = 0
     infeasible_reason: str | None = None
 
@@ -172,7 +165,6 @@ def _solution_from_choice(problem: AllocationProblem, arrays: _Arrays, choice: S
         objective=objective,
         total_mem=total_mem,
         mean_time_ratio=total_r / n,
-        bound_gap=0.0,
         nodes_explored=nodes,
     )
 
@@ -277,61 +269,6 @@ def _root_multipliers(arrays: _Arrays, mem_budget: int, time_budget: float) -> t
     return float(best_lam[0]), float(best_lam[1]), mem_scale, time_scale
 
 
-def _greedy_incumbent(
-    arrays: _Arrays, mem_budget: int, time_budget: float
-) -> tuple[list[int], float] | None:
-    """Start at per-block objective argmin; repair infeasibility by the swap
-    with the best objective increase per unit of constraint slack recovered.
-    Memory repairs never run backward during time repairs."""
-    n = len(arrays.phis)
-    choice = [int(np.argmin(p)) for p in arrays.phis]
-    total_mem = sum(int(arrays.mems[i][choice[i]]) for i in range(n))
-    total_r = sum(float(arrays.ratios[i][choice[i]]) for i in range(n))
-    mean_cap = time_budget + TIME_SLACK
-
-    for _ in range(sum(len(p) for p in arrays.phis) * 4):
-        if total_mem > mem_budget:
-
-            def gain(i: int, j: int) -> float:
-                return float(arrays.mems[i][choice[i]] - arrays.mems[i][j])
-
-            def allowed(i: int, j: int) -> bool:
-                return arrays.mems[i][j] < arrays.mems[i][choice[i]]
-
-        elif total_r / n > mean_cap:
-
-            def gain(i: int, j: int) -> float:
-                return float(arrays.ratios[i][choice[i]] - arrays.ratios[i][j])
-
-            def allowed(i: int, j: int) -> bool:
-                return (
-                    arrays.ratios[i][j] < arrays.ratios[i][choice[i]]
-                    and arrays.mems[i][j] <= arrays.mems[i][choice[i]]
-                )
-
-        else:
-            objective = sum(float(arrays.phis[i][choice[i]]) for i in range(n))
-            return choice, objective
-        best_score = math.inf
-        best_swap: tuple[int, int] | None = None
-        for i in range(n):
-            for j in range(len(arrays.phis[i])):
-                if j == choice[i] or not allowed(i, j):
-                    continue
-                delta_phi = float(arrays.phis[i][j] - arrays.phis[i][choice[i]])
-                score = delta_phi / gain(i, j)
-                if score < best_score - 1e-15:
-                    best_score = score
-                    best_swap = (i, j)
-        if best_swap is None:
-            return None
-        i, j = best_swap
-        total_mem += int(arrays.mems[i][j] - arrays.mems[i][choice[i]])
-        total_r += float(arrays.ratios[i][j] - arrays.ratios[i][choice[i]])
-        choice[i] = j
-    return None
-
-
 def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     """Prove the feasible optimum (or infeasibility) by branch and bound.
 
@@ -377,9 +314,6 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
 
     best_obj = math.inf
     best_choice: list[int] | None = None
-    seeded = _greedy_incumbent(arrays, mem_budget, time_budget)
-    if seeded is not None:
-        best_choice, best_obj = list(seeded[0]), seeded[1]
 
     choice = [0] * n
     nodes = 0
@@ -702,7 +636,3 @@ def solution_from_plan_dict(d: dict) -> AllocationSolution:
         total_mem=int(d["total_mem"]),
         mean_time_ratio=float(d["mean_time_ratio"]),
     )
-
-
-def dump_plan(problem: AllocationProblem, solution: AllocationSolution) -> str:
-    return json.dumps(plan_to_json_dict(problem, solution), sort_keys=True, indent=2)

@@ -8,6 +8,7 @@ verification. Input errors print a single line prefixed with "error: ".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -244,8 +245,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         raise ValueError(f"trace lacks diagnostics for units {sorted(unit_ids - traced)}")
     signals = {uid: signals_from_metrics(metrics[uid], anchors) for uid in unit_ids}
     params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
-    blocks = partition(units, signals, params)
     tau = compute_tau(units, signals, params)
+    blocks = partition(units, signals, dataclasses.replace(params, tau=tau))
     doc = partition_to_json_dict(units, blocks, params, tau)
     _write_output(json.dumps(doc, sort_keys=True, indent=2), args.out)
     _log(args, f"partitioned {len(units)} units into {len(blocks)} blocks (tau {tau:.4g})")

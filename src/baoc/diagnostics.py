@@ -2,9 +2,10 @@
 
 Each traced block owns one `DiagnosticsState` that folds sampled gradient
 vectors into exponential moving averages: first/second moments, step-to-step
-direction stability, and (for matrix blocks) an elementwise-squared gradient
-matrix on a compacted grid of occupied rows/columns. Raw metrics are read off
-the final EMA values at the end of warmup:
+direction stability, and (for matrix blocks) one squared-gradient EMA per
+occupied cell of a compacted row/column grid, so a step costs O(samples).
+Raw metrics, the distortion and the squared-gradient matrix included, are
+derived from the final EMA values at the end of warmup:
 
 - anisotropy: log ratio of the 0.9/0.1 quantiles of the second moment
 - direction stability and a signal-to-noise proxy, gating momentum need
@@ -157,35 +158,6 @@ class RawMetrics:
         )
 
 
-class _MatrixGrid:
-    """Maps flat sample indices onto a compacted grid of occupied rows/cols
-    of the block's two trailing axes. Leading axes pool into the same grid."""
-
-    def __init__(self, spec: BlockSpec):
-        rows_full, cols_full = spec.shape.dims[-2], spec.shape.dims[-1]
-        within = np.asarray(spec.sample_indices, dtype=np.int64) % (rows_full * cols_full)
-        r = within // cols_full
-        c = within % cols_full
-        self.occupied_rows = np.unique(r)
-        self.occupied_cols = np.unique(c)
-        self.row_rank = np.searchsorted(self.occupied_rows, r)
-        self.col_rank = np.searchsorted(self.occupied_cols, c)
-        self.grid_shape = (len(self.occupied_rows), len(self.occupied_cols))
-        counts = np.zeros(self.grid_shape, dtype=np.int64)
-        np.add.at(counts, (self.row_rank, self.col_rank), 1)
-        self.counts = counts
-        self.observed = counts > 0
-
-    @property
-    def usable(self) -> bool:
-        return self.grid_shape[0] >= 2 and self.grid_shape[1] >= 2
-
-    def scatter_mean(self, values: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.grid_shape, dtype=np.float64)
-        np.add.at(acc, (self.row_rank, self.col_rank), values)
-        return acc / np.maximum(self.counts, 1)
-
-
 class DiagnosticsState:
     """EMA accumulators for one block's sampled gradient stream.
 
@@ -207,14 +179,46 @@ class DiagnosticsState:
         self.direction_stability = 0.0
         self.prev_grad: np.ndarray | None = None
         self.step_count = 0
-        self.last_distortion = 0.0
-        self._saw_params = False
-        grid = _MatrixGrid(spec) if len(spec.shape.dims) >= 2 else None
-        self._grid = grid if grid is not None and grid.usable else None
-        self.sq_matrix = np.zeros(grid.grid_shape, dtype=np.float64) if self._grid else None
+        self._last_params: np.ndarray | None = None
+        self._params_exp_avg_sq: np.ndarray | None = None
+        self._grid_shape: tuple[int, int] | None = None
+        if len(spec.shape.dims) >= 2:
+            rows_full, cols_full = spec.shape.dims[-2], spec.shape.dims[-1]
+            within = np.asarray(spec.sample_indices, dtype=np.int64) % (rows_full * cols_full)
+            rows, row_rank = np.unique(within // cols_full, return_inverse=True)
+            cols, col_rank = np.unique(within % cols_full, return_inverse=True)
+            if len(rows) >= 2 and len(cols) >= 2:
+                self._grid_shape = (len(rows), len(cols))
+                cells, self._cell_of, self._cell_count = np.unique(
+                    row_rank * len(cols) + col_rank, return_inverse=True, return_counts=True
+                )
+                self._cell_row, self._cell_col = np.divmod(cells, len(cols))
+                self._cell_sq = np.zeros(len(cells), dtype=np.float64)
+
+    @property
+    def sq_matrix(self) -> np.ndarray | None:
+        """Squared-gradient EMA on the grid of occupied rows/columns of the two
+        trailing axes (leading axes pool in; samples sharing a cell enter as
+        their mean), unobserved cells 0. None unless the grid is at least 2x2."""
+        if self._grid_shape is None:
+            return None
+        mat = np.zeros(self._grid_shape, dtype=np.float64)
+        mat[self._cell_row, self._cell_col] = self._cell_sq
+        return mat
+
+    @property
+    def last_distortion(self) -> float:
+        """Distortion of the last parameter sample, or 0 if no step had one."""
+        if self._last_params is None:
+            return 0.0
+        return distortion(self._params_exp_avg_sq, self._last_params)
 
     def update(self, grad_sample: np.ndarray, param_sample: np.ndarray | None = None) -> None:
-        """Fold one step's sampled gradient (and optional parameters) in."""
+        """Fold one step's sampled gradient (and optional parameters) in.
+
+        The last gradient and parameter arrays are kept by reference, not
+        copied: a caller must not modify a passed array in place afterwards.
+        """
         g = np.asarray(grad_sample, dtype=np.float64)
         if g.shape != self.exp_avg.shape:
             raise ValueError(
@@ -227,11 +231,9 @@ class DiagnosticsState:
             norms = np.linalg.norm(g) * np.linalg.norm(self.prev_grad)
             cos = 0.0 if norms == 0.0 else float(g @ self.prev_grad / (norms + self.eps))
             self.direction_stability = self.beta_rho * self.direction_stability + (1.0 - self.beta_rho) * cos
-        if self._grid is not None:
-            assert self.sq_matrix is not None
-            sq = self._grid.scatter_mean(g * g)
-            obs = self._grid.observed
-            self.sq_matrix[obs] = self.beta_v * self.sq_matrix[obs] + (1.0 - self.beta_v) * sq[obs]
+        if self._grid_shape is not None:
+            cell_mean = np.bincount(self._cell_of, weights=g * g) / self._cell_count
+            self._cell_sq = self.beta_v * self._cell_sq + (1.0 - self.beta_v) * cell_mean
         if param_sample is not None:
             theta = np.asarray(param_sample, dtype=np.float64)
             if theta.shape != self.exp_avg.shape:
@@ -239,8 +241,8 @@ class DiagnosticsState:
                     f"block {self.spec.id}: parameter sample length {theta.shape} "
                     f"does not match state length {self.exp_avg.shape}"
                 )
-            self.last_distortion = distortion(self.exp_avg_sq, theta)
-            self._saw_params = True
+            self._last_params = theta
+            self._params_exp_avg_sq = self.exp_avg_sq  # rebound every step, never written in place
         self.prev_grad = g
         self.step_count += 1
 
@@ -248,16 +250,14 @@ class DiagnosticsState:
         """Read the raw metrics off the current EMA values."""
         if self.step_count == 0:
             raise ValueError(f"block {self.spec.id}: no updates folded in yet")
-        if self.sq_matrix is not None and self.sq_matrix.size:
-            residual = structure_residual(self.sq_matrix)
-        else:
-            residual = 0.0
+        sq_matrix = self.sq_matrix
+        residual = structure_residual(sq_matrix) if sq_matrix is not None else 0.0
         q = {b: precision_similarity(self.exp_avg, self.exp_avg_sq, b) for b in sorted(set(bits), reverse=True)}
         return RawMetrics(
             anisotropy=anisotropy(self.exp_avg_sq),
             direction_stability=self.direction_stability,
             snr=snr(self.exp_avg, self.exp_avg_sq),
-            distortion=self.last_distortion if self._saw_params else 0.0,
+            distortion=self.last_distortion,
             structure_residual=residual,
             precision_cosine=q,
             steps=self.step_count,

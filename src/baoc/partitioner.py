@@ -31,9 +31,6 @@ class StructuralUnit:
     id: int
     name: str
     shape: BlockShape
-    module_kind: str = "other"
-    layer_index: int = 0
-    position: int = 0
 
     @property
     def param_count(self) -> int:
@@ -116,6 +113,26 @@ def _merge(a: _Group, b: _Group) -> _Group:
     return _Group(unit_idx=a.unit_idx + b.unit_idx, size=size, z=z)
 
 
+def _fold_undersized(groups: list[_Group], n_min: float, w: np.ndarray) -> None:
+    """Merge the first group below `n_min` into its statistically closest
+    adjacent neighbor (ties go to the preceding one) until none is left, in
+    place; a lone group stays as it is."""
+
+    def delta(a: _Group, b: _Group) -> float:
+        return float(np.max(w * np.abs(a.z - b.z)))
+
+    while len(groups) > 1:
+        pos = next((k for k, g in enumerate(groups) if g.size < n_min), None)
+        if pos is None:
+            return
+        prev_delta = delta(groups[pos - 1], groups[pos]) if pos > 0 else math.inf
+        next_delta = delta(groups[pos], groups[pos + 1]) if pos + 1 < len(groups) else math.inf
+        if prev_delta <= next_delta:
+            groups[pos - 1 : pos + 1] = [_merge(groups[pos - 1], groups[pos])]
+        else:
+            groups[pos : pos + 2] = [_merge(groups[pos], groups[pos + 1])]
+
+
 def partition(
     units: Sequence[StructuralUnit],
     unit_signals: Mapping[int, RiskSignals],
@@ -143,25 +160,11 @@ def partition(
     def unit_delta(i: int, j: int) -> float:
         return float(np.max(w * np.abs(z[i] - z[j])))
 
-    def group_delta(a: _Group, b: _Group) -> float:
-        return float(np.max(w * np.abs(a.z - b.z)))
-
     groups = [
         _Group(unit_idx=[i], size=units[i].param_count, z=z[i].copy()) for i in range(len(units))
     ]
 
-    # Undersized units fold into the statistically closest adjacent neighbor;
-    # ties go to the preceding one.
-    while len(groups) > 1:
-        pos = next((k for k, g in enumerate(groups) if g.size < n_min), None)
-        if pos is None:
-            break
-        prev_delta = group_delta(groups[pos - 1], groups[pos]) if pos > 0 else math.inf
-        next_delta = group_delta(groups[pos], groups[pos + 1]) if pos + 1 < len(groups) else math.inf
-        if prev_delta <= next_delta:
-            groups[pos - 1 : pos + 1] = [_merge(groups[pos - 1], groups[pos])]
-        else:
-            groups[pos : pos + 2] = [_merge(groups[pos], groups[pos + 1])]
+    _fold_undersized(groups, n_min, w)
 
     # Adjacent groups stay separate only when the units flanking the gap
     # differ by more than tau and both sides meet the minimum size.
@@ -199,16 +202,7 @@ def partition(
         pieces.extend(sub)
 
     # Safety net: fold any sub-minimum remnant into its closest neighbor.
-    while len(pieces) > 1:
-        pos = next((k for k, g in enumerate(pieces) if g.size < n_min), None)
-        if pos is None:
-            break
-        prev_delta = group_delta(pieces[pos - 1], pieces[pos]) if pos > 0 else math.inf
-        next_delta = group_delta(pieces[pos], pieces[pos + 1]) if pos + 1 < len(pieces) else math.inf
-        if prev_delta <= next_delta:
-            pieces[pos - 1 : pos + 1] = [_merge(pieces[pos - 1], pieces[pos])]
-        else:
-            pieces[pos : pos + 2] = [_merge(pieces[pos], pieces[pos + 1])]
+    _fold_undersized(pieces, n_min, w)
 
     return [[units[i].id for i in g.unit_idx] for g in pieces]
 
@@ -217,7 +211,8 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
     """Read structural units from a model description file.
 
     Schema: {"units": [{"id", "name", "dims", "kind"?, "layer"?, "position"?}]}.
-    Units are returned in file order, which must follow the forward structure.
+    Units are returned in file order, which must follow the forward structure;
+    the optional keys are accepted and ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -230,9 +225,6 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
                 id=int(entry["id"]),
                 name=str(entry["name"]),
                 shape=BlockShape(tuple(int(x) for x in entry["dims"])),
-                module_kind=str(entry.get("kind", "other")),
-                layer_index=int(entry.get("layer", 0)),
-                position=int(entry.get("position", 0)),
             )
         )
     return out

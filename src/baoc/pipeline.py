@@ -46,7 +46,6 @@ class RunConfig:
     budget_ratio: float = 0.5
     time_budget: float = 1.3
     gamma: float = 0.1
-    sampling_ratio: float = 0.001
     anchors: Anchors = Anchors()
     weights: RiskWeights = RiskWeights()
     warmup_steps: int | None = None

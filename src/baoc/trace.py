@@ -172,36 +172,32 @@ def write_trace(
 def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]:
     """Parse the header eagerly and return a lazy stream of step records.
 
-    Length mismatches, unknown block ids, and non-monotone steps raise
-    TraceParseError naming the offending record while streaming.
+    The header is read and closed here; the record stream opens the file
+    again only once it is first advanced. Length mismatches, unknown block
+    ids, and non-monotone steps raise TraceParseError naming the offending
+    record while streaming.
     """
-    fh = open(path, "r", encoding="utf-8")
-    header_line = fh.readline()
+    with open(path, "r", encoding="utf-8") as fh:
+        header_line = fh.readline()
     if not header_line.strip():
-        fh.close()
         raise TraceParseError("empty trace file: missing header line")
     try:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
-        fh.close()
         raise TraceParseError(f"malformed header: {exc}") from None
     if not isinstance(header, dict) or "blocks" not in header:
-        fh.close()
         raise TraceParseError("malformed header: expected an object with a 'blocks' field")
     if header.get("version") != TRACE_VERSION:
-        fh.close()
         raise TraceParseError(f"unsupported trace version {header.get('version')!r}")
     ratio = header.get("sampling_ratio")
     try:
         specs = [BlockSpec.from_json_dict(b) for b in header["blocks"]]
     except (KeyError, TypeError, ValueError) as exc:
-        fh.close()
         raise TraceParseError(f"malformed header block entry: {exc}") from None
     if isinstance(ratio, (int, float)) and 0 < ratio <= 1:
         for spec in specs:
             expected = sample_count(spec.shape.param_count, float(ratio))
             if spec.sample_size != expected:
-                fh.close()
                 raise TraceParseError(
                     f"header block {spec.id}: {spec.sample_size} sample indices, "
                     f"but sampling_ratio {ratio} implies {expected}"
@@ -211,7 +207,8 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
     def _records() -> Iterator[StepRecord]:
         prev_step: int | None = None
         record_no = 0
-        with fh:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()  # header, parsed above
             for line in fh:
                 if not line.strip():
                     continue

@@ -74,7 +74,6 @@ class TestSolveExact:
         assert sol.status == "optimal"
         assert sol.assignment == {0: X, 1: Y}
         assert sol.objective == pytest.approx(0.4, abs=1e-12)
-        assert sol.bound_gap == 0.0
 
     def test_infeasible_names_constraint(self):
         sol = solve_exact(two_block_problem(7))

@@ -242,6 +242,37 @@ class TestStateUpdate:
         assert np.allclose(state.sq_matrix, expected, atol=1e-14)
         assert np.all(state.sq_matrix >= 0.0)
 
+    @pytest.mark.parametrize("dims, ratio", [((64, 48), 0.05), ((4, 16, 12), 0.3)])
+    def test_sparse_matrix_state_matches_dense_accumulator(self, dims, ratio):
+        # Reference: a dense occupied-rows x occupied-columns accumulator that
+        # scatter-adds g*g, divides by the per-cell sample count and folds the
+        # observed cells into the EMA, step by step.
+        spec = _spec(dims=dims, ratio=ratio, seed=3)
+        rows_full, cols_full = dims[-2], dims[-1]
+        within = np.asarray(spec.sample_indices) % (rows_full * cols_full)
+        r, c = within // cols_full, within % cols_full
+        row_rank = np.searchsorted(np.unique(r), r)
+        col_rank = np.searchsorted(np.unique(c), c)
+        counts = np.zeros((row_rank.max() + 1, col_rank.max() + 1), dtype=np.int64)
+        np.add.at(counts, (row_rank, col_rank), 1)
+        observed = counts > 0
+        if len(dims) == 2:
+            assert not observed.all()  # sparse grid: unobserved cells stay 0
+        else:
+            assert counts.max() > 1  # leading axis pools samples into cells
+        state = DiagnosticsState(spec)
+        beta = state.beta_v
+        reference = np.zeros(counts.shape)
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            g = rng.standard_normal(spec.sample_size) * rng.uniform(0.1, 3.0, spec.sample_size)
+            state.update(g)
+            acc = np.zeros(counts.shape)
+            np.add.at(acc, (row_rank, col_rank), g * g)
+            cell_mean = acc / np.maximum(counts, 1)
+            reference[observed] = beta * reference[observed] + (1.0 - beta) * cell_mean[observed]
+            assert np.array_equal(state.sq_matrix, reference)
+
     def test_permutation_invariant_metrics(self):
         rng = np.random.default_rng(9)
         grads = [rng.standard_normal(8) for _ in range(5)]

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,16 @@ class TestRunAllocation:
     def test_no_blocks_rejected(self):
         with pytest.raises(ValueError, match="no blocks"):
             run_allocation(RunConfig(), ([], []))
+
+    def test_no_blocks_trace_file_leaks_no_handle(self, tmp_path):
+        path = tmp_path / "no_blocks.jsonl"
+        write_trace(path, [], [], sampling_ratio=0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no blocks"):
+                run_allocation(RunConfig(), path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_warmup_steps_truncates(self):
         specs, records = three_block_trace(steps=100)
