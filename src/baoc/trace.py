@@ -1,14 +1,19 @@
 """Sampled gradient/parameter traces: sampling, schema, JSONL round-trip.
 
 A trace is JSON-Lines: the first line is a header object
-``{"version": 1, "sampling_ratio": s, "blocks": [...]}`` and every further
-line is one step record ``{"step": t, "grads": {...}, "params": {...}?}``.
-Numbers are written in shortest round-trip decimal form, so writing and
-re-reading a trace reproduces finite values bit-exactly.
+``{"version": 2, "sampling_ratio": s, "blocks": [...]}`` and every further
+line is one step record ``{"step": t, "grads": {...}, "params": {...}?}``
+whose ``grads``/``params`` objects map a block id to that block's sampled
+vector. Version 2 writes each vector as the base64 text of its little-endian
+float64 bytes, so a file stays ASCII JSON (it can go to a text stream and be
+split into lines) while reading and writing it skip decimal formatting and
+parsing; round-trips are bit-exact. Version 1, where each vector is a JSON
+array of decimal numbers, is still read by the same loop.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ import numpy as np
 
 from .config_space import BlockShape
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 class TraceParseError(ValueError):
@@ -120,20 +125,54 @@ class StepRecord:
     params: dict[int, np.ndarray] | None = None
 
 
-def _check_vectors(
-    record_no: int, step: int, kind: str, vectors: dict[int, np.ndarray], specs_by_id: dict[int, BlockSpec]
-) -> None:
-    for block_id, vec in vectors.items():
+def _encode_vector(v: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_vectors(
+    record_no: int, step: int, kind: str, raw: object, specs_by_id: dict[int, BlockSpec]
+) -> dict[int, np.ndarray]:
+    """One record's ``grads``/``params`` object as read-only float64 vectors.
+
+    A string value is base64 little-endian float64 (version 2), a list is
+    decimal numbers (version 1). Every malformed case raises TraceParseError
+    naming the record and, where there is one, the block.
+    """
+    where = f"record {record_no} (step {step})"
+    if not isinstance(raw, dict):
+        raise TraceParseError(f"{where}: {kind} must be an object mapping block ids to vectors")
+    out: dict[int, np.ndarray] = {}
+    for key, value in raw.items():
+        try:
+            block_id = int(key)
+        except ValueError:
+            raise TraceParseError(f"{where}: {kind} key {key!r} is not an integer block id") from None
         if block_id not in specs_by_id:
-            raise TraceParseError(
-                f"record {record_no} (step {step}): {kind} for unknown block id {block_id}"
-            )
+            raise TraceParseError(f"{where}: {kind} for unknown block id {block_id}")
+        what = f"{where}: {kind} vector for block {block_id}"
+        if isinstance(value, str):
+            try:
+                data = base64.b64decode(value, validate=True)
+            except ValueError as exc:
+                raise TraceParseError(f"{what} is not valid base64: {exc}") from None
+            if len(data) % 8:
+                raise TraceParseError(f"{what} has {len(data)} bytes, not a multiple of 8")
+            vec = np.frombuffer(data, dtype="<f8")
+        else:
+            try:
+                vec = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise TraceParseError(f"{what} is not an array of numbers") from None
+            vec.flags.writeable = False
+        if vec.ndim != 1:
+            raise TraceParseError(f"{what} is not 1-D (shape {vec.shape})")
         expected = specs_by_id[block_id].sample_size
         if len(vec) != expected:
-            raise TraceParseError(
-                f"record {record_no} (step {step}): {kind} vector for block {block_id} "
-                f"has length {len(vec)}, expected {expected}"
-            )
+            raise TraceParseError(f"{what} has length {len(vec)}, expected {expected}")
+        if not np.isfinite(vec).all():
+            raise TraceParseError(f"{what} has a non-finite value")
+        out[block_id] = vec
+    return out
 
 
 def write_trace(
@@ -142,7 +181,12 @@ def write_trace(
     records: Iterable[StepRecord],
     sampling_ratio: float,
 ) -> None:
-    """Write header + records as JSONL. Exclusive per file; last writer wins."""
+    """Write header + records as version-2 JSONL. Exclusive per file; last writer wins.
+
+    Each vector is written as the base64 text of its little-endian float64
+    bytes, so reading the file back gives bit-identical values. `path` may be
+    an open text stream, such as stdout.
+    """
 
     def _emit(fh: IO[str]) -> None:
         header = {
@@ -154,12 +198,10 @@ def write_trace(
         for rec in records:
             obj: dict = {
                 "step": rec.step,
-                "grads": {str(b): np.asarray(v, dtype=np.float64).tolist() for b, v in rec.grads.items()},
+                "grads": {str(b): _encode_vector(v) for b, v in rec.grads.items()},
             }
             if rec.params is not None:
-                obj["params"] = {
-                    str(b): np.asarray(v, dtype=np.float64).tolist() for b, v in rec.params.items()
-                }
+                obj["params"] = {str(b): _encode_vector(v) for b, v in rec.params.items()}
             fh.write(json.dumps(obj) + "\n")
 
     if hasattr(path, "write"):
@@ -172,10 +214,12 @@ def write_trace(
 def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]:
     """Parse the header eagerly and return a lazy stream of step records.
 
-    The header is read and closed here; the record stream opens the file
-    again only once it is first advanced. Length mismatches, unknown block
-    ids, and non-monotone steps raise TraceParseError naming the offending
-    record while streaming.
+    Reads trace versions 1 and 2 (see the module docstring). The header is
+    read and closed here; the record stream opens the file again only once
+    it is first advanced. The decoded vectors are read-only float64 arrays;
+    for version 2 they are views of the decoded bytes. Malformed vectors
+    (see `_decode_vectors`), unknown block ids and non-monotone steps raise
+    TraceParseError naming the offending record while streaming.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -187,7 +231,7 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
         raise TraceParseError(f"malformed header: {exc}") from None
     if not isinstance(header, dict) or "blocks" not in header:
         raise TraceParseError("malformed header: expected an object with a 'blocks' field")
-    if header.get("version") != TRACE_VERSION:
+    if header.get("version") not in (1, TRACE_VERSION):
         raise TraceParseError(f"unsupported trace version {header.get('version')!r}")
     ratio = header.get("sampling_ratio")
     try:
@@ -227,12 +271,10 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
                         f"record {record_no}: step {step} not greater than previous step {prev_step}"
                     )
                 prev_step = step
-                grads = {int(b): np.asarray(v, dtype=np.float64) for b, v in raw_grads.items()}
-                _check_vectors(record_no, step, "grads", grads, specs_by_id)
+                grads = _decode_vectors(record_no, step, "grads", raw_grads, specs_by_id)
                 params = None
-                if "params" in obj and obj["params"] is not None:
-                    params = {int(b): np.asarray(v, dtype=np.float64) for b, v in obj["params"].items()}
-                    _check_vectors(record_no, step, "params", params, specs_by_id)
+                if obj.get("params") is not None:
+                    params = _decode_vectors(record_no, step, "params", obj["params"], specs_by_id)
                 yield StepRecord(step=step, grads=grads, params=params)
 
     return specs, _records()

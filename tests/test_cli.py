@@ -57,7 +57,7 @@ class TestSimulate:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header + 3 records
-        assert json.loads(lines[0])["version"] == 1
+        assert json.loads(lines[0])["version"] == 2
 
     def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         profile_path = tmp_path / "profiles.json"
@@ -134,6 +134,15 @@ class TestAllocate:
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert "infeasible" in err and "minimum feasible" in err
+
+    def test_malformed_trace_record_is_one_error_line(self, trace_path, tmp_path, capsys):
+        header = trace_path.read_text().splitlines()[0]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps({"step": 1, "grads": [0.1, 0.2]}) + "\n")
+        assert dispatch(["allocate", "--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 1 (step 1): grads must be an object")
+        assert err.count("\n") == 1
 
     def test_bad_selector(self, trace_path, capsys):
         code = dispatch(["allocate", "--trace", str(trace_path), "--exclude", "adamw:13"])

@@ -1,4 +1,5 @@
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from baoc.pipeline import (
 )
 from baoc.risk import signals_from_metrics
 from baoc.simulator import StreamProfile, generate_stream
-from baoc.trace import BlockSpec, StepRecord, write_trace
+from baoc.trace import BlockSpec, StepRecord, read_trace, write_trace
 
 
 def three_block_trace(steps=150, seed=0):
@@ -167,3 +168,39 @@ class TestCollectMetrics:
         bad = [StepRecord(step=1, grads={7: np.ones(3)})]
         with pytest.raises(ValueError, match="unknown block 7"):
             collect_metrics(specs, bad)
+
+
+def _write_v1_trace(path, specs, records, sampling_ratio):
+    """The version-1 layout: every vector a JSON array of decimal numbers."""
+    lines = [json.dumps({"version": 1, "sampling_ratio": sampling_ratio, "blocks": [s.to_json_dict() for s in specs]})]
+    for rec in records:
+        obj = {"step": rec.step, "grads": {str(b): v.tolist() for b, v in rec.grads.items()}}
+        if rec.params is not None:
+            obj["params"] = {str(b): v.tolist() for b, v in rec.params.items()}
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestTraceVersions:
+    def test_v1_and_v2_traces_give_the_same_metrics_and_plan(self, tmp_path):
+        ratio, seed = 0.1, 4
+        specs = [
+            BlockSpec.create(0, "attn", (40, 50), ratio, seed=seed),
+            BlockSpec.create(1, "ffn", (2, 30, 30), ratio, seed=seed),
+            BlockSpec.create(2, "norm", (64,), ratio, seed=seed),
+        ]
+        profiles = {
+            0: StreamProfile(noise_scale_spread=1.5, rank1_mix=0.7, drift_strength=1.0, seed=seed),
+            1: StreamProfile(noise_scale_spread=0.3, drift_strength=4.0, drift_persistence=0.9, seed=seed + 1),
+            2: StreamProfile(noise_scale_spread=1.0, seed=seed + 2),
+        }
+        records = generate_stream(specs, profiles, 40)
+        v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        _write_v1_trace(v1, specs, records, ratio)
+        write_trace(v2, specs, records, ratio)
+        assert v1.read_bytes() != v2.read_bytes()
+
+        assert collect_metrics(*read_trace(v1)) == collect_metrics(*read_trace(v2))
+        config = RunConfig(budget_ratio=0.5)
+        plans = [plan_bytes(run_allocation(config, path, groups=[[0, 1], [2]]).plan) for path in (v1, v2)]
+        assert plans[0] == plans[1]

@@ -1,9 +1,13 @@
+import base64
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from baoc.config_space import BlockShape
 from baoc.trace import (
@@ -111,6 +115,32 @@ class TestRoundTrip:
         write_trace(b, specs, list(stream), sampling_ratio=0.1)
         assert a.read_bytes() == b.read_bytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(values=arrays(np.float64, st.integers(1, 64), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(values=np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(np.float64).tiny,
+                              np.finfo(np.float64).max, -np.finfo(np.float64).max]))
+    def test_finite_vectors_round_trip_bit_exactly(self, values):
+        spec = BlockSpec(id=0, name="w", shape=BlockShape((len(values),)), sample_indices=tuple(range(len(values))))
+        records = [StepRecord(step=1, grads={0: values}, params={0: values[::-1]})]
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
+            write_trace(a, [spec], records, sampling_ratio=1.0)
+            specs, stream = read_trace(a)
+            (back,) = list(stream)
+            assert back.grads[0].tobytes() == values.tobytes()
+            assert back.params[0].tobytes() == values[::-1].tobytes()
+            write_trace(b, specs, [back], sampling_ratio=1.0)
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_vectors_are_read_only(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _specs(), _records(), sampling_ratio=0.1)
+        _, stream = read_trace(path)
+        vec = next(stream).grads[0]
+        stream.close()
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 1.0
+
     def test_handcrafted_values(self, tmp_path):
         path = tmp_path / "t.jsonl"
         header = {
@@ -138,10 +168,10 @@ class TestParseErrors:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def _header(self):
+    def _header(self, version=1):
         return json.dumps(
             {
-                "version": 1,
+                "version": version,
                 "sampling_ratio": 0.5,
                 "blocks": [{"id": 0, "name": "w", "dims": [4], "kind": "other", "sample_indices": [0, 2]}],
             }
@@ -194,7 +224,7 @@ class TestParseErrors:
             read_trace(path)
 
     def test_wrong_version(self, tmp_path):
-        path = self._write(tmp_path, [json.dumps({"version": 2, "sampling_ratio": 0.5, "blocks": []})])
+        path = self._write(tmp_path, [json.dumps({"version": 99, "sampling_ratio": 0.5, "blocks": []})])
         with pytest.raises(TraceParseError, match="version"):
             read_trace(path)
 
@@ -215,6 +245,51 @@ class TestParseErrors:
         _, stream = read_trace(path)
         with pytest.raises(TraceParseError, match="record 1"):
             list(stream)
+
+    def _second_record_error(self, tmp_path, bad_record, version=1):
+        """Stream a good record 1 then `bad_record` (raw JSON text) as record 2."""
+        good = json.dumps({"step": 1, "grads": {"0": [0.1, 0.2]}})
+        path = self._write(tmp_path, [self._header(version), good, bad_record])
+        _, stream = read_trace(path)
+        with pytest.raises(TraceParseError, match=r"record 2 \(step 2\)") as err:
+            list(stream)
+        return str(err.value)
+
+    @pytest.mark.parametrize("kind", ["grads", "params"])
+    def test_vectors_not_an_object(self, tmp_path, kind):
+        record = {"step": 2, "grads": {"0": [0.1, 0.2]}, kind: [0.1, 0.2]}
+        message = self._second_record_error(tmp_path, json.dumps(record))
+        assert f"{kind} must be an object" in message
+
+    def test_block_key_not_an_integer(self, tmp_path):
+        message = self._second_record_error(tmp_path, json.dumps({"step": 2, "grads": {"w0": [0.1, 0.2]}}))
+        assert "'w0' is not an integer block id" in message
+
+    def test_vector_not_one_dimensional(self, tmp_path):
+        message = self._second_record_error(tmp_path, json.dumps({"step": 2, "grads": {"0": [[0.1], [0.2]]}}))
+        assert "block 0 is not 1-D" in message
+
+    @pytest.mark.parametrize("text", ["[NaN, 0.2]", "[0.1, Infinity]", "[0.1, -Infinity]", "[null, 0.2]"])
+    def test_non_finite_decimal_value(self, tmp_path, text):
+        message = self._second_record_error(tmp_path, '{"step": 2, "grads": {"0": %s}}' % text)
+        assert "block 0 has a non-finite value" in message
+
+    def test_non_finite_base64_value(self, tmp_path):
+        vec = base64.b64encode(np.array([0.1, np.nan], dtype="<f8").tobytes()).decode("ascii")
+        message = self._second_record_error(tmp_path, json.dumps({"step": 2, "grads": {"0": vec}}), version=2)
+        assert "block 0 has a non-finite value" in message
+
+    @pytest.mark.parametrize(
+        "vec, reason",
+        [
+            ("not base64!", "is not valid base64"),
+            ("AAAA", "has 3 bytes, not a multiple of 8"),
+            (base64.b64encode(bytes(12)).decode("ascii"), "has 12 bytes, not a multiple of 8"),
+        ],
+    )
+    def test_bad_base64_vector(self, tmp_path, vec, reason):
+        message = self._second_record_error(tmp_path, json.dumps({"step": 2, "grads": {"0": vec}}), version=2)
+        assert f"block 0 {reason}" in message
 
 
 class TestBlockSpec:
