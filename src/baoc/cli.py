@@ -200,7 +200,13 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     if args.blocks is not None:
         with open(args.blocks, "r", encoding="utf-8") as fh:
             blocks_doc = json.load(fh)
-        groups = [row["unit_ids"] for row in blocks_doc["blocks"]]
+        rows = blocks_doc.get("blocks") if isinstance(blocks_doc, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError(f"--blocks {args.blocks}: expected an object with a 'blocks' list")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict) or not isinstance(row.get("unit_ids"), list):
+                raise ValueError(f"--blocks {args.blocks}: blocks[{i}] is not an object with a 'unit_ids' list")
+        groups = [row["unit_ids"] for row in rows]
 
     config = RunConfig(
         budget_ratio=args.budget_ratio,

@@ -4,14 +4,16 @@ Each traced block owns one `DiagnosticsState` that folds sampled gradient
 vectors into exponential moving averages: first/second moments, step-to-step
 direction stability, and (for matrix blocks) one squared-gradient EMA per
 occupied cell of a compacted row/column grid, so a step costs O(samples).
-Raw metrics, the distortion and the squared-gradient matrix included, are
-derived from the final EMA values at the end of warmup:
+Raw metrics, the distortion and the structure residual included, are
+derived from the final EMA values at the end of warmup, from the occupied
+cells alone: no metric builds the block's dense matrix.
 
 - anisotropy: log ratio of the 0.9/0.1 quantiles of the second moment
 - direction stability and a signal-to-noise proxy, gating momentum need
 - distortion: how unevenly the adaptive preconditioner scales parameters
 - structure residual: distance of the squared-gradient matrix from its
-  row/column-mean rank-1 reconstruction
+  row/column-mean rank-1 reconstruction, unobserved grid cells counting as
+  zeros, in O(cells + rows + columns)
 - precision cosine: alignment of the quantized-state update direction with
   the full-precision one, per candidate bit-width
 """
@@ -66,16 +68,43 @@ def structure_residual(S: np.ndarray) -> float:
     """Relative Frobenius error of the row/column-mean rank-1 reconstruction.
 
     Exact zero for any positive outer product; returns 0 when the matrix has
-    no mass.
+    no mass. The nonzero cells of `S` go through `_cell_structure_residual`,
+    which is exact because a zero cell and an absent one contribute alike.
     """
     mat = np.asarray(S, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 2 or mat.shape[1] < 2:
         raise ValueError(f"structure residual needs a matrix of at least 2x2, got shape {mat.shape}")
-    overall = mat.mean()
-    if overall <= EPS:
+    rows, cols = np.nonzero(mat)
+    return _cell_structure_residual(rows, cols, mat[rows, cols], mat.shape)
+
+
+def _cell_structure_residual(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
+) -> float:
+    """`structure_residual` of a `shape` matrix given only its listed cells.
+
+    Cells are distinct (row, column) pairs; every other cell is 0. With row
+    sums a, column sums b and total T, the reconstruction of cell (i, j) is
+    a_i b_j / T. Listed cells add their squared error; the unlisted cells of
+    row i add a_i^2 (sum of b_j^2 over its unlisted columns) / T^2. Costs
+    O(cells + rows + columns).
+    """
+    n_rows, n_cols = shape
+    a = np.bincount(rows, weights=values, minlength=n_rows)
+    b = np.bincount(cols, weights=values, minlength=n_cols)
+    total = a.sum()
+    if total / (n_rows * n_cols) <= EPS:
         return 0.0
-    approx = np.outer(mat.mean(axis=1), mat.mean(axis=0)) / overall
-    return float(np.linalg.norm(mat - approx) / (np.linalg.norm(mat) + EPS))
+    listed_err = values - a[rows] * b[cols] / total
+    b_sq = b * b
+    # By subtraction, so clipped against rounding below 0, and exactly 0 for a
+    # row listing every column with b_j != 0: an outer product, zero rows and
+    # columns included, keeps a residual of 0 instead of sqrt(rounding).
+    unlisted_b_sq = np.maximum(b_sq.sum() - np.bincount(rows, weights=b_sq[cols], minlength=n_rows), 0.0)
+    live = b[cols] != 0.0
+    unlisted_b_sq[np.bincount(rows[live], minlength=n_rows) == np.count_nonzero(b)] = 0.0
+    err_sq = listed_err @ listed_err + (a * a) @ unlisted_b_sq / (total * total)
+    return float(np.sqrt(err_sq) / (np.sqrt(values @ values) + EPS))
 
 
 def quantize(x: np.ndarray, bits: int) -> np.ndarray:
@@ -199,7 +228,10 @@ class DiagnosticsState:
     def sq_matrix(self) -> np.ndarray | None:
         """Squared-gradient EMA on the grid of occupied rows/columns of the two
         trailing axes (leading axes pool in; samples sharing a cell enter as
-        their mean), unobserved cells 0. None unless the grid is at least 2x2."""
+        their mean), unobserved cells 0. None unless the grid is at least 2x2.
+
+        An inspection view built on each access; `snapshot` never builds it.
+        """
         if self._grid_shape is None:
             return None
         mat = np.zeros(self._grid_shape, dtype=np.float64)
@@ -250,8 +282,9 @@ class DiagnosticsState:
         """Read the raw metrics off the current EMA values."""
         if self.step_count == 0:
             raise ValueError(f"block {self.spec.id}: no updates folded in yet")
-        sq_matrix = self.sq_matrix
-        residual = structure_residual(sq_matrix) if sq_matrix is not None else 0.0
+        residual = 0.0
+        if self._grid_shape is not None:
+            residual = _cell_structure_residual(self._cell_row, self._cell_col, self._cell_sq, self._grid_shape)
         q = {b: precision_similarity(self.exp_avg, self.exp_avg_sq, b) for b in sorted(set(bits), reverse=True)}
         return RawMetrics(
             anisotropy=anisotropy(self.exp_avg_sq),

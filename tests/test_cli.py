@@ -144,6 +144,17 @@ class TestAllocate:
         assert err.startswith("error: record 1 (step 1): grads must be an object")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doc", [{"blocks": 5}, {"blocks": [5]}, [1, 2], {}, {"blocks": [{"unit_ids": 3}]}]
+    )
+    def test_malformed_blocks_document_is_one_error_line(self, doc, trace_path, tmp_path, capsys):
+        blocks = tmp_path / "blocks.json"
+        blocks.write_text(json.dumps(doc))
+        code = dispatch(["allocate", "--trace", str(trace_path), "--blocks", str(blocks), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --blocks ")
+
     def test_bad_selector(self, trace_path, capsys):
         code = dispatch(["allocate", "--trace", str(trace_path), "--exclude", "adamw:13"])
         assert code == EXIT_INPUT_ERROR

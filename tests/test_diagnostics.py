@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,11 +99,29 @@ class TestDistortion:
         assert distortion(np.array([1.0, 4.0]), np.array([1.0, 1.0])) == pytest.approx(1 / 3, abs=1e-6)
 
 
+def dense_structure_residual(S):
+    """Reference: rank-1 reconstruction from the row and column means of the
+    zero-filled grid, as a dense outer product."""
+    overall = S.mean()
+    if overall <= EPS:
+        return 0.0
+    approx = np.outer(S.mean(axis=1), S.mean(axis=0)) / overall
+    return float(np.linalg.norm(S - approx) / (np.linalg.norm(S) + EPS))
+
+
 class TestStructureResidual:
     def test_outer_product_is_exact(self):
         rng = np.random.default_rng(1)
         a, b = rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 9)
         assert structure_residual(np.outer(a, b)) < 1e-9
+
+    def test_outer_product_with_zero_row_and_column_is_exact(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            a, b = rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 9)
+            a[rng.integers(7)] = 0.0
+            b[rng.integers(9)] = 0.0
+            assert structure_residual(np.outer(a, b)) < 1e-12
 
     def test_identity_2x2(self):
         assert structure_residual(np.eye(2)) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
@@ -115,6 +134,14 @@ class TestStructureResidual:
             structure_residual(np.ones((1, 5)))
         with pytest.raises(ValueError):
             structure_residual(np.ones(4))
+
+    def test_matrix_with_exact_zeros_matches_dense_reference(self):
+        rng = np.random.default_rng(12)
+        S = rng.uniform(0.0, 2.0, (9, 13)) * (rng.uniform(size=(9, 13)) < 0.6)
+        S[4] = 0.0  # an empty row
+        S[:, 7] = 0.0  # an empty column
+        assert (S == 0.0).mean() > 0.3
+        assert structure_residual(S) == pytest.approx(dense_structure_residual(S), abs=1e-12)
 
     def test_row_col_permutation_covariance(self):
         rng = np.random.default_rng(2)
@@ -317,6 +344,46 @@ class TestSnapshot:
         state = DiagnosticsState(_spec(dims=(7,)))
         state.update(np.ones(7))
         assert state.snapshot().structure_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "dims, ratio", [((64, 48), 0.05), ((4, 16, 12), 0.3), ((3, 4), 1.0)]
+    )
+    def test_structure_residual_matches_dense_reference(self, dims, ratio):
+        state = DiagnosticsState(_spec(dims=dims, ratio=ratio, seed=5))
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            state.update(rng.standard_normal(state.spec.sample_size) * rng.uniform(0.1, 3.0))
+        expected = dense_structure_residual(state.sq_matrix)
+        assert state.snapshot().structure_residual == pytest.approx(expected, abs=1e-12)
+
+    def test_streamed_rank1_pattern_at_full_sampling(self):
+        # Every step's squared gradient is a scaled outer product, so the EMA
+        # grid is exactly rank-1 and fully observed.
+        spec = _spec(dims=(12, 9), ratio=1.0, seed=2)
+        rng = np.random.default_rng(14)
+        pattern = np.sqrt(np.outer(rng.uniform(0.2, 3.0, 12), rng.uniform(0.2, 3.0, 9))).ravel()
+        state = DiagnosticsState(spec)
+        for _ in range(8):
+            state.update(rng.uniform(0.5, 2.0) * pattern[np.asarray(spec.sample_indices)])
+        assert state.snapshot().structure_residual < 1e-9
+        assert dense_structure_residual(state.sq_matrix) < 1e-9
+
+    def test_snapshot_memory_scales_with_samples_not_grid_area(self):
+        # ~16.8k samples on a ~2048 x 7100 occupied grid: a dense grid would
+        # be over 100 MB, the per-cell arrays are well under 1 MB.
+        state = DiagnosticsState(_spec(dims=(2048, 8192), ratio=0.001, seed=1))
+        rows, cols = state._grid_shape
+        assert rows * cols * 8 > 100 * 2**20
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            state.update(rng.standard_normal(state.spec.sample_size))
+        tracemalloc.start()
+        try:
+            state.snapshot()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_snapshot_requires_updates(self):
         with pytest.raises(ValueError):
