@@ -163,8 +163,9 @@ def run_allocation(
 ) -> RunResult:
     """Warmup-trace consumption, diagnostics, allocation, plan rendering.
 
-    Raises AllocationInfeasibleError (with the minimum feasible memory budget
-    in the message) when the budgets admit no assignment.
+    Raises AllocationInfeasibleError when the budgets admit no assignment;
+    when the memory budget is below the cheapest assignment's memory, the
+    message also names the minimum feasible memory budget.
     """
     if isinstance(trace_source, (str, Path)):
         specs, records = read_trace(trace_source)
@@ -200,12 +201,13 @@ def run_allocation(
     )
     solution = solve_exact(problem)
     if not solution.is_optimal:
-        raise AllocationInfeasibleError(
-            f"{solution.infeasible_reason}; minimum feasible memory budget is "
-            f"{problem.min_feasible_mem()} bytes (budget ratio "
-            f"{problem.min_feasible_mem() / max(problem.mem_budget / config.budget_ratio, 1e-300):.4g})",
-            solution,
-            problem,
-        )
+        message = str(solution.infeasible_reason)
+        min_mem = problem.min_feasible_mem()
+        if min_mem > problem.mem_budget:
+            message += (
+                f"; minimum feasible memory budget is {min_mem} bytes (budget ratio "
+                f"{min_mem / max(problem.mem_budget / config.budget_ratio, 1e-300):.4g})"
+            )
+        raise AllocationInfeasibleError(message, solution, problem)
     plan = render_plan(problem, solution)
     return RunResult(metrics_report=metrics_report, problem=problem, solution=solution, plan=plan)

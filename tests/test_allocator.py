@@ -21,7 +21,7 @@ from baoc.allocator import (
 )
 from baoc.config_space import ADAMW16, BlockShape, CandidatePolicy, Configuration, CostModel
 from baoc.risk import RiskSignals, RiskWeights
-from conftest import random_instance
+from conftest import GRID, random_instance
 
 X = Configuration.from_family("adamw", 16)
 Y = Configuration.from_family("sgdm", 16)
@@ -207,6 +207,137 @@ class TestSolveExact:
             else:
                 assert res.status == 0
                 assert abs(sol.objective - float(res.fun)) <= 1e-9
+
+
+def _table_instance(rng, n, k, mem_ratio, time_budget, phi_levels=None, ban=False):
+    """n blocks of k candidates drawn from GRID, with the static cost table's time ratios.
+
+    `phi_levels` draws phi from a few values, so that assignments tie;
+    memory comes from a few byte sizes, so that states coincide.
+    """
+    ratios = CostModel.static_default()
+    blocks, cands, excluded = [], [], []
+    for i in range(n):
+        picks = sorted(rng.choice(len(GRID), size=k, replace=False))
+        row = []
+        for j in picks:
+            cfg = GRID[int(j)]
+            phi = float(rng.choice(phi_levels)) if phi_levels is not None else float(rng.uniform(0, 3))
+            row.append(Candidate(cfg, phi, int(rng.choice([0, 8, 16, 24, 32])), ratios.ratio(cfg)))
+        blocks.append(ProblemBlock(i, f"b{i}"))
+        cands.append(tuple(row))
+        excluded.append(frozenset({row[int(rng.integers(k))].config}) if ban else frozenset())
+    min_mem = sum(min(c.mem_bytes for c in row) for row in cands)
+    max_mem = sum(max(c.mem_bytes for c in row) for row in cands)
+    return AllocationProblem(
+        blocks=tuple(blocks), candidates=tuple(cands),
+        mem_budget=int(min_mem + mem_ratio * (max_mem - min_mem)),
+        time_budget=time_budget, excluded=tuple(excluded),
+    )
+
+
+def assert_same_as_bruteforce(prob):
+    exact, brute = solve_exact(prob), solve_bruteforce(prob)
+    assert exact.status == brute.status
+    if exact.status == "optimal":
+        assert abs(exact.objective - brute.objective) <= 1e-9
+        assert exact.assignment == brute.assignment
+        assert verify(prob, exact).ok
+    return exact
+
+
+class TestParetoDP:
+    """`solve_exact` against the brute-force oracle: objective and assignment."""
+
+    @pytest.mark.parametrize("time_budget", [0.9, 1.0])
+    def test_time_binding(self, time_budget):
+        rng = np.random.default_rng(11)
+        binding = 0
+        for _ in range(60):
+            prob = _table_instance(rng, 5, 6, float(rng.uniform(0.2, 1.0)), time_budget)
+            exact = assert_same_as_bruteforce(prob)
+            unconstrained = solve_bruteforce(
+                AllocationProblem(blocks=prob.blocks, candidates=prob.candidates,
+                                  mem_budget=prob.mem_budget, time_budget=math.inf)
+            )
+            binding += exact.is_optimal and unconstrained.mean_time_ratio > time_budget
+        assert binding >= 5  # the time row changes the answer on some draws
+
+    def test_ties_follow_the_bruteforce_rule(self):
+        # Few phi levels and memory sizes: many assignments share the optimum,
+        # equal-phi candidates differ only in memory, and sums such as
+        # 0.1 + 0.2 and 0.3 differ by less than OBJECTIVE_SLACK.
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            prob = _table_instance(rng, int(rng.integers(2, 6)), 5, float(rng.uniform(0.0, 1.2)),
+                                   float(rng.choice([0.9, 1.0, 1.3])), phi_levels=[0.0, 0.1, 0.2, 0.3])
+            assert_same_as_bruteforce(prob)
+
+    def test_equal_phi_prefers_the_first_candidate(self):
+        # X is within OBJECTIVE_SLACK of Y and Z, not equal to them.
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        cands = (
+            (Candidate(X, 0.5 + 4e-10, 4, 1.0), Candidate(Y, 0.5, 2, 1.0), Candidate(Z, 0.5, 2, 1.0)),
+            (Candidate(Z, 0.2, 8, 0.4), Candidate(X, 0.2, 8, 0.4)),
+        )
+        prob = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=100, time_budget=2.0)
+        assert assert_same_as_bruteforce(prob).assignment == {0: X, 1: Z}
+        tight = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=10, time_budget=2.0)
+        assert assert_same_as_bruteforce(tight).assignment == {0: Y, 1: Z}
+
+    @pytest.mark.parametrize("kind", ["memory", "time", "joint"])
+    def test_infeasible(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "memory":
+            prob = _table_instance(rng, 4, 5, -0.1, 1.3)
+        elif kind == "time":
+            prob = _table_instance(rng, 4, 5, 1.0, 0.3)
+        else:
+            # The cheapest memory runs slow and the fastest ratio needs memory.
+            a, b = Configuration.from_family("adamw", 32), Configuration.from_family("sgd")
+            row = (Candidate(a, 0.1, 0, 2.0), Candidate(b, 0.1, 100, 0.5))
+            prob = AllocationProblem(
+                blocks=tuple(ProblemBlock(i, f"b{i}") for i in range(3)),
+                candidates=(row,) * 3, mem_budget=150, time_budget=1.0,
+            )
+        sol = assert_same_as_bruteforce(prob)
+        assert sol.status == "infeasible"
+        if kind != "joint":
+            assert kind in sol.infeasible_reason
+
+    def test_single_block(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            assert_same_as_bruteforce(
+                _table_instance(rng, 1, int(rng.integers(1, 9)), float(rng.uniform(0, 1.1)),
+                                float(rng.choice([0.5, 0.9, 1.3])))
+            )
+
+    def test_excluded_candidates(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            prob = _table_instance(rng, 4, 5, float(rng.uniform(0.1, 1.0)),
+                                   float(rng.choice([0.9, 1.0, 1.3])), ban=True)
+            sol = assert_same_as_bruteforce(prob)
+            if sol.is_optimal:
+                assert all(sol.assignment[i] not in prob.excluded[i] for i in range(4))
+
+    def test_two_thousand_blocks_without_recursion_limit(self):
+        rng = np.random.default_rng(31)
+        shapes = (BlockShape((256, 256)), BlockShape((256, 688)), BlockShape((256,)))
+        blocks = [ProblemBlock(i, f"b{i}", (shapes[i % 3],)) for i in range(2000)]
+        signals = {
+            i: RiskSignals(
+                geometry=float(g), momentum=float(m), distortion=float(d), structure=float(f),
+                precision={32: 0.0, 16: float(p16), 8: float(p8)},
+            )
+            for i, (g, m, d, f, p16, p8) in enumerate(rng.uniform(0, 1, size=(2000, 6)) * [1, 1, 1, 1, 0.05, 0.5])
+        }
+        prob = build_problem(blocks, {}, budget_ratio=2.0, time_budget=1.3, signals=signals)
+        sol = solve_exact(prob)
+        assert sol.status == "optimal"
+        floor = sum(min(c.phi for c in row) for row in prob.candidates)
+        assert abs(sol.objective - floor) <= 1e-9
 
 
 class TestVerify:

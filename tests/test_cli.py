@@ -135,6 +135,14 @@ class TestAllocate:
         err = capsys.readouterr().err
         assert "infeasible" in err and "minimum feasible" in err
 
+    def test_time_infeasible_names_no_memory_budget(self, trace_path, capsys):
+        # The cheapest configuration runs at ratio 0.4, and SGD needs no state memory.
+        code = dispatch(["allocate", "--trace", str(trace_path), "--time-budget", "0.3", "--quiet"])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: infeasible: time budget 0.3")
+        assert "memory budget" not in err[0]
+
     def test_malformed_trace_record_is_one_error_line(self, trace_path, tmp_path, capsys):
         header = trace_path.read_text().splitlines()[0]
         bad = tmp_path / "bad.jsonl"
