@@ -747,8 +747,6 @@ def build_problem(
                     time_ratio=cost_model.ratio(cfg),
                 )
             )
-        if not kept:
-            raise AllocationBuildError(f"block {d.id}: all candidates excluded")
         per_block_candidates.append(tuple(kept))
         per_block_excluded.append(banned)
 

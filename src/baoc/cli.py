@@ -194,7 +194,10 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
     cost_model = None
     if args.cost_model is not None:
-        cost_model = CostModel.from_json(Path(args.cost_model).read_text(encoding="utf-8"))
+        try:
+            cost_model = CostModel.from_json(Path(args.cost_model).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"--cost-model {args.cost_model}: {exc}") from None
 
     groups = None
     if args.blocks is not None:

@@ -319,6 +319,8 @@ class CostModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CostModel":
+        if not isinstance(d, dict) or not isinstance(d.get("ratios"), dict):
+            raise ValueError("cost model must be an object with a 'ratios' object")
         table: dict[tuple[str, int], float] = {}
         for key, ratio in d["ratios"].items():
             fam, _, bits = key.partition(":")

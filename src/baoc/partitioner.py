@@ -1,17 +1,27 @@
 """Structure-guided block partitioning refined by diagnostic differences.
 
 Model structure proposes candidate units in forward order; warmup diagnostics
-decide which adjacent units stay separate. Units below the minimum size merge
-into their statistically closest neighbor, adjacent units stay apart only
-when their signal difference clears a threshold (the upper quartile of all
-pairwise differences by default), and oversized merges are re-split where
-internal statistics are clearly separated.
+decide which adjacent units stay separate. Every distance is the weighted
+maximum component difference between two partition signal vectors
+(`_difference`); the differences between neighboring units are computed once,
+as one vector. `partition` then makes three passes:
+
+1. fold: each group below the minimum size (alpha times the total parameter
+   count) merges into the adjacent group with the closest parameter-weighted
+   mean signal, scanning left to right;
+2. adjacent folded groups stay apart only when the units flanking the gap
+   differ by more than tau (by default the upper quartile of all pairwise
+   unit differences, from `compute_tau`);
+3. each merged run is re-split greedily where neighboring units differ by
+   more than tau and both sides still meet the minimum size.
+
+After the fold every group meets the minimum size or is the only group, so
+every output block does too.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -54,6 +64,12 @@ class PartitionParams:
             raise ValueError("metric weights must be non-negative")
 
 
+def _difference(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted maximum component difference along the last axis; the one
+    rule behind every distance the partitioner compares."""
+    return np.max(w * np.abs(a - b), axis=-1)
+
+
 def pairwise_difference(
     z_a: Sequence[float], z_b: Sequence[float], weights: Sequence[float] | None = None
 ) -> float:
@@ -65,7 +81,7 @@ def pairwise_difference(
     w = np.ones_like(a) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != a.shape:
         raise ValueError("weights must match the signal vector length")
-    return float(np.max(w * np.abs(a - b)))
+    return float(_difference(a, b, w))
 
 
 def _signal_matrix(
@@ -90,54 +106,44 @@ def compute_tau(
     if not isinstance(params.tau, str):
         return float(params.tau)
     z = _signal_matrix(units, unit_signals)
-    m = len(units)
-    if m < 2:
+    if len(units) < 2:
         return 0.0
     w = np.asarray(params.weights, dtype=np.float64)
-    deltas = [
-        float(np.max(w * np.abs(z[i] - z[j]))) for i in range(m) for j in range(i + 1, m)
-    ]
-    return float(np.quantile(np.asarray(deltas), 0.75))
+    deltas = np.concatenate([_difference(z[i], z[i + 1 :], w) for i in range(len(z) - 1)])
+    return float(np.quantile(deltas, 0.75))
 
 
-@dataclass
-class _Group:
-    unit_idx: list[int]
-    size: int
-    z: np.ndarray  # parameter-weighted mean signal of the member units
-
-
-def _merge(a: _Group, b: _Group) -> _Group:
-    size = a.size + b.size
-    z = (a.z * a.size + b.z * b.size) / size
-    return _Group(unit_idx=a.unit_idx + b.unit_idx, size=size, z=z)
-
-
-def _fold_undersized(groups: list[_Group], n_min: float, w: np.ndarray) -> None:
-    """Merge the first group below `n_min` into its statistically closest
-    adjacent neighbor (ties go to the preceding one) until none is left, in
-    place; a lone group stays as it is."""
-
-    def delta(a: _Group, b: _Group) -> float:
-        return float(np.max(w * np.abs(a.z - b.z)))
-
-    while len(groups) > 1:
-        pos = next((k for k, g in enumerate(groups) if g.size < n_min), None)
-        if pos is None:
-            return
-        prev_delta = delta(groups[pos - 1], groups[pos]) if pos > 0 else math.inf
-        next_delta = delta(groups[pos], groups[pos + 1]) if pos + 1 < len(groups) else math.inf
-        if prev_delta <= next_delta:
-            groups[pos - 1 : pos + 1] = [_merge(groups[pos - 1], groups[pos])]
-        else:
-            groups[pos : pos + 2] = [_merge(groups[pos], groups[pos + 1])]
+def _fold_undersized(z: np.ndarray, sizes: Sequence[int], n_min: float, w: np.ndarray) -> list[int]:
+    """Start from one group per unit and merge the first group below `n_min`
+    into its statistically closest adjacent neighbor (ties go to the preceding
+    one; a group at either end takes its only neighbor) until none is left or
+    one group remains. Distances are taken between the groups'
+    parameter-weighted mean signals. Returns each group's first unit index."""
+    starts = list(range(len(sizes)))
+    sizes = list(sizes)
+    means = list(z)
+    pos = 0  # groups before `pos` meet the minimum and never change again
+    while len(sizes) > 1:
+        while pos < len(sizes) and sizes[pos] >= n_min:
+            pos += 1
+        if pos == len(sizes):
+            break
+        if pos + 1 == len(sizes) or (
+            pos > 0
+            and _difference(means[pos - 1], means[pos], w) <= _difference(means[pos], means[pos + 1], w)
+        ):
+            pos -= 1
+        size = sizes[pos] + sizes[pos + 1]
+        means[pos : pos + 2] = [(means[pos] * sizes[pos] + means[pos + 1] * sizes[pos + 1]) / size]
+        sizes[pos : pos + 2] = [size]
+        del starts[pos + 1]
+    return starts
 
 
 def partition(
     units: Sequence[StructuralUnit],
     unit_signals: Mapping[int, RiskSignals],
     params: PartitionParams = PartitionParams(),
-    total_params: int | None = None,
 ) -> list[list[int]]:
     """Group candidate units into final blocks (lists of unit ids, in order).
 
@@ -152,59 +158,31 @@ def partition(
         raise ValueError("unit ids must be unique")
     z = _signal_matrix(units, unit_signals)
     w = np.asarray(params.weights, dtype=np.float64)
-    if total_params is None:
-        total_params = sum(u.param_count for u in units)
-    n_min = params.alpha * total_params
+    sizes = [u.param_count for u in units]
+    n_min = params.alpha * sum(sizes)
     tau = compute_tau(units, unit_signals, params)
+    # split[k]: units k and k + 1 differ by more than tau.
+    split = (_difference(z[:-1], z[1:], w) > tau).tolist()
 
-    def unit_delta(i: int, j: int) -> float:
-        return float(np.max(w * np.abs(z[i] - z[j])))
+    # After the fold every group meets the minimum (or is the only one), so
+    # adjacent groups stay separate exactly when their flanking units differ
+    # by more than tau.
+    starts = _fold_undersized(z, sizes, n_min, w)
+    cuts = [s for s in starts[1:] if split[s - 1]]
 
-    groups = [
-        _Group(unit_idx=[i], size=units[i].param_count, z=z[i].copy()) for i in range(len(units))
-    ]
-
-    _fold_undersized(groups, n_min, w)
-
-    # Adjacent groups stay separate only when the units flanking the gap
-    # differ by more than tau and both sides meet the minimum size.
-    kept = [groups[0]]
-    for g in groups[1:]:
-        left = kept[-1]
-        gap = unit_delta(left.unit_idx[-1], g.unit_idx[0])
-        if gap > tau and left.size >= n_min and g.size >= n_min:
-            kept.append(g)
-        else:
-            kept[-1] = _merge(left, g)
-
-    # Re-split merges that buried a clear internal statistic change, greedily
-    # so every resulting piece still meets the minimum size.
-    pieces: list[_Group] = []
-    for g in kept:
-        start = 0
-        acc_size = 0
-        sub: list[_Group] = []
-        for k in range(len(g.unit_idx)):
-            acc_size += units[g.unit_idx[k]].param_count
-            if k + 1 == len(g.unit_idx):
-                break
-            gap = unit_delta(g.unit_idx[k], g.unit_idx[k + 1])
-            remaining = g.size - sum(units[i].param_count for i in g.unit_idx[: k + 1])
-            if gap > tau and acc_size >= n_min and remaining >= n_min:
-                idx = g.unit_idx[start : k + 1]
-                zz = np.average(z[idx], axis=0, weights=[units[i].param_count for i in idx])
-                sub.append(_Group(unit_idx=list(idx), size=acc_size, z=zz))
-                start = k + 1
-                acc_size = 0
-        idx = g.unit_idx[start:]
-        zz = np.average(z[idx], axis=0, weights=[units[i].param_count for i in idx])
-        sub.append(_Group(unit_idx=list(idx), size=sum(units[i].param_count for i in idx), z=zz))
-        pieces.extend(sub)
-
-    # Safety net: fold any sub-minimum remnant into its closest neighbor.
-    _fold_undersized(pieces, n_min, w)
-
-    return [[units[i].id for i in g.unit_idx] for g in pieces]
+    # Re-split each run where a clear internal statistic change was buried,
+    # greedily, so that both sides of every cut meet the minimum size.
+    blocks: list[list[int]] = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(units)]):
+        start, acc, rest = lo, 0, sum(sizes[lo:hi])
+        for k in range(lo, hi - 1):
+            acc += sizes[k]
+            rest -= sizes[k]
+            if split[k] and acc >= n_min and rest >= n_min:
+                blocks.append(ids[start : k + 1])
+                start, acc = k + 1, 0
+        blocks.append(ids[start:hi])
+    return blocks
 
 
 def load_model_description(path: str | Path) -> list[StructuralUnit]:
@@ -216,10 +194,13 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict) or "units" not in raw:
-        raise ValueError("model description must be an object with a 'units' list")
+    entries = raw.get("units") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"model description {path}: expected an object with a 'units' list")
     out = []
-    for entry in raw["units"]:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("dims"), list):
+            raise ValueError(f"model description {path}: units[{i}] is not an object with a 'dims' list")
         out.append(
             StructuralUnit(
                 id=int(entry["id"]),
@@ -228,6 +209,13 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
             )
         )
     return out
+
+
+def block_name(member_names: Sequence[str]) -> str:
+    """Name of a block: its one member's name, or `first..last` for a merge."""
+    if len(member_names) == 1:
+        return member_names[0]
+    return f"{member_names[0]}..{member_names[-1]}"
 
 
 def partition_to_json_dict(
@@ -240,11 +228,10 @@ def partition_to_json_dict(
     rows = []
     for i, unit_ids in enumerate(blocks):
         members = [by_id[uid] for uid in unit_ids]
-        name = members[0].name if len(members) == 1 else f"{members[0].name}..{members[-1].name}"
         rows.append(
             {
                 "id": i,
-                "name": name,
+                "name": block_name([m.name for m in members]),
                 "unit_ids": list(unit_ids),
                 "param_count": sum(m.param_count for m in members),
             }

@@ -26,6 +26,7 @@ from .allocator import (
 )
 from .config_space import CandidatePolicy, CostModel, DEFAULT_POLICY
 from .diagnostics import DEFAULT_BETAS, DiagnosticsState, RawMetrics
+from .partitioner import block_name
 from .risk import Anchors, RiskSignals, RiskWeights, signals_from_metrics
 from .trace import BlockSpec, StepRecord, read_trace
 
@@ -138,7 +139,7 @@ def group_blocks(
             members.append(by_id[uid])
         if not members:
             raise ValueError(f"group {gi} is empty")
-        name = members[0].name if len(members) == 1 else f"{members[0].name}..{members[-1].name}"
+        name = block_name([m.name for m in members])
         blocks.append(ProblemBlock(id=gi, name=name, shapes=tuple(m.shape for m in members)))
         merged[gi] = _merged_signals(members, signals)
     leftover = set(by_id) - seen

@@ -241,6 +241,15 @@ def load_risk_config(path: str | Path) -> tuple[Anchors, RiskWeights, list[str]]
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"risk config {path}: expected an object")
+    for key, kind, what in (
+        ("anchors", dict, "an object"),
+        ("weights", dict, "an object"),
+        ("prefer", list, "a list"),
+    ):
+        if not isinstance(raw.get(key, kind()), kind):
+            raise ValueError(f"risk config {path}: '{key}' must be {what}")
     anchors = Anchors.from_json_dict(raw.get("anchors", {}))
     w = raw.get("weights", {})
     weights = RiskWeights(

@@ -112,10 +112,15 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict) or "blocks" not in raw:
-        raise ValueError("profile file must be an object with a 'blocks' list")
+    entries = raw.get("blocks") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"profile file {path}: expected an object with a 'blocks' list")
     defs = []
-    for entry in raw["blocks"]:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("dims"), list):
+            raise ValueError(f"profile file {path}: blocks[{i}] is not an object with a 'dims' list")
+        if not isinstance(entry.get("profile", {}), dict):
+            raise ValueError(f"profile file {path}: blocks[{i}].profile is not an object")
         p = dict(entry.get("profile", {}))
         p.setdefault("seed", default_seed)
         defs.append(

@@ -180,6 +180,94 @@ class TestAllocate:
         assert dispatch(["allocate", "--trace", str(trace_path)]) == EXIT_OK
         assert "optimal" in capsys.readouterr().err
 
+    def test_anchor_scale_changes_the_plan(self, tmp_path):
+        # Block 0's anisotropy lies between the default anchors; doubling them
+        # lowers its geometry need enough that, under a tight budget, it
+        # gives up adaptive state.
+        profiles = json.loads(json.dumps(PROFILES))
+        profiles["blocks"][0]["profile"]["noise_scale_spread"] = 0.5
+        profile_path = tmp_path / "profiles.json"
+        profile_path.write_text(json.dumps(profiles))
+        trace = tmp_path / "trace.jsonl"
+        assert dispatch(["simulate", "--profile", str(profile_path), "--steps", "120",
+                         "--seed", "3", "--out", str(trace), "--quiet"]) == EXIT_OK
+        plans = []
+        for extra in ([], ["--anchor-scale", "2"]):
+            out = tmp_path / f"plan{len(plans)}.json"
+            assert dispatch(["allocate", "--trace", str(trace), "--budget-ratio", "0.3",
+                             "--out", str(out), "--quiet", *extra]) == EXIT_OK
+            plans.append(out.read_bytes())
+        assert plans[0] != plans[1]
+        assert json.loads(plans[0])["blocks"][0]["config"]["adaptive"] is True
+        assert json.loads(plans[1])["blocks"][0]["config"]["adaptive"] is False
+
+    def test_preference_from_flags_and_risk_config_agree(self, trace_path, tmp_path):
+        from_flags = tmp_path / "flags.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--prefer", "sgd",
+                         "--lambda-pref", "5", "--out", str(from_flags), "--quiet"]) == EXIT_OK
+        plan = json.loads(from_flags.read_text())
+        plain_sgd = {"adaptive": False, "momentum": False, "decoupled_decay": False,
+                     "factorized": False, "bits": 32}
+        assert [row["config"] for row in plan["blocks"]] == [plain_sgd, plain_sgd]
+
+        config = tmp_path / "risk.json"
+        config.write_text(json.dumps({"prefer": ["sgd"], "lambda_pref": 5}))
+        from_config = tmp_path / "config.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--risk-config", str(config),
+                         "--out", str(from_config), "--quiet"]) == EXIT_OK
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_measured_cost_model(self, trace_path, tmp_path):
+        model = tmp_path / "cost.json"
+        assert dispatch(["bench", "--dims", "32x32", "--reps", "2", "--out", str(model), "--quiet"]) == EXIT_OK
+        plan = tmp_path / "plan.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--cost-model", str(model),
+                         "--out", str(plan), "--quiet"]) == EXIT_OK
+        assert json.loads(plan.read_text())["status"] == "optimal"
+
+    def test_cost_model_without_a_needed_ratio(self, trace_path, tmp_path, capsys):
+        model = tmp_path / "cost.json"
+        model.write_text(json.dumps({"ratios": {"adamw:16": 1.0}}))
+        code = dispatch(["allocate", "--trace", str(trace_path), "--cost-model", str(model), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "no ratio for" in err[0]
+
+    @pytest.mark.parametrize("flag", ["--lambda-pref", "--gamma"])
+    def test_negative_weight_flag_is_one_error_line(self, flag, trace_path, capsys):
+        code = dispatch(["allocate", "--trace", str(trace_path), flag, "-1", "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} must be non-negative")
+
+
+MALFORMED_DOCUMENTS = [
+    ("allocate", "--risk-config", [1, 2]),
+    ("allocate", "--risk-config", {"anchors": [1]}),
+    ("allocate", "--risk-config", {"weights": 5}),
+    ("allocate", "--risk-config", {"prefer": 5}),
+    ("allocate", "--cost-model", [1]),
+    ("allocate", "--cost-model", {"ratios": 5}),
+    ("partition", "--model-desc", {"units": 5}),
+    ("partition", "--model-desc", {"units": [5]}),
+    ("partition", "--model-desc", {"units": [{"id": 0, "name": "a", "dims": 5}]}),
+    ("simulate", "--profile", {"blocks": 5}),
+    ("simulate", "--profile", {"blocks": [5]}),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": 5}]}),
+]
+
+
+@pytest.mark.parametrize("command,flag,doc", MALFORMED_DOCUMENTS)
+def test_malformed_input_document_is_one_error_line(command, flag, doc, trace_path, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, flag, str(path), "--quiet"]
+    if command != "simulate":
+        argv += ["--trace", str(trace_path)]
+    assert dispatch(argv) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
 
 class TestVerifyCommand:
     def test_tampered_plan_exits_two(self, trace_path, tmp_path, capsys):
@@ -224,6 +312,24 @@ class TestPartitionCommand:
         plan = json.loads(plan_path.read_text())
         assert len(plan["blocks"]) == len(doc["blocks"])
 
+    def test_alpha_of_one_is_rejected(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"units": [{"id": 0, "name": "a", "dims": [16, 16]}]}))
+        code = dispatch(["partition", "--model-desc", str(model_path), "--trace", str(trace_path),
+                         "--alpha", "1.0", "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --alpha")
+
+    def test_unit_missing_from_trace_is_one_error_line(self, trace_path, tmp_path, capsys):
+        model = {"units": [{"id": 0, "name": "a", "dims": [16, 16]}, {"id": 7, "name": "b", "dims": [16, 16]}]}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        code = dispatch(["partition", "--model-desc", str(model_path), "--trace", str(trace_path), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: trace lacks diagnostics for units [7]"]
+
 
 class TestBench:
     def test_emits_cost_model(self, capsys):
@@ -236,3 +342,8 @@ class TestBench:
     def test_bad_dims(self, capsys):
         assert dispatch(["bench", "--dims", "banana"]) == EXIT_INPUT_ERROR
         assert "--dims" in capsys.readouterr().err
+
+    def test_zero_reps(self, capsys):
+        assert dispatch(["bench", "--reps", "0"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --reps")

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,6 +33,138 @@ def make_units(values, sizes=None):
 
 
 TWO_CLUSTERS = [0.13, 0.12, 0.11, 0.10, 0.90, 0.89, 0.88, 0.87]
+
+
+# Reference partitioner: the earlier group-object implementation, kept only
+# to pin `partition` and `compute_tau` to the same blocks and the same tau.
+
+
+def reference_compute_tau(units, unit_signals, params):
+    if not isinstance(params.tau, str):
+        return float(params.tau)
+    z = np.asarray([unit_signals[u.id].partition_vector() for u in units], dtype=np.float64)
+    m = len(units)
+    if m < 2:
+        return 0.0
+    w = np.asarray(params.weights, dtype=np.float64)
+    deltas = [
+        float(np.max(w * np.abs(z[i] - z[j]))) for i in range(m) for j in range(i + 1, m)
+    ]
+    return float(np.quantile(np.asarray(deltas), 0.75))
+
+
+@dataclass
+class _RefGroup:
+    unit_idx: list
+    size: int
+    z: np.ndarray
+
+
+def _ref_merge(a, b):
+    size = a.size + b.size
+    return _RefGroup(unit_idx=a.unit_idx + b.unit_idx, size=size, z=(a.z * a.size + b.z * b.size) / size)
+
+
+def _ref_fold_undersized(groups, n_min, w):
+    def delta(a, b):
+        return float(np.max(w * np.abs(a.z - b.z)))
+
+    while len(groups) > 1:
+        pos = next((k for k, g in enumerate(groups) if g.size < n_min), None)
+        if pos is None:
+            return
+        prev_delta = delta(groups[pos - 1], groups[pos]) if pos > 0 else math.inf
+        next_delta = delta(groups[pos], groups[pos + 1]) if pos + 1 < len(groups) else math.inf
+        if prev_delta <= next_delta:
+            groups[pos - 1 : pos + 1] = [_ref_merge(groups[pos - 1], groups[pos])]
+        else:
+            groups[pos : pos + 2] = [_ref_merge(groups[pos], groups[pos + 1])]
+
+
+def reference_partition(units, unit_signals, params):
+    z = np.asarray([unit_signals[u.id].partition_vector() for u in units], dtype=np.float64)
+    w = np.asarray(params.weights, dtype=np.float64)
+    n_min = params.alpha * sum(u.param_count for u in units)
+    tau = reference_compute_tau(units, unit_signals, params)
+
+    def unit_delta(i, j):
+        return float(np.max(w * np.abs(z[i] - z[j])))
+
+    groups = [_RefGroup(unit_idx=[i], size=units[i].param_count, z=z[i].copy()) for i in range(len(units))]
+    _ref_fold_undersized(groups, n_min, w)
+    kept = [groups[0]]
+    for g in groups[1:]:
+        left = kept[-1]
+        gap = unit_delta(left.unit_idx[-1], g.unit_idx[0])
+        if gap > tau and left.size >= n_min and g.size >= n_min:
+            kept.append(g)
+        else:
+            kept[-1] = _ref_merge(left, g)
+    pieces = []
+    for g in kept:
+        start = 0
+        acc_size = 0
+        sub = []
+        for k in range(len(g.unit_idx)):
+            acc_size += units[g.unit_idx[k]].param_count
+            if k + 1 == len(g.unit_idx):
+                break
+            gap = unit_delta(g.unit_idx[k], g.unit_idx[k + 1])
+            remaining = g.size - sum(units[i].param_count for i in g.unit_idx[: k + 1])
+            if gap > tau and acc_size >= n_min and remaining >= n_min:
+                idx = g.unit_idx[start : k + 1]
+                zz = np.average(z[idx], axis=0, weights=[units[i].param_count for i in idx])
+                sub.append(_RefGroup(unit_idx=list(idx), size=acc_size, z=zz))
+                start = k + 1
+                acc_size = 0
+        idx = g.unit_idx[start:]
+        zz = np.average(z[idx], axis=0, weights=[units[i].param_count for i in idx])
+        sub.append(_RefGroup(unit_idx=list(idx), size=sum(units[i].param_count for i in idx), z=zz))
+        pieces.extend(sub)
+    _ref_fold_undersized(pieces, n_min, w)
+    return [[units[i].id for i in g.unit_idx] for g in pieces]
+
+
+def random_partition_case(rng):
+    """Units, signals and params drawn to hit ties, near-ties, mixed unit
+    sizes, masked or random weights, small to large alpha and every tau mode."""
+    m = int(rng.integers(1, 25))
+    signal_kind = int(rng.integers(0, 4))
+    if signal_kind == 0:
+        values = rng.random((m, 4))
+    elif signal_kind == 1:  # rounded: many exact ties
+        values = np.round(rng.random((m, 4)), 1)
+    elif signal_kind == 2:  # near-identical
+        values = 0.5 + rng.random((m, 4)) * 1e-12
+    else:  # a few levels
+        values = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, 4))
+    size_kind = int(rng.integers(0, 3))
+    if size_kind == 0:
+        sizes = rng.integers(1, 5000, m)
+    elif size_kind == 1:  # tiny and huge units mixed
+        sizes = np.where(rng.random(m) < 0.5, rng.integers(1, 20, m), rng.integers(10**6, 10**8, m))
+    else:
+        sizes = np.full(m, 1000)
+    weight_kind = int(rng.integers(0, 4))
+    if weight_kind == 0:
+        weights = (1.0, 1.0, 1.0, 1.0)
+    elif weight_kind == 1:
+        weights = (0.0, 0.0, 0.0, 0.0)
+    elif weight_kind == 2:  # some components masked
+        weights = tuple(float(x) for x in rng.random(4) * (rng.random(4) < 0.6))
+    else:
+        weights = tuple(float(x) for x in rng.random(4) * 3)
+    alpha = float(np.exp(rng.uniform(np.log(0.001), np.log(0.6))))
+    tau = ("upper_quartile", 0.0, float(rng.random() * 0.6))[int(rng.integers(0, 3))]
+    units = [
+        StructuralUnit(id=3 * i + 1, name=f"u{i}", shape=BlockShape((int(n),))) for i, n in enumerate(sizes)
+    ]
+    signals = {
+        u.id: RiskSignals(geometry=float(v[0]), momentum=float(v[1]), distortion=float(v[2]),
+                          structure=float(v[3]), precision={32: 0.0})
+        for u, v in zip(units, values)
+    }
+    return units, signals, PartitionParams(alpha=alpha, tau=tau, weights=weights)
 
 
 class TestPairwiseDifference:
@@ -120,6 +254,21 @@ class TestPartition:
             ]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize(
+        "values,sizes,expected",
+        [
+            # The tiny first unit is infinitely far from its only neighbor.
+            ([0.1, 0.5, 0.9], [10, 10_000, 10_000], [[0, 1], [2]]),
+            # The tiny last unit is a NaN distance (inf * 0) from its only neighbor.
+            ([0.1, 0.5, 0.5], [10_000, 10_000, 10], [[0], [1, 2]]),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    def test_undersized_end_unit_merges_inward_at_degenerate_distance(self, values, sizes, expected):
+        units, signals = make_units(values, sizes)
+        params = PartitionParams(alpha=0.01, tau=0.5, weights=(math.inf, 1.0, 1.0, 1.0))
+        assert partition(units, signals, params) == expected
+
     def test_duplicate_ids_rejected(self):
         u = StructuralUnit(id=0, name="a", shape=BlockShape((10,)))
         with pytest.raises(ValueError, match="unique"):
@@ -130,6 +279,16 @@ class TestPartition:
         del signals[1]
         with pytest.raises(ValueError, match="no signals for unit 1"):
             partition(units, signals)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_blocks_and_tau_as_reference(self, seed):
+        rng = np.random.default_rng(9000 + seed)
+        for _ in range(500):
+            units, signals, params = random_partition_case(rng)
+            assert compute_tau(units, signals, params) == reference_compute_tau(units, signals, params)
+            assert partition(units, signals, params) == reference_partition(units, signals, params)
 
 
 class TestParamsAndTau:
