@@ -247,12 +247,18 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     anchors, _, _ = _load_risk_settings(args)
     units = load_model_description(args.model_desc)
     specs, records = read_trace(args.trace)
+    traced = {s.id: s.shape for s in specs}
+    missing = sorted(u.id for u in units if u.id not in traced)
+    if missing:
+        raise ValueError(f"trace lacks diagnostics for units {missing}")
+    for unit in units:
+        if unit.shape != traced[unit.id]:
+            raise ValueError(
+                f"--model-desc {args.model_desc}: unit {unit.id} has dims {list(unit.shape.dims)}, "
+                f"but the trace's block {unit.id} has dims {list(traced[unit.id].dims)}"
+            )
     metrics = collect_metrics(specs, records)
-    unit_ids = {u.id for u in units}
-    traced = set(metrics)
-    if not unit_ids <= traced:
-        raise ValueError(f"trace lacks diagnostics for units {sorted(unit_ids - traced)}")
-    signals = {uid: signals_from_metrics(metrics[uid], anchors) for uid in unit_ids}
+    signals = {u.id: signals_from_metrics(metrics[u.id], anchors) for u in units}
     params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
     tau = compute_tau(units, signals, params)
     blocks = partition(units, signals, dataclasses.replace(params, tau=tau))

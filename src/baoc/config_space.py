@@ -133,6 +133,29 @@ ADAMW16 = Configuration(adaptive=True, momentum=True, decoupled_decay=True, fact
 ADAMW32 = Configuration(adaptive=True, momentum=True, decoupled_decay=True, factorized=False, state_bits=32)
 
 
+def json_ints(values: object) -> np.ndarray:
+    """A JSON list of integers as a 1-D int64 array, decoded by numpy.
+
+    Raises ValueError unless every element is an integer in the int64
+    range: a float such as 2.5 (or 2.0), a string such as "7", a boolean,
+    null or a nested list are rejected, never truncated or parsed.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of integers, got {type(values).__name__}")
+    arr = None
+    if bool not in map(type, values):  # numpy would read a boolean among integers as 0 or 1
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged nesting such as [1, [2]]
+            pass
+    if arr is not None and arr.ndim == 1 and (arr.dtype.kind == "i" or not len(values)):
+        return arr.astype(np.int64, copy=False)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{v!r} is not an integer")
+    raise ValueError("expected integers in the 64-bit range")
+
+
 @dataclass(frozen=True, slots=True)
 class BlockShape:
     """Tensor extents of a parameter block."""
@@ -144,6 +167,11 @@ class BlockShape:
             raise ValueError("block shape needs at least one axis")
         if any(d < 1 for d in self.dims):
             raise ValueError(f"all extents must be positive, got {self.dims}")
+
+    @classmethod
+    def from_json(cls, dims: object) -> "BlockShape":
+        """A shape from a JSON ``dims`` list; ValueError unless it holds integers."""
+        return cls(tuple(json_ints(dims).tolist()))
 
     @property
     def param_count(self) -> int:
@@ -324,7 +352,11 @@ class CostModel:
         table: dict[tuple[str, int], float] = {}
         for key, ratio in d["ratios"].items():
             fam, _, bits = key.partition(":")
-            table[(fam, int(bits))] = float(ratio)
+            try:
+                value = float(ratio)
+            except (TypeError, ValueError):
+                raise ValueError(f"ratio for {key!r} is not a number: {json.dumps(ratio)}") from None
+            table[(fam, int(bits))] = value
         return cls(ratio_table=table, source=str(d.get("source", "static_table")))
 
     def to_json(self) -> str:

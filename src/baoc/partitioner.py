@@ -190,7 +190,8 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
 
     Schema: {"units": [{"id", "name", "dims", "kind"?, "layer"?, "position"?}]}.
     Units are returned in file order, which must follow the forward structure;
-    the optional keys are accepted and ignored.
+    the optional keys are accepted and ignored. `dims` must hold integers;
+    any malformed value raises ValueError naming the file and the unit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -201,13 +202,12 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("dims"), list):
             raise ValueError(f"model description {path}: units[{i}] is not an object with a 'dims' list")
-        out.append(
-            StructuralUnit(
-                id=int(entry["id"]),
-                name=str(entry["name"]),
-                shape=BlockShape(tuple(int(x) for x in entry["dims"])),
+        try:
+            out.append(
+                StructuralUnit(id=int(entry["id"]), name=str(entry["name"]), shape=BlockShape.from_json(entry["dims"]))
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model description {path}: units[{i}]: {exc}") from None
     return out
 
 

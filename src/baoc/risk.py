@@ -73,7 +73,7 @@ class Anchors:
     def from_json_dict(cls, d: dict) -> "Anchors":
         known = ("A_low", "A_high", "rho_low", "rho_high", "eta_low", "eta_high", "global_scale")
         defaults = cls()
-        return cls(**{k: float(d.get(k, getattr(defaults, k))) for k in known})
+        return cls(**{k: _json_float(d, k, getattr(defaults, k)) for k in known})
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,6 +233,15 @@ def expand_selectors(
     return frozenset(c for c in candidates if any(selector_matches(p, c) for p in parsed))
 
 
+def _json_float(doc: dict, key: str, default: float) -> float:
+    """`doc[key]`, or `default` when absent, as a float; ValueError naming the key otherwise."""
+    value = doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"'{key}' must be a number, got {json.dumps(value)}") from None
+
+
 def load_risk_config(path: str | Path) -> tuple[Anchors, RiskWeights, list[str]]:
     """Read anchors, weights, and preference selectors from one JSON file.
 
@@ -250,15 +259,14 @@ def load_risk_config(path: str | Path) -> tuple[Anchors, RiskWeights, list[str]]
     ):
         if not isinstance(raw.get(key, kind()), kind):
             raise ValueError(f"risk config {path}: '{key}' must be {what}")
-    anchors = Anchors.from_json_dict(raw.get("anchors", {}))
     w = raw.get("weights", {})
-    weights = RiskWeights(
-        w_A=float(w.get("w_A", 1.0)),
-        w_M=float(w.get("w_M", 1.0)),
-        w_C=float(w.get("w_C", 1.0)),
-        w_F=float(w.get("w_F", 1.0)),
-        w_Q=float(w.get("w_Q", 1.0)),
-        lambda_pref=float(raw.get("lambda_pref", 0.0)),
-    )
+    try:
+        anchors = Anchors.from_json_dict(raw.get("anchors", {}))
+        weights = RiskWeights(
+            **{k: _json_float(w, k, 1.0) for k in ("w_A", "w_M", "w_C", "w_F", "w_Q")},
+            lambda_pref=_json_float(raw, "lambda_pref", 0.0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"risk config {path}: {exc}") from None
     prefer = [str(s) for s in raw.get("prefer", [])]
     return anchors, weights, prefer

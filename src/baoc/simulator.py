@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config_space import BlockShape
 from .trace import BlockSpec, StepRecord, derive_seed
 
 
@@ -108,7 +109,8 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
 
     Schema: {"sampling_ratio"?: s, "blocks": [{"id", "name", "dims", "kind"?,
     "profile": {...}}]}. Returns the raw block definitions (with parsed
-    StreamProfile under "profile") and the optional sampling ratio.
+    StreamProfile under "profile") and the optional sampling ratio. `dims`
+    must hold integers; any malformed value raises ValueError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -123,20 +125,26 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
             raise ValueError(f"profile file {path}: blocks[{i}].profile is not an object")
         p = dict(entry.get("profile", {}))
         p.setdefault("seed", default_seed)
-        defs.append(
-            {
-                "id": int(entry["id"]),
-                "name": str(entry.get("name", f"block{entry['id']}")),
-                "dims": [int(x) for x in entry["dims"]],
-                "kind": str(entry.get("kind", "other")),
-                "profile": StreamProfile(
-                    drift_strength=float(p.get("drift_strength", 0.0)),
-                    drift_persistence=float(p.get("drift_persistence", 0.0)),
-                    noise_scale_spread=float(p.get("noise_scale_spread", 0.0)),
-                    rank1_mix=float(p.get("rank1_mix", 0.0)),
-                    seed=int(p["seed"]),
-                ),
-            }
-        )
+        try:
+            defs.append(
+                {
+                    "id": int(entry["id"]),
+                    "name": str(entry.get("name", f"block{entry['id']}")),
+                    "dims": list(BlockShape.from_json(entry["dims"]).dims),
+                    "kind": str(entry.get("kind", "other")),
+                    "profile": StreamProfile(
+                        drift_strength=float(p.get("drift_strength", 0.0)),
+                        drift_persistence=float(p.get("drift_persistence", 0.0)),
+                        noise_scale_spread=float(p.get("noise_scale_spread", 0.0)),
+                        rank1_mix=float(p.get("rank1_mix", 0.0)),
+                        seed=int(p["seed"]),
+                    ),
+                }
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"profile file {path}: blocks[{i}]: {exc}") from None
     ratio = raw.get("sampling_ratio")
-    return defs, (float(ratio) if ratio is not None else None)
+    try:
+        return defs, (float(ratio) if ratio is not None else None)
+    except (TypeError, ValueError):
+        raise ValueError(f"profile file {path}: sampling_ratio {ratio!r} is not a number") from None

