@@ -142,18 +142,13 @@ def json_ints(values: object) -> np.ndarray:
     """
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"expected a list of integers, got {type(values).__name__}")
-    arr = None
-    if bool not in map(type, values):  # numpy would read a boolean among integers as 0 or 1
-        try:
-            arr = np.asarray(values)
-        except ValueError:  # ragged nesting such as [1, [2]]
-            pass
-    if arr is not None and arr.ndim == 1 and (arr.dtype.kind == "i" or not len(values)):
-        return arr.astype(np.int64, copy=False)
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{v!r} is not an integer")
-    raise ValueError("expected integers in the 64-bit range")
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{bad!r} is not an integer")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("expected integers in the 64-bit range") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,9 @@ vector is bit-identical to the last vector written for that block and kind
 (``grads`` or ``params``), the value is the integer ``step`` of the record
 that holds those bytes instead of the bytes again. A reference is valid only
 when it names that step; a reader resolves it to the vector it decoded
-there. A parameter sample that stays the same over a run is so written once.
+there. A parameter sample that stays the same over a run is so written once;
+a trace in which every vector changes (parameters that an optimizer moves at
+each step) gets the version-2 records.
 
 Version 2 is the same layout without references; version 1 writes each
 vector as a JSON array of decimal numbers. Both are still read by the same

@@ -271,3 +271,20 @@ class TestTraceVersion3:
         for spec in specs:
             assert all(rec.params[spec.id] is back[0].params[spec.id] for rec in back)
             assert back[0].params[spec.id].tobytes() == records[0].params[spec.id].tobytes()
+
+    def test_trace_without_repeats_is_the_version_2_layout(self, tmp_path):
+        # As in training, the optimizer moves the parameters at every step, so no
+        # vector repeats: version 3 then writes the same records as version 2.
+        specs, records = _simulated()
+        params = records[0].params
+        moving = []
+        for rec in records:
+            params = {b: p - 0.01 * rec.grads[b] for b, p in params.items()}
+            moving.append(StepRecord(rec.step, rec.grads, params))
+        v2, v3 = tmp_path / "v2.jsonl", tmp_path / "v3.jsonl"
+        _write_v2_trace(v2, specs, moving, 0.1)
+        write_trace(v3, specs, moving, 0.1)
+        lines2, lines3 = v2.read_text().splitlines(), v3.read_text().splitlines()
+        assert lines3[1:] == lines2[1:]
+        assert json.loads(lines3[0]) == json.loads(lines2[0]) | {"version": 3}
+        assert collect_metrics(*read_trace(v2)) == collect_metrics(*read_trace(v3))
