@@ -20,7 +20,7 @@ the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +33,8 @@ from .config_space import (
     CostModel,
     DEFAULT_POLICY,
     enumerate_candidates_multi,
+    json_int,
+    policy_grid,
     state_bytes,
 )
 from .diagnostics import RawMetrics
@@ -699,15 +701,18 @@ def build_problem(
         raise AllocationBuildError(f"budget ratio must be positive, got {budget_ratio}")
     cost_model = cost_model or CostModel.static_default(policy)
 
-    descriptors: list[ProblemBlock] = []
-    for b in blocks:
-        if isinstance(b, ProblemBlock):
-            descriptors.append(b)
-        else:  # trace.BlockSpec
-            descriptors.append(ProblemBlock(id=b.id, name=b.name, shapes=(b.shape,)))
+    descriptors = [  # ProblemBlock or trace.BlockSpec
+        b if isinstance(b, ProblemBlock) else ProblemBlock(id=b.id, name=b.name, shapes=(b.shape,)) for b in blocks
+    ]
 
     baseline = sum(state_bytes(ADAMW16, s) for d in descriptors for s in d.shapes)
     mem_budget = int(round(budget_ratio * baseline))
+
+    # Selectors are matched once, on the policy grid; each block's grid is a
+    # subset of it, and phi never sees a preferred configuration outside it.
+    full_grid = policy_grid(policy)
+    banned_any = expand_selectors(exclude, full_grid)
+    weights = replace(weights, pref_set=weights.pref_set | expand_selectors(prefer, full_grid))
 
     per_block_candidates: list[tuple[Candidate, ...]] = []
     per_block_excluded: list[frozenset[Configuration]] = []
@@ -720,34 +725,19 @@ def build_problem(
                 block_signals = signals_from_metrics(metrics[d.id], anchors)
             except KeyError:
                 raise AllocationBuildError(f"no metrics available for block {d.id}") from None
-        banned = expand_selectors(exclude, grid)
-        preferred = expand_selectors(prefer, grid)
-        block_weights = (
-            RiskWeights(
-                w_A=weights.w_A,
-                w_M=weights.w_M,
-                w_C=weights.w_C,
-                w_F=weights.w_F,
-                w_Q=weights.w_Q,
-                pref_set=weights.pref_set | preferred,
-                lambda_pref=weights.lambda_pref,
-            )
-            if preferred
-            else weights
-        )
-        kept = []
-        for cfg in grid:
-            if cfg in banned:
-                continue
-            kept.append(
+        banned = banned_any.intersection(grid)
+        per_block_candidates.append(
+            tuple(
                 Candidate(
                     config=cfg,
-                    phi=phi(cfg, block_signals, block_weights, gamma),
+                    phi=phi(cfg, block_signals, weights, gamma),
                     mem_bytes=sum(state_bytes(cfg, s) for s in d.shapes),
                     time_ratio=cost_model.ratio(cfg),
                 )
+                for cfg in grid
+                if cfg not in banned
             )
-        per_block_candidates.append(tuple(kept))
+        )
         per_block_excluded.append(banned)
 
     return AllocationProblem(
@@ -791,9 +781,9 @@ def problem_from_json_dict(d: dict) -> AllocationProblem:
     for entry in d["blocks"]:
         blocks.append(
             ProblemBlock(
-                id=int(entry["id"]),
+                id=json_int(entry["id"]),
                 name=str(entry.get("name", f"block{entry['id']}")),
-                shapes=tuple(BlockShape(tuple(int(x) for x in dims)) for dims in entry.get("dims_list", [])),
+                shapes=tuple(BlockShape.from_json(dims) for dims in entry.get("dims_list", [])),
             )
         )
         candidates.append(
@@ -801,7 +791,7 @@ def problem_from_json_dict(d: dict) -> AllocationProblem:
                 Candidate(
                     config=Configuration.from_json_dict(c["config"]),
                     phi=float(c["phi"]),
-                    mem_bytes=int(c["mem_bytes"]),
+                    mem_bytes=json_int(c["mem_bytes"]),
                     time_ratio=float(c["time_ratio"]),
                 )
                 for c in entry["candidates"]
@@ -811,7 +801,7 @@ def problem_from_json_dict(d: dict) -> AllocationProblem:
     return AllocationProblem(
         blocks=tuple(blocks),
         candidates=tuple(candidates),
-        mem_budget=int(d["B_mem"]),
+        mem_budget=json_int(d["B_mem"]),
         time_budget=float(d["B_time"]),
         excluded=tuple(excluded),
     )
@@ -848,11 +838,11 @@ def plan_to_json_dict(problem: AllocationProblem, solution: AllocationSolution) 
 
 def solution_from_plan_dict(d: dict) -> AllocationSolution:
     """Rehydrate a solution (claimed totals included) from a plan document."""
-    assignment = {int(row["id"]): Configuration.from_json_dict(row["config"]) for row in d["blocks"]}
+    assignment = {json_int(row["id"]): Configuration.from_json_dict(row["config"]) for row in d["blocks"]}
     return AllocationSolution(
         status=str(d.get("status", "optimal")),
         assignment=assignment,
         objective=float(d["objective"]),
-        total_mem=int(d["total_mem"]),
+        total_mem=json_int(d["total_mem"]),
         mean_time_ratio=float(d["mean_time_ratio"]),
     )

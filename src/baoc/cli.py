@@ -22,7 +22,7 @@ from .allocator import (
     solution_from_plan_dict,
     verify,
 )
-from .config_space import BlockShape, CostModel, measure_cost_model
+from .config_space import BlockShape, CostModel, json_ints, measure_cost_model
 from .partitioner import (
     PartitionParams,
     compute_tau,
@@ -185,10 +185,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     if args.lambda_pref is not None:
         if args.lambda_pref < 0:
             raise UsageError(f"--lambda-pref must be non-negative, got {args.lambda_pref}")
-        weights = RiskWeights(
-            w_A=weights.w_A, w_M=weights.w_M, w_C=weights.w_C, w_F=weights.w_F, w_Q=weights.w_Q,
-            pref_set=weights.pref_set, lambda_pref=args.lambda_pref,
-        )
+        weights = dataclasses.replace(weights, lambda_pref=args.lambda_pref)
     for selector in list(args.exclude) + prefer:
         parse_selector(selector)  # fail fast, naming the bad selector
 
@@ -206,10 +203,14 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         rows = blocks_doc.get("blocks") if isinstance(blocks_doc, dict) else None
         if not isinstance(rows, list):
             raise ValueError(f"--blocks {args.blocks}: expected an object with a 'blocks' list")
+        groups = []
         for i, row in enumerate(rows):
             if not isinstance(row, dict) or not isinstance(row.get("unit_ids"), list):
                 raise ValueError(f"--blocks {args.blocks}: blocks[{i}] is not an object with a 'unit_ids' list")
-        groups = [row["unit_ids"] for row in rows]
+            try:
+                groups.append(json_ints(row["unit_ids"]).tolist())
+            except ValueError as exc:
+                raise ValueError(f"--blocks {args.blocks}: blocks[{i}].unit_ids: {exc}") from None
 
     config = RunConfig(
         budget_ratio=args.budget_ratio,
@@ -282,11 +283,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_document(path: str, flag: str, parse):
+    """`parse` of the JSON document at `path`; malformed content is one ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{flag} {path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{flag} {path}: {exc}") from None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        problem = problem_from_json_dict(json.load(fh))
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        solution = solution_from_plan_dict(json.load(fh))
+    problem = _read_document(args.problem, "--problem", problem_from_json_dict)
+    solution = _read_document(args.plan, "--plan", solution_from_plan_dict)
     report = verify(problem, solution)
     _write_output(json.dumps(report.to_json_dict(), sort_keys=True, indent=2), None)
     if report.ok:

@@ -10,6 +10,7 @@ one-step update-time ratios normalized to AdamW16.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -151,6 +152,11 @@ def json_ints(values: object) -> np.ndarray:
         raise ValueError("expected integers in the 64-bit range") from None
 
 
+def json_int(value: object) -> int:
+    """One JSON integer under the `json_ints` rule."""
+    return int(json_ints([value])[0])
+
+
 @dataclass(frozen=True, slots=True)
 class BlockShape:
     """Tensor extents of a parameter block."""
@@ -187,6 +193,9 @@ class CandidatePolicy:
     bits: tuple[int, ...] = VALID_BITS
 
     def __post_init__(self) -> None:
+        # Lists are stored as tuples, so a policy is hashable and keys the grid cache.
+        object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "bits", tuple(self.bits))
         unknown = [f for f in self.families if f not in _FAMILY_FLAGS]
         if unknown:
             raise InvalidConfigurationError(f"unknown families {unknown}")
@@ -198,38 +207,38 @@ class CandidatePolicy:
 DEFAULT_POLICY = CandidatePolicy()
 
 
-def enumerate_candidates(
-    block_shape: BlockShape, policy: CandidatePolicy = DEFAULT_POLICY
-) -> list[Configuration]:
-    """Enumerate the deduplicated family x bit-width grid for one block.
-
-    Stateless families collapse the bit-width axis into a single entry;
-    factorized families are emitted only for shapes whose two trailing axes
-    are both non-degenerate. Output is in conservative-first canonical order.
+@functools.lru_cache(maxsize=32)
+def policy_grid(policy: CandidatePolicy) -> tuple[Configuration, ...]:
+    """Every configuration `policy` admits, in conservative-first canonical order;
+    built once per policy. Stateless families collapse the bit-width axis into
+    one 32-bit entry; shapes that cannot factorize drop the factorized entries.
     """
     out: set[Configuration] = set()
     for fam in policy.families:
         a, m, d, f = _FAMILY_FLAGS[fam]
-        if f and not block_shape.supports_factorized:
-            continue
-        if not a and not m:
-            out.add(Configuration(a, m, d, f, 32))
-        else:
-            for bits in policy.bits:
-                out.add(Configuration(a, m, d, f, bits))
-    return sorted(out, key=Configuration.sort_key)
+        out.update(Configuration(a, m, d, f, bits) for bits in ((32,) if not a and not m else policy.bits))
+    return tuple(sorted(out, key=Configuration.sort_key))
+
+
+def enumerate_candidates(block_shape: BlockShape, policy: CandidatePolicy = DEFAULT_POLICY) -> list[Configuration]:
+    """The policy grid for one block, in canonical order (see `enumerate_candidates_multi`)."""
+    return enumerate_candidates_multi((block_shape,), policy)
 
 
 def enumerate_candidates_multi(
     shapes: Sequence[BlockShape], policy: CandidatePolicy = DEFAULT_POLICY
 ) -> list[Configuration]:
-    """Candidates valid for every tensor in a multi-tensor block."""
+    """Candidates valid for every tensor of a block, as a new list in canonical order.
+
+    Factorized entries need two non-degenerate trailing axes, so they are
+    dropped when any shape lacks them.
+    """
     if not shapes:
         raise ValueError("need at least one shape")
-    common = set(enumerate_candidates(shapes[0], policy))
-    for shape in shapes[1:]:
-        common &= set(enumerate_candidates(shape, policy))
-    return sorted(common, key=Configuration.sort_key)
+    grid = policy_grid(policy)
+    if all(s.supports_factorized for s in shapes):
+        return list(grid)
+    return [c for c in grid if not c.factorized]
 
 
 def state_bytes(config: Configuration, block_shape: BlockShape) -> int:
@@ -263,15 +272,14 @@ def aggressiveness(config: Configuration) -> float:
     """Penalty for dropping mechanisms, factorizing, or cutting precision.
 
     Zero only for AdamW32; each dropped mechanism adds 1, factorization adds
-    1, and bit reduction adds 32/b - 1.
+    1, and bit reduction adds 32/b - 1 (stateless configurations are 32-bit).
     """
-    bits = 32 if config.stateless else config.state_bits
     return (
         (0.0 if config.adaptive else 1.0)
         + (0.0 if config.momentum else 1.0)
         + (0.0 if config.decoupled_decay else 1.0)
         + (1.0 if config.factorized else 0.0)
-        + 32.0 / bits
+        + 32.0 / config.state_bits
         - 1.0
     )
 
@@ -317,8 +325,7 @@ class CostModel:
                 raise ValueError(f"ratio for {key} must be positive, got {ratio}")
 
     def ratio(self, config: Configuration) -> float:
-        bits = 32 if config.stateless else config.state_bits
-        key = (config.family, bits)
+        key = (config.family, config.state_bits)
         try:
             return self.ratio_table[key]
         except KeyError:
@@ -326,11 +333,7 @@ class CostModel:
 
     @classmethod
     def static_default(cls, policy: CandidatePolicy = DEFAULT_POLICY) -> "CostModel":
-        table: dict[tuple[str, int], float] = {}
-        for fam in policy.families:
-            for bits in VALID_BITS:
-                cfg = Configuration.from_family(fam, bits)
-                table[(cfg.family, 32 if cfg.stateless else cfg.state_bits)] = _static_ratio(cfg)
+        table = {(cfg.family, cfg.state_bits): _static_ratio(cfg) for cfg in policy_grid(policy)}
         table[("adamw", 16)] = 1.0
         return cls(ratio_table=table, source="static_table")
 
@@ -459,9 +462,9 @@ def measure_cost_model(
     policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> CostModel:
     """Build a measured CostModel over the policy grid on a reference shape."""
-    table: dict[tuple[str, int], float] = {}
-    for cfg in enumerate_candidates(block_shape, policy):
-        bits = 32 if cfg.stateless else cfg.state_bits
-        table[(cfg.family, bits)] = measure_update_ratio(cfg, block_shape, repetitions)
+    table = {
+        (cfg.family, cfg.state_bits): measure_update_ratio(cfg, block_shape, repetitions)
+        for cfg in enumerate_candidates(block_shape, policy)
+    }
     table[("adamw", 16)] = 1.0
     return CostModel(ratio_table=table, source="measured")

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape
+from .config_space import BlockShape, json_int
 from .risk import RiskSignals
 
 UPPER_QUARTILE = "upper_quartile"
@@ -190,8 +190,9 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
 
     Schema: {"units": [{"id", "name", "dims", "kind"?, "layer"?, "position"?}]}.
     Units are returned in file order, which must follow the forward structure;
-    the optional keys are accepted and ignored. `dims` must hold integers;
-    any malformed value raises ValueError naming the file and the unit.
+    the optional keys are accepted and ignored. `id` and `dims` must hold
+    integers; a malformed value or a missing key raises ValueError naming
+    the file and the unit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -204,8 +205,10 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
             raise ValueError(f"model description {path}: units[{i}] is not an object with a 'dims' list")
         try:
             out.append(
-                StructuralUnit(id=int(entry["id"]), name=str(entry["name"]), shape=BlockShape.from_json(entry["dims"]))
+                StructuralUnit(id=json_int(entry["id"]), name=str(entry["name"]), shape=BlockShape.from_json(entry["dims"]))
             )
+        except KeyError as exc:
+            raise ValueError(f"model description {path}: units[{i}] has no {exc} key") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"model description {path}: units[{i}]: {exc}") from None
     return out

@@ -166,7 +166,7 @@ def run_allocation(
 
     Raises AllocationInfeasibleError when the budgets admit no assignment;
     when the memory budget is below the cheapest assignment's memory, the
-    message also names the minimum feasible memory budget.
+    message also gives that minimum as a budget ratio.
     """
     if isinstance(trace_source, (str, Path)):
         specs, records = read_trace(trace_source)
@@ -205,10 +205,7 @@ def run_allocation(
         message = str(solution.infeasible_reason)
         min_mem = problem.min_feasible_mem()
         if min_mem > problem.mem_budget:
-            message += (
-                f"; minimum feasible memory budget is {min_mem} bytes (budget ratio "
-                f"{min_mem / max(problem.mem_budget / config.budget_ratio, 1e-300):.4g})"
-            )
+            message += f" (budget ratio {min_mem / max(problem.mem_budget / config.budget_ratio, 1e-300):.4g})"
         raise AllocationInfeasibleError(message, solution, problem)
     plan = render_plan(problem, solution)
     return RunResult(metrics_report=metrics_report, problem=problem, solution=solution, plan=plan)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -48,15 +48,7 @@ class Anchors:
             raise ValueError("global_scale must be positive")
 
     def scaled(self, factor: float) -> "Anchors":
-        return Anchors(
-            A_low=self.A_low,
-            A_high=self.A_high,
-            rho_low=self.rho_low,
-            rho_high=self.rho_high,
-            eta_low=self.eta_low,
-            eta_high=self.eta_high,
-            global_scale=self.global_scale * factor,
-        )
+        return replace(self, global_scale=self.global_scale * factor)
 
     def to_json_dict(self) -> dict:
         return {

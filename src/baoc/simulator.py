@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape
+from .config_space import BlockShape, json_int
 from .trace import BlockSpec, StepRecord, derive_seed
 
 
@@ -109,8 +109,9 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
 
     Schema: {"sampling_ratio"?: s, "blocks": [{"id", "name", "dims", "kind"?,
     "profile": {...}}]}. Returns the raw block definitions (with parsed
-    StreamProfile under "profile") and the optional sampling ratio. `dims`
-    must hold integers; any malformed value raises ValueError naming the file.
+    StreamProfile under "profile") and the optional sampling ratio. `id`,
+    `dims` and the profile `seed` must hold integers; a malformed value or a
+    missing key raises ValueError naming the file and the entry.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -126,10 +127,11 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
         p = dict(entry.get("profile", {}))
         p.setdefault("seed", default_seed)
         try:
+            block_id = json_int(entry["id"])
             defs.append(
                 {
-                    "id": int(entry["id"]),
-                    "name": str(entry.get("name", f"block{entry['id']}")),
+                    "id": block_id,
+                    "name": str(entry.get("name", f"block{block_id}")),
                     "dims": list(BlockShape.from_json(entry["dims"]).dims),
                     "kind": str(entry.get("kind", "other")),
                     "profile": StreamProfile(
@@ -137,10 +139,12 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
                         drift_persistence=float(p.get("drift_persistence", 0.0)),
                         noise_scale_spread=float(p.get("noise_scale_spread", 0.0)),
                         rank1_mix=float(p.get("rank1_mix", 0.0)),
-                        seed=int(p["seed"]),
+                        seed=json_int(p["seed"]),
                     ),
                 }
             )
+        except KeyError as exc:
+            raise ValueError(f"profile file {path}: blocks[{i}] has no {exc} key") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"profile file {path}: blocks[{i}]: {exc}") from None
     ratio = raw.get("sampling_ratio")

@@ -36,7 +36,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape, json_ints
+from .config_space import BlockShape, json_int, json_ints
 
 TRACE_VERSION = 3
 
@@ -132,13 +132,14 @@ class BlockSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockSpec":
-        """A spec from its header entry; ValueError unless dims and indices are integer lists."""
+        """A spec from its header entry; ValueError unless id, dims and indices are integers."""
+        block_id = json_int(d["id"])
         try:
             shape = BlockShape.from_json(d["dims"])
         except ValueError as exc:
-            raise ValueError(f"block {d['id']}: dims: {exc}") from None
+            raise ValueError(f"block {block_id}: dims: {exc}") from None
         return cls(
-            id=int(d["id"]),
+            id=block_id,
             name=str(d["name"]),
             shape=shape,
             sample_indices=d["sample_indices"],

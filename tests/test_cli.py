@@ -282,6 +282,15 @@ MALFORMED_VALUES = [
     ("allocate", "--cost-model", {"ratios": {"adamw:16": [1]}}, "ratio for 'adamw:16' is not a number: [1]"),
     ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [2.5], "profile": {}}]}, "2.5 is not an integer"),
     ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"drift_strength": [1]}}]}, "blocks[0]"),
+    ("partition", "--model-desc", {"units": [{"id": 0.7, "name": "a", "dims": [16, 16]}]}, "units[0]: 0.7 is not an integer"),
+    ("partition", "--model-desc", {"units": [{"id": "1", "name": "a", "dims": [16, 16]}]}, "units[0]: '1' is not an integer"),
+    ("partition", "--model-desc", {"units": [{"id": 0, "dims": [16, 16]}]}, "units[0] has no 'name' key"),
+    ("simulate", "--profile", {"blocks": [{"id": 0.7, "dims": [4], "profile": {}}]}, "blocks[0]: 0.7 is not an integer"),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"seed": "3"}}]}, "blocks[0]: '3' is not an integer"),
+    ("simulate", "--profile", {"blocks": [{"dims": [4], "profile": {}}]}, "blocks[0] has no 'id' key"),
+    ("allocate", "--blocks", {"blocks": [{"unit_ids": [[0]]}, {"unit_ids": [1]}]}, "blocks[0].unit_ids: [0] is not an integer"),
+    ("allocate", "--blocks", {"blocks": [{"unit_ids": [0]}, {"unit_ids": [True]}]}, "blocks[1].unit_ids: True is not an integer"),
+    ("allocate", "--blocks", {"blocks": [{"unit_ids": [0, 1.0]}]}, "blocks[0].unit_ids: 1.0 is not an integer"),
 ]
 
 
@@ -298,6 +307,31 @@ def test_malformed_value_in_input_document_is_one_error_line(command, flag, doc,
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("case", ["blocks-not-a-list", "phi-null", "top-level-list", "id-not-an-integer", "config-null"])
+    def test_malformed_document_is_one_error_line(self, case, trace_path, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        problem_path = tmp_path / "problem.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--out", str(plan_path),
+                         "--dump-problem", str(problem_path), "--quiet"]) == EXIT_OK
+        problem, plan = json.loads(problem_path.read_text()), json.loads(plan_path.read_text())
+        if case == "blocks-not-a-list":
+            problem["blocks"] = 5
+        elif case == "phi-null":
+            problem["blocks"][0]["candidates"][0]["phi"] = None
+        elif case == "top-level-list":
+            problem = [problem]
+        elif case == "id-not-an-integer":
+            problem["blocks"][0]["id"] = 0.5
+        else:
+            plan["blocks"][0]["config"] = None
+        problem_path.write_text(json.dumps(problem))
+        plan_path.write_text(json.dumps(plan))
+        code = dispatch(["verify", "--problem", str(problem_path), "--plan", str(plan_path), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        named = f"--plan {plan_path}" if case == "config-null" else f"--problem {problem_path}"
+        assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
+
     def test_tampered_plan_exits_two(self, trace_path, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         problem_path = tmp_path / "problem.json"

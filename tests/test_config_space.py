@@ -10,6 +10,7 @@ from baoc.config_space import (
     CandidatePolicy,
     Configuration,
     CostModel,
+    DEFAULT_POLICY,
     InvalidConfigurationError,
     aggressiveness,
     enumerate_candidates,
@@ -57,6 +58,47 @@ class TestConfiguration:
             assert Configuration.from_json_dict(cfg.to_json_dict()) == cfg
 
 
+def reference_candidates(shapes, policy):
+    """One grid per shape, intersected across shapes, in canonical order."""
+
+    def one(shape):
+        out = set()
+        for fam in policy.families:
+            stateless = Configuration.from_family(fam).stateless
+            for bits in (32,) if stateless else policy.bits:
+                cfg = Configuration.from_family(fam, bits)
+                if shape.supports_factorized or not cfg.factorized:
+                    out.add(cfg)
+        return out
+
+    common = one(shapes[0])
+    for shape in shapes[1:]:
+        common &= one(shape)
+    return sorted(common, key=Configuration.sort_key)
+
+
+SHAPE_SETS = [
+    (BlockShape((100,)),),
+    (BlockShape((64, 32)),),
+    (BlockShape((3, 10, 20)),),
+    (BlockShape((1, 100)),),
+    (BlockShape((100, 1)),),
+    (BlockShape((5, 1, 100)),),
+    (BlockShape((64, 32)), BlockShape((3, 10, 20))),
+    (BlockShape((64, 32)), BlockShape((100,))),
+    (BlockShape((100,)), BlockShape((64, 32))),
+    (BlockShape((64, 32)), BlockShape((1, 100))),
+    (BlockShape((1, 100)), BlockShape((100, 1))),
+]
+
+POLICIES = [
+    DEFAULT_POLICY,
+    CandidatePolicy(bits=(32, 16)),
+    CandidatePolicy(families=("adamw", "sgdwm"), bits=(16,)),
+    CandidatePolicy(families=["sgd", "adafactor", "adamw", "sgdm"], bits=[8, 32]),
+]
+
+
 class TestEnumerate:
     def test_matrix_grid_is_17(self):
         cands = enumerate_candidates(MATRIX)
@@ -89,6 +131,33 @@ class TestEnumerate:
         cands = enumerate_candidates_multi((MATRIX, VECTOR))
         assert len(cands) == 14  # factorized dropped by the vector member
         assert not any(c.factorized for c in cands)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=["default", "no8", "adamw-sgdwm-16", "lists"])
+    @pytest.mark.parametrize("shapes", SHAPE_SETS, ids=lambda shapes: "+".join("x".join(map(str, s.dims)) for s in shapes))
+    def test_same_list_as_per_shape_intersection(self, shapes, policy):
+        expected = reference_candidates(shapes, policy)
+        assert enumerate_candidates_multi(shapes, policy) == expected
+        if len(shapes) == 1:
+            assert enumerate_candidates(shapes[0], policy) == expected
+
+    def test_list_policy_matches_tuple_policy(self):
+        listed = CandidatePolicy(families=["adamw", "sgdwm"], bits=[16])
+        tupled = CandidatePolicy(families=("adamw", "sgdwm"), bits=(16,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert enumerate_candidates(MATRIX, listed) == enumerate_candidates(MATRIX, tupled)
+
+    def test_returned_list_is_fresh(self):
+        expected = reference_candidates((MATRIX,), DEFAULT_POLICY)
+        for shapes in ((MATRIX,), (MATRIX, VECTOR)):
+            first = enumerate_candidates_multi(shapes)
+            first.clear()
+        enumerate_candidates(MATRIX).append(ADAMW16)
+        assert enumerate_candidates_multi((MATRIX,)) == expected
+        assert enumerate_candidates(MATRIX) == expected
+
+    def test_no_shapes_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one shape"):
+            enumerate_candidates_multi(())
 
 
 class TestStateBytes:
@@ -183,6 +252,17 @@ class TestCostModel:
         assert cm.ratio(Configuration.from_family("adamw", 8)) == 1.1
         assert cm.ratio(Configuration.from_family("adafactor", 16)) == 1.2
         assert cm.source == "static_table"
+
+    def test_static_default_table(self):
+        expected = {("sgd", 32): 0.4, ("sgdw", 32): 0.4}
+        for bits in (32, 16, 8):
+            expected |= {("sgdm", bits): 0.7, ("sgdwm", bits): 0.7, ("adafactor", bits): 1.2}
+            expected |= {(fam, bits): {32: 1.05, 16: 1.0, 8: 1.1}[bits] for fam in ("adamw", "adam")}
+        assert CostModel.static_default().ratio_table == expected
+
+    def test_static_default_keeps_the_policy_grid_and_the_baseline(self):
+        cm = CostModel.static_default(CandidatePolicy(families=["adam", "sgd", "adafactor"], bits=[32]))
+        assert cm.ratio_table == {("adam", 32): 1.05, ("sgd", 32): 0.4, ("adafactor", 32): 1.2, ("adamw", 16): 1.0}
 
     def test_json_round_trip(self):
         cm = CostModel.static_default()

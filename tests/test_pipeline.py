@@ -95,6 +95,18 @@ class TestRunAllocation:
         assert f"{min_mem} bytes" in str(err.value)
         assert err.value.solution.status == "infeasible"
 
+    def test_infeasible_states_the_minimum_once(self):
+        specs, records = three_block_trace()
+        config = RunConfig(budget_ratio=0.1, policy=CandidatePolicy(families=("adamw", "adam")))
+        with pytest.raises(AllocationInfeasibleError) as err:
+            run_allocation(config, (specs, records))
+        baseline = sum(s.shape.param_count * 4 for s in specs)  # adamw16 everywhere
+        min_mem = baseline // 2  # adamw8 everywhere
+        assert str(err.value) == (
+            f"memory budget {round(0.1 * baseline)} below minimum feasible {min_mem} bytes (budget ratio 0.5)"
+        )
+        assert str(err.value).count(str(min_mem)) == 1
+
     def test_empty_trace_rejected(self):
         specs, _ = three_block_trace(steps=1)
         with pytest.raises(ValueError, match="empty trace"):

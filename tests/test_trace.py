@@ -482,3 +482,12 @@ class TestStrictHeaderIntegers:
         path.write_text(json.dumps({"version": 3, "sampling_ratio": 0.2, "blocks": [self._entry(**change)]}) + "\n")
         with pytest.raises(TraceParseError, match=r"malformed header block entry: block 0: .*" + re.escape(reason)):
             read_trace(path)
+
+    @pytest.mark.parametrize("block_id, reason", [(0.7, "0.7"), (0.0, "0.0"), ("0", "'0'"), (True, "True"), ([0], "[0]")])
+    def test_non_integer_id_is_rejected(self, tmp_path, block_id, reason):
+        with pytest.raises(ValueError, match=re.escape(f"{reason} is not an integer")):
+            BlockSpec.from_json_dict(self._entry(id=block_id))
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"version": 3, "sampling_ratio": 0.2, "blocks": [self._entry(id=block_id)]}) + "\n")
+        with pytest.raises(TraceParseError, match=re.escape(f"malformed header block entry: {reason} is not an integer")):
+            read_trace(path)
