@@ -11,7 +11,9 @@ instances and is the testing oracle. `solve_exact` is a forward dynamic
 program over the blocks that keeps only partial assignments no other one
 dominates in (memory, time, objective) (Nemhauser & Ullmann, 1969), pruned
 by the LP relaxation of the memory-budgeted multiple-choice knapsack with a
-Lagrangian price on the time budget (Sinha & Zoltners, 1979). It proves
+Lagrangian price on the time budget (Sinha & Zoltners, 1979). Its cutoff
+is the phi of a feasible incumbent, that LP's solution rounded down and
+repaired to fit, so one pass usually proves the optimum. It proves
 optimality or infeasibility on any instance, with no recursion. Both return
 the lexicographically smallest assignment among those within the slack of
 the optimum.
@@ -20,8 +22,9 @@ the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,9 +47,10 @@ OBJECTIVE_SLACK = 1e-9
 TIME_SLACK = 1e-12
 # Evaluations of the root bound while searching for the best time price.
 _PRICE_STEPS = 64
-# solve_exact's first cutoff lies this fraction of |root bound| + 1 above the
-# root bound; each failed round multiplies the distance by _GROW. Measured on
-# 12- to 600-block problems: the states kept grow steeply with the cutoff.
+# When no incumbent is found, solve_exact's first cutoff lies this fraction of
+# |root bound| + 1 above the root bound; each failed round multiplies the
+# distance by _GROW. Measured on 12- to 600-block problems: the states kept
+# grow steeply with the cutoff.
 _FLOOR = 4e-3
 _GROW = 4.0
 
@@ -90,6 +94,10 @@ class AllocationProblem:
     time_budget: float
     excluded: tuple[frozenset[Configuration], ...] = ()
 
+    # Per block, the indices of the non-excluded candidates, set once: a range
+    # when nothing is excluded, which keeps a kept problem small.
+    usable_idx: tuple[Sequence[int], ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if len(self.candidates) != len(self.blocks):
             raise ValueError("need one candidate list per block")
@@ -97,18 +105,20 @@ class AllocationProblem:
         if len(excluded) != len(self.blocks):
             raise ValueError("need one exclusion set per block")
         object.__setattr__(self, "excluded", excluded)
+        usable_idx = []
         for block, cands, banned in zip(self.blocks, self.candidates, excluded):
-            usable = [c for c in cands if c.config not in banned]
-            if not usable:
+            idx = tuple(j for j, c in enumerate(cands) if c.config not in banned) if banned else range(len(cands))
+            if not idx:
                 raise AllocationBuildError(f"block {block.id}: all candidates excluded")
+            usable_idx.append(idx)
+        object.__setattr__(self, "usable_idx", tuple(usable_idx))
 
     def usable(self, i: int) -> list[tuple[int, Candidate]]:
         """Non-excluded candidates of block i with their original indices."""
-        banned = self.excluded[i]
-        return [(j, c) for j, c in enumerate(self.candidates[i]) if c.config not in banned]
+        return [(j, self.candidates[i][j]) for j in self.usable_idx[i]]
 
     def min_feasible_mem(self) -> int:
-        return sum(min(c.mem_bytes for _, c in self.usable(i)) for i in range(len(self.blocks)))
+        return sum(min(cands[j].mem_bytes for j in idx) for cands, idx in zip(self.candidates, self.usable_idx))
 
 
 @dataclass(frozen=True)
@@ -151,14 +161,20 @@ class _Arrays:
 
 
 def _usable_arrays(problem: AllocationProblem) -> _Arrays:
-    phis, mems, ratios, orig = [], [], [], []
-    for i in range(len(problem.blocks)):
-        pairs = problem.usable(i)
-        phis.append(np.array([c.phi for _, c in pairs], dtype=np.float64))
-        mems.append(np.array([c.mem_bytes for _, c in pairs], dtype=np.int64))
-        ratios.append(np.array([c.time_ratio for _, c in pairs], dtype=np.float64))
-        orig.append(np.array([j for j, _ in pairs], dtype=np.int64))
-    return _Arrays(phis, mems, ratios, orig)
+    sizes = [len(idx) for idx in problem.usable_idx]
+    ends = np.cumsum(sizes).tolist()
+    cands = [row[j] for row, idx in zip(problem.candidates, problem.usable_idx) for j in idx]
+
+    def split(values: list, dtype) -> list[np.ndarray]:
+        flat = np.array(values, dtype=dtype)
+        return [flat[end - size : end] for end, size in zip(ends, sizes)]
+
+    return _Arrays(
+        phis=split([c.phi for c in cands], np.float64),
+        mems=split([c.mem_bytes for c in cands], np.int64),
+        ratios=split([c.time_ratio for c in cands], np.float64),
+        orig_idx=split([j for idx in problem.usable_idx for j in idx], np.int64),
+    )
 
 
 def _solution_from_choice(problem: AllocationProblem, arrays: _Arrays, choice: Sequence[int], nodes: int) -> AllocationSolution:
@@ -243,15 +259,18 @@ class _PricedHulls:
 
     Each block's candidates become points (memory, phi + lam * ratio). The LP
     relaxation of choosing one point per block under a memory budget starts
-    every block at its minimum-memory point (`base_*`) and then buys hull
-    increments in order of cost per byte (`d_*`, sorted by slope, the
-    increments of every block merged; `block` names the owner of each).
+    every block at its minimum-memory point (`base_*`, column `start`) and
+    then buys hull increments in order of cost per byte (`d_*`, sorted by
+    slope, the increments of every block merged; `block` names the owner of
+    each and `to` the column it moves that block to).
     """
 
     lam: float
     base_cost: np.ndarray  # suffix sums: base_cost[i] covers blocks i, i + 1, ...
     base_ratio: float
+    start: np.ndarray
     block: np.ndarray
+    to: np.ndarray
     d_mem: np.ndarray
     d_cost: np.ndarray
     d_ratio: np.ndarray
@@ -287,7 +306,9 @@ class _PricedHulls:
             lam=lam,
             base_cost=np.concatenate((np.cumsum(cost[rows, start][::-1])[::-1], [0.0])),
             base_ratio=float(ratio[rows, start].sum()),
+            start=start,
             block=block[order],
+            to=to[order],
             d_mem=d_mem[order],
             d_cost=d_cost[order],
             d_ratio=(ratio[block, to] - ratio[block, frm])[order],
@@ -299,8 +320,7 @@ class _PricedHulls:
         `spare_mem` is the budget left after every block's minimum-memory
         point. The slope is the LP solution's summed ratio minus `time_cap`.
         """
-        cum_mem = np.cumsum(self.d_mem)
-        taken = int(np.searchsorted(cum_mem, spare_mem, side="right"))
+        cum_mem, taken = self._taken(spare_mem)
         cost = float(self.base_cost[0]) + float(self.d_cost[:taken].sum())
         ratio = self.base_ratio + float(self.d_ratio[:taken].sum())
         if taken < self.d_mem.size:
@@ -308,6 +328,25 @@ class _PricedHulls:
             cost += frac * float(self.d_cost[taken])
             ratio += frac * float(self.d_ratio[taken])
         return (cost - self.lam * time_cap if self.lam else cost), ratio - time_cap
+
+    def _taken(self, spare_mem: float) -> tuple[np.ndarray, int]:
+        """Cumulative increment memory, and how many increments fit in full."""
+        cum_mem = np.cumsum(self.d_mem)
+        return cum_mem, int(np.searchsorted(cum_mem, spare_mem, side="right"))
+
+    def rounded(self, spare_mem: float) -> np.ndarray:
+        """Column per block of the root LP solution rounded down.
+
+        Each block takes the hull point its fully bought increments reach;
+        the one block bought in part stays at its lower point, so the LP's
+        memory row still holds.
+        """
+        _, taken = self._taken(spare_mem)
+        last = np.full(self.start.size, -1)
+        np.maximum.at(last, self.block[:taken], np.arange(taken))  # a block's increments come in hull order
+        cols = self.start.copy()
+        cols[last >= 0] = self.to[last[last >= 0]]
+        return cols
 
     def bound(self, first: int, sel: np.ndarray, spare_mem: np.ndarray, spare_time: np.ndarray) -> np.ndarray:
         """Lower bound on the summed phi of blocks `first`, `first + 1`, ..., per state.
@@ -444,28 +483,87 @@ class _ParetoDP:
             return np.concatenate((np.cumsum(np.array(values, dtype=dtype)[::-1])[::-1], np.zeros(1, dtype)))
 
         self.min_mem = suffix_sums([int(m.min()) for m in self.mems], np.int64)
+        self.spare_mem = float(self.mem_budget - self.min_mem[0])  # beyond every block's minimum
         self.max_mem = suffix_sums([int(m.max()) for m in self.mems], np.int64)
         self.min_time = suffix_sums([float(r.min()) for r in self.ratios], np.float64)
         self.max_time = suffix_sums([float(r.max()) for r in self.ratios], np.float64)
-        # (blocks, candidates) tables for the LP; padding has infinite memory and phi.
-        width = max(p.size for p in self.phis)
-        self.pad_mem, self.pad_phi, self.pad_ratio = np.full((n, width), np.inf), np.full((n, width), np.inf), np.zeros((n, width))
-        for i, k in enumerate(p.size for p in self.phis):
-            self.pad_mem[i, :k], self.pad_phi[i, :k], self.pad_ratio[i, :k] = self.mems[i], self.phis[i], self.ratios[i]
+        # (blocks, candidates) tables for the LP and the incumbent; padding
+        # has infinite memory and phi (no memory in the exact `mem_table`).
+        sizes = np.array([p.size for p in self.phis])
+        self.valid = np.arange(sizes.max()) < sizes[:, None]
+        self.mem_table = np.zeros(self.valid.shape, np.int64)
+        self.mem_table[self.valid] = np.concatenate(self.mems)
+        self.pad_mem = np.where(self.valid, self.mem_table, np.inf)
+        self.pad_phi = np.full(self.valid.shape, np.inf)
+        self.pad_phi[self.valid] = np.concatenate(self.phis)
+        self.pad_ratio = np.zeros(self.valid.shape)
+        self.pad_ratio[self.valid] = np.concatenate(self.ratios)
         self.tables: list[_PricedHulls] = []
 
     def root_bound(self) -> float:
         """Build the LP tables (price 0, and the best time price when the
         time row binds the LP) and return the larger root bound."""
-        spare_mem = float(self.mem_budget - self.min_mem[0])
         table = _PricedHulls.build(self.pad_mem, self.pad_phi, self.pad_ratio, 0.0)
-        root, slope = table.root(spare_mem, self.time_cap)
+        root, slope = table.root(self.spare_mem, self.time_cap)
         self.tables = [table]
         if math.isfinite(self.time_cap) and slope > 0:
-            table, priced = _best_price(self.pad_mem, self.pad_phi, self.pad_ratio, spare_mem, self.time_cap, (root, slope))
+            table, priced = _best_price(self.pad_mem, self.pad_phi, self.pad_ratio, self.spare_mem, self.time_cap, (root, slope))
             self.tables.append(table)
             root = max(root, priced)
         return root
+
+    def incumbent(self) -> tuple[float, np.ndarray] | None:
+        """A feasible assignment from the LP tables: (its phi, its column per block).
+
+        Each table's root LP solution is rounded down and then improved by
+        `_moved`; the lowest phi wins. None when no rounding can be repaired
+        to fit the time row.
+        """
+        best = None
+        for table in self.tables:
+            cols = self._moved(table.rounded(self.spare_mem))
+            if cols is not None:
+                value = float(np.cumsum(self.pad_phi[np.arange(self.n), cols])[-1])  # in block order, as the oracle sums
+                if best is None or value < best[0]:
+                    best = (value, cols)
+        return best
+
+    def _moved(self, cols: np.ndarray) -> np.ndarray | None:
+        """`cols` moved one block at a time, greedily, while memory stays within budget.
+
+        While the time row is broken, each move takes a lower-ratio candidate,
+        the one whose phi rises least per unit of ratio saved; None when no
+        such move is left. Once the row holds, each move takes a lower-phi
+        candidate that keeps it, the one whose phi falls most per byte
+        added, until none is left. Memory is checked in exact integers and
+        time as the leaves check it.
+        """
+        rows = np.arange(self.n)
+        spare = self.mem_budget - int(self.mem_table[rows, cols].sum())
+        if spare < 0:
+            return None
+        while True:
+            now = (rows, cols)
+            rise = self.pad_phi - self.pad_phi[now][:, None]
+            extra = self.mem_table - self.mem_table[now][:, None]
+            saved = self.pad_ratio[now][:, None] - self.pad_ratio
+            time = np.cumsum(self.pad_ratio[now])[-1]
+            over = time / self.n > self.mean_cap
+            if over:
+                move = self.valid & (extra <= spare) & (saved > 0)
+                score = rise / np.where(move, saved, 1.0)
+            else:
+                move = self.valid & (extra <= spare) & (rise < 0) & (-saved <= self.time_cap - time)
+                score = rise / np.maximum(extra, 1)
+            if not move.any():
+                return None if over else cols
+            i, j = np.unravel_index(np.argmin(np.where(move, score, np.inf)), move.shape)
+            nxt = cols.copy()
+            nxt[i] = j
+            if not over and np.cumsum(self.pad_ratio[rows, nxt])[-1] / self.n > self.mean_cap:
+                return cols
+            spare -= int(extra[i, j])
+            cols = nxt
 
     def run(self, limit: float) -> tuple[tuple[np.ndarray, list] | None, int]:
         """One pass over the blocks, keeping states whose phi plus bound is <= `limit`.
@@ -534,13 +632,19 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     over the blocks' convex hulls, with the time row priced by the root
     Lagrangian multiplier; the larger of that and the unpriced bound is used.
 
-    U starts just above the root bound and grows until a round ends with a
-    leaf whose phi is <= U. Every pruned state bounds above U, so that leaf
-    is optimal. Ties break as in `solve_bruteforce`: among feasible
-    assignments within OBJECTIVE_SLACK of the optimum, the lexicographically
-    smallest (block order, then candidate index). Totals are summed in block
-    order, as the oracle sums them. `nodes_explored` counts the DP states
-    kept, summed over the cutoff rounds.
+    U is the phi of a feasible incumbent (`_ParetoDP.incumbent`): the root
+    LP solution of each table rounded down, repaired greedily until the time
+    row holds, then moved greedily to lower phi while both budgets hold.
+    Every prefix of the optimum has phi plus bound at most the optimum <= U,
+    so one round keeps a leaf, and it keeps every leaf within OBJECTIVE_SLACK
+    of the optimum. When no rounding can be repaired, U starts just above
+    the root bound and grows until a round ends with a leaf whose phi is
+    <= U. Every pruned state bounds above U, so a leaf at or below U is
+    optimal. Ties break as in `solve_bruteforce`: among feasible assignments
+    within OBJECTIVE_SLACK of the optimum, the lexicographically smallest
+    (block order, then candidate index). Totals are summed in block order,
+    as the oracle sums them. `nodes_explored` counts the DP states kept,
+    summed over the cutoff rounds.
     """
     arrays = _usable_arrays(problem)
     n = len(problem.blocks)
@@ -562,8 +666,11 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
 
     nodes = 0
     delta = _FLOOR * (1.0 + abs(root))
+    incumbent = dp.incumbent()
+    cutoff = incumbent[0] if incumbent is not None else root + delta
     while True:
-        cutoff = root + delta if root + delta < ceiling else math.inf
+        if cutoff >= ceiling:
+            cutoff = math.inf
         tol = 1e-9 * max(scale, abs(cutoff)) if math.isfinite(cutoff) else 0.0
         leaves, kept = dp.run(cutoff + OBJECTIVE_SLACK + tol)
         nodes += kept
@@ -575,7 +682,8 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
                 return _solution_from_choice(problem, arrays, dp.choice(back, leaf), nodes=nodes)
         if cutoff == math.inf:
             return _infeasible("no assignment satisfies both budgets", nodes=nodes)
-        delta *= _GROW
+        delta = max(delta, cutoff - root) * _GROW
+        cutoff = root + delta
 
 
 @dataclass(frozen=True, slots=True)
@@ -774,35 +882,80 @@ def problem_to_json_dict(problem: AllocationProblem) -> dict:
     }
 
 
+def _json_list(value: object, key: str) -> list:
+    """The value of `key`, checked to be a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def _json_objects(d: object, key: str) -> list[dict]:
+    """The list `d[key]` of a JSON object `d`, checked to hold objects."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    entries = _json_list(d[key], key)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be an object, got {type(entry).__name__}")
+    return entries
+
+
+def _field(d: dict, key: str, parse):
+    """`parse(d[key])`; a bad value raises a ValueError that names the key."""
+    value = d[key]
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise ValueError(f"{key!r} has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """Re-raise malformed content of one document entry as a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where} has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def problem_from_json_dict(d: dict) -> AllocationProblem:
+    """The document `problem_to_json_dict` writes; a ValueError names the
+    key or entry that is malformed."""
     blocks = []
     candidates = []
     excluded = []
-    for entry in d["blocks"]:
-        blocks.append(
-            ProblemBlock(
-                id=json_int(entry["id"]),
-                name=str(entry.get("name", f"block{entry['id']}")),
-                shapes=tuple(BlockShape.from_json(dims) for dims in entry.get("dims_list", [])),
-            )
-        )
-        candidates.append(
-            tuple(
-                Candidate(
-                    config=Configuration.from_json_dict(c["config"]),
-                    phi=float(c["phi"]),
-                    mem_bytes=json_int(c["mem_bytes"]),
-                    time_ratio=float(c["time_ratio"]),
+    for i, entry in enumerate(_json_objects(d, "blocks")):
+        with _naming(f"blocks[{i}]"):
+            block_id = _field(entry, "id", json_int)
+            blocks.append(
+                ProblemBlock(
+                    id=block_id,
+                    name=str(entry.get("name", f"block{block_id}")),
+                    shapes=tuple(BlockShape.from_json(dims) for dims in _json_list(entry.get("dims_list", []), "dims_list")),
                 )
-                for c in entry["candidates"]
             )
-        )
-        excluded.append(frozenset(Configuration.from_json_dict(c) for c in entry.get("excluded", [])))
+            rows = []
+            for k, c in enumerate(_json_objects(entry, "candidates")):
+                with _naming(f"candidates[{k}]"):
+                    rows.append(
+                        Candidate(
+                            config=_field(c, "config", Configuration.from_json_dict),
+                            phi=_field(c, "phi", float),
+                            mem_bytes=_field(c, "mem_bytes", json_int),
+                            time_ratio=_field(c, "time_ratio", float),
+                        )
+                    )
+            candidates.append(tuple(rows))
+            excluded.append(frozenset(Configuration.from_json_dict(c) for c in _json_list(entry.get("excluded", []), "excluded")))
     return AllocationProblem(
         blocks=tuple(blocks),
         candidates=tuple(candidates),
-        mem_budget=json_int(d["B_mem"]),
-        time_budget=float(d["B_time"]),
+        mem_budget=_field(d, "B_mem", json_int),
+        time_budget=_field(d, "B_time", float),
         excluded=tuple(excluded),
     )
 
@@ -837,12 +990,16 @@ def plan_to_json_dict(problem: AllocationProblem, solution: AllocationSolution) 
 
 
 def solution_from_plan_dict(d: dict) -> AllocationSolution:
-    """Rehydrate a solution (claimed totals included) from a plan document."""
-    assignment = {json_int(row["id"]): Configuration.from_json_dict(row["config"]) for row in d["blocks"]}
+    """Rehydrate a solution (claimed totals included) from a plan document;
+    ValueError naming the key or entry when it is malformed."""
+    assignment = {}
+    for i, row in enumerate(_json_objects(d, "blocks")):
+        with _naming(f"blocks[{i}]"):
+            assignment[_field(row, "id", json_int)] = _field(row, "config", Configuration.from_json_dict)
     return AllocationSolution(
         status=str(d.get("status", "optimal")),
         assignment=assignment,
-        objective=float(d["objective"]),
-        total_mem=json_int(d["total_mem"]),
-        mean_time_ratio=float(d["mean_time_ratio"]),
+        objective=_field(d, "objective", float),
+        total_mem=_field(d, "total_mem", json_int),
+        mean_time_ratio=_field(d, "mean_time_ratio", float),
     )

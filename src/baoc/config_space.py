@@ -100,13 +100,23 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Configuration":
-        return cls(
-            adaptive=bool(d["adaptive"]),
-            momentum=bool(d["momentum"]),
-            decoupled_decay=bool(d["decoupled_decay"]),
-            factorized=bool(d["factorized"]),
-            state_bits=int(d["bits"]),
-        )
+        """A configuration from its JSON object.
+
+        ValueError unless it is an object whose four flags are JSON booleans
+        and whose `bits` is an integer (`json_int`); KeyError names a missing
+        key.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"configuration must be an object, got {type(d).__name__}")
+        flags = {key: d[key] for key in ("adaptive", "momentum", "decoupled_decay", "factorized")}
+        for key, value in flags.items():
+            if not isinstance(value, bool):
+                raise ValueError(f"configuration '{key}' must be true or false, got {value!r}")
+        try:
+            bits = json_int(d["bits"])
+        except ValueError as exc:
+            raise ValueError(f"configuration 'bits': {exc}") from None
+        return cls(**flags, state_bits=bits)
 
     @classmethod
     def from_family(cls, family: str, bits: int = 32) -> "Configuration":
@@ -154,7 +164,11 @@ def json_ints(values: object) -> np.ndarray:
 
 def json_int(value: object) -> int:
     """One JSON integer under the `json_ints` rule."""
-    return int(json_ints([value])[0])
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("expected integers in the 64-bit range")
+    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from baoc import allocator
 from baoc.allocator import (
     AllocationBuildError,
     AllocationProblem,
@@ -338,6 +339,107 @@ class TestParetoDP:
         assert sol.status == "optimal"
         floor = sum(min(c.phi for c in row) for row in prob.candidates)
         assert abs(sol.objective - floor) <= 1e-9
+
+
+def incumbent_of(prob):
+    """`solve_exact`'s incumbent for `prob`, the usable arrays it indexes, and
+    whether some table's rounded LP solution broke the time row."""
+    arrays = allocator._usable_arrays(prob)
+    dp = allocator._ParetoDP(prob, arrays)
+    dp.root_bound()
+    broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded(dp.spare_mem)].sum() / dp.n > dp.mean_cap for t in dp.tables)
+    return dp.incumbent(), arrays, broken
+
+
+@pytest.fixture
+def dp_rounds(monkeypatch):
+    """A list that collects the cutoff of every `_ParetoDP.run` call."""
+    limits = []
+    run = allocator._ParetoDP.run
+
+    def counted(self, limit):
+        limits.append(limit)
+        return run(self, limit)
+
+    monkeypatch.setattr(allocator._ParetoDP, "run", counted)
+    return limits
+
+
+class TestIncumbent:
+    """The rounded-LP assignment whose phi is `solve_exact`'s cutoff."""
+
+    @pytest.mark.parametrize("time_budget", [0.9, 1.0])
+    def test_feasible_and_not_below_the_optimum(self, time_budget):
+        rng = np.random.default_rng(41)
+        repaired = 0
+        for _ in range(80):
+            prob = _table_instance(rng, 6, 6, float(rng.uniform(0.1, 1.0)), time_budget)
+            (found, arrays, broken), brute = incumbent_of(prob), solve_bruteforce(prob)
+            if found is None:
+                continue
+            value, cols = found
+            sol = allocator._solution_from_choice(prob, arrays, cols, nodes=0)
+            assert verify(prob, sol).ok
+            assert sol.objective == value
+            assert brute.is_optimal and value >= brute.objective - 1e-9
+            repaired += broken
+        assert repaired >= 5  # the rounding broke the time row and was repaired
+
+    def test_random_suite_is_feasible_and_not_below_the_optimum(self, instance_rng):
+        found_seen = 0
+        for _ in range(150):
+            prob = random_instance(instance_rng)
+            (found, arrays, _), brute = incumbent_of(prob), solve_bruteforce(prob)
+            if found is not None:
+                found_seen += 1
+                assert verify(prob, allocator._solution_from_choice(prob, arrays, found[1], nodes=0)).ok
+                assert found[0] >= brute.objective - 1e-9
+        assert found_seen > 50
+
+    def test_one_round_when_an_incumbent_exists(self, dp_rounds):
+        rng = np.random.default_rng(43)
+        seen = 0
+        for _ in range(60):
+            prob = _table_instance(rng, 6, 6, float(rng.uniform(0.1, 1.0)), float(rng.choice([0.9, 1.0, 1.3])))
+            found = incumbent_of(prob)[0]
+            dp_rounds.clear()
+            assert_same_as_bruteforce(prob)
+            if found is not None:
+                seen += 1
+                assert len(dp_rounds) == 1
+        assert seen > 30
+
+    def test_one_round_at_three_hundred_blocks(self, dp_rounds):
+        rng = np.random.default_rng(47)
+        shapes = (BlockShape((64, 64)), BlockShape((64, 172)), BlockShape((64,)))
+        blocks = [ProblemBlock(i, f"b{i}", (shapes[i % 3],)) for i in range(300)]
+        signals = {
+            i: RiskSignals(
+                geometry=float(g), momentum=float(m), distortion=float(d), structure=float(f),
+                precision={32: 0.0, 16: float(p16), 8: float(p8)},
+            )
+            for i, (g, m, d, f, p16, p8) in enumerate(rng.uniform(0, 1, size=(300, 6)) * [1, 1, 1, 1, 0.05, 0.5])
+        }
+        prob = build_problem(blocks, {}, budget_ratio=0.4, time_budget=0.9, signals=signals)
+        sol = solve_exact(prob)
+        assert sol.is_optimal and verify(prob, sol).ok
+        assert len(dp_rounds) == 1
+
+    def test_no_incumbent_still_matches_the_oracle(self, dp_rounds):
+        # The LP takes block 0's cheap increment and 90% of block 1's, which
+        # meets the time row; rounded down, block 1 runs slow, and moving it
+        # to its fast candidate needs 100 bytes where 90 are left. Only
+        # (X, Z) fits both budgets.
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        cands = (
+            (Candidate(X, 0.5, 0, 2.0), Candidate(Y, 0.0, 10, 2.0)),
+            (Candidate(X, 1.0, 0, 2.0), Candidate(Z, 0.0, 100, 0.4)),
+        )
+        prob = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.3)
+        assert incumbent_of(prob)[0] is None
+        sol = assert_same_as_bruteforce(prob)
+        assert sol.assignment == {0: X, 1: Z}
+        assert dp_rounds[0] < 0.5  # the first cutoff comes from the root bound
 
 
 class TestVerify:

@@ -332,6 +332,37 @@ class TestVerifyCommand:
         named = f"--plan {plan_path}" if case == "config-null" else f"--problem {problem_path}"
         assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
 
+    @pytest.mark.parametrize(
+        "flag, path, value, message",
+        [
+            ("--problem", ["blocks"], 5, "'blocks' must be a list, got int"),
+            ("--problem", ["blocks", 0], 7, "blocks[0] must be an object, got int"),
+            ("--problem", ["blocks", 0, "candidates"], {}, "blocks[0]: 'candidates' must be a list, got dict"),
+            ("--problem", ["blocks", 0, "candidates", 1, "phi"], None, "blocks[0]: candidates[1]: 'phi': "),
+            ("--problem", ["blocks", 0, "dims_list"], 3, "blocks[0]: 'dims_list' must be a list, got int"),
+            ("--problem", ["B_mem"], "100", "'B_mem': '100' is not an integer"),
+            ("--plan", ["blocks", 1, "config", "adaptive"], "false",
+             "blocks[1]: 'config': configuration 'adaptive' must be true or false, got 'false'"),
+            ("--plan", ["blocks", 0, "config", "bits"], "16", "blocks[0]: 'config': configuration 'bits': '16' is not an integer"),
+            ("--plan", ["total_mem"], 2.5, "'total_mem': 2.5 is not an integer"),
+        ],
+    )
+    def test_malformed_document_names_the_key(self, flag, path, value, message, trace_path, tmp_path, capsys):
+        paths = {"--plan": tmp_path / "plan.json", "--problem": tmp_path / "problem.json"}
+        assert dispatch(["allocate", "--trace", str(trace_path), "--out", str(paths["--plan"]),
+                         "--dump-problem", str(paths["--problem"]), "--quiet"]) == EXIT_OK
+        doc = json.loads(paths[flag].read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        paths[flag].write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = dispatch(["verify", "--problem", str(paths["--problem"]), "--plan", str(paths["--plan"]), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} {paths[flag]}: {message}")
+
     def test_tampered_plan_exits_two(self, trace_path, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         problem_path = tmp_path / "problem.json"

@@ -57,6 +57,30 @@ class TestConfiguration:
             cfg = Configuration.from_family(fam, 16)
             assert Configuration.from_json_dict(cfg.to_json_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"adaptive": "false"}, "'adaptive'"),
+            ({"momentum": 0}, "'momentum'"),
+            ({"decoupled_decay": "no"}, "'decoupled_decay'"),
+            ({"factorized": None}, "'factorized'"),
+            ({"bits": "16"}, "'bits'"),
+            ({"bits": 16.0}, "'bits'"),
+            ({"bits": True}, "'bits'"),
+        ],
+    )
+    def test_json_values_are_read_strictly(self, change, named):
+        with pytest.raises(ValueError, match=named):
+            Configuration.from_json_dict(ADAMW16.to_json_dict() | change)
+
+    def test_json_shape_errors(self):
+        with pytest.raises(ValueError, match="must be an object"):
+            Configuration.from_json_dict(None)
+        doc = ADAMW16.to_json_dict()
+        del doc["bits"]
+        with pytest.raises(KeyError, match="bits"):
+            Configuration.from_json_dict(doc)
+
 
 def reference_candidates(shapes, policy):
     """One grid per shape, intersected across shapes, in canonical order."""
