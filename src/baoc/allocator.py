@@ -6,6 +6,14 @@ update-time ratio stays within a time budget, minimizing the summed objective
 terms. Memory is compared in exact integer arithmetic; objectives are floats
 with a 1e-9 comparison slack.
 
+An `AllocationProblem` holds the candidates as one padded (blocks x columns)
+table: each block's configuration tuple names its columns, and float64 phi,
+int64 state bytes and float64 time ratio arrays hold their costs, with a
+mask of the columns a solution may use. `build_problem` fills the table in
+array passes over blocks x the policy grid; the solvers, `verify` and the
+plan document read it directly. `Candidate` objects are a view, built only
+when `AllocationProblem.candidates` is read.
+
 Two solvers are provided. `solve_bruteforce` exhaustively enumerates small
 instances and is the testing oracle. `solve_exact` is a forward dynamic
 program over the blocks that keeps only partial assignments no other one
@@ -21,27 +29,26 @@ the optimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config_space import (
-    ADAMW16,
     BlockShape,
     CandidatePolicy,
     Configuration,
     CostModel,
     DEFAULT_POLICY,
-    enumerate_candidates_multi,
     json_int,
-    policy_grid,
-    state_bytes,
+    policy_columns,
+    state_bytes_table,
 )
 from .diagnostics import RawMetrics
-from .risk import Anchors, RiskSignals, RiskWeights, expand_selectors, phi, signals_from_metrics
+from .risk import Anchors, RiskSignals, RiskWeights, expand_selectors, phi_table, signals_from_metrics
 
 OBJECTIVE_SLACK = 1e-9
 TIME_SLACK = 1e-12
@@ -61,20 +68,13 @@ class AllocationBuildError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Candidate:
-    """One admissible configuration for a block, with its cost row."""
+    """One admissible configuration for a block, with its cost row: a view
+    of one column of an `AllocationProblem`'s table."""
 
     config: Configuration
     phi: float
     mem_bytes: int
     time_ratio: float
-
-    def __post_init__(self) -> None:
-        if self.mem_bytes < 0:
-            raise ValueError("candidate memory must be non-negative")
-        if not self.time_ratio > 0:
-            raise ValueError("candidate time ratio must be positive")
-        if not math.isfinite(self.phi):
-            raise ValueError("candidate objective term must be finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,39 +86,143 @@ class ProblemBlock:
     shapes: tuple[BlockShape, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationProblem:
+    """One configuration per block to choose, as a (blocks, columns) table.
+
+    Column j of block i is the configuration `configs[i][j]`, with its
+    objective term `phi[i, j]`, its exact state bytes `mem[i, j]` and its
+    update-time ratio `ratio[i, j]`. Beyond a block's configurations the
+    table is padded with phi inf, memory 0 and ratio 0. `usable_mask` marks
+    the columns a solution may take: the block's configurations minus its
+    `excluded` set. Equality compares the content.
+    """
+
     blocks: tuple[ProblemBlock, ...]
-    candidates: tuple[tuple[Candidate, ...], ...]
+    configs: tuple[tuple[Configuration, ...], ...]
+    phi: np.ndarray
+    mem: np.ndarray
+    ratio: np.ndarray
+    usable_mask: np.ndarray
     mem_budget: int
     time_budget: float
     excluded: tuple[frozenset[Configuration], ...] = ()
 
-    # Per block, the indices of the non-excluded candidates, set once: a range
-    # when nothing is excluded, which keeps a kept problem small.
-    usable_idx: tuple[Sequence[int], ...] = field(init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
-        if len(self.candidates) != len(self.blocks):
-            raise ValueError("need one candidate list per block")
-        excluded = self.excluded or tuple(frozenset() for _ in self.blocks)
-        if len(excluded) != len(self.blocks):
+        n = len(self.blocks)
+        if len(self.configs) != n:
+            raise ValueError("need one configuration tuple per block")
+        if not self.excluded:
+            object.__setattr__(self, "excluded", (frozenset(),) * n)
+        if len(self.excluded) != n:
             raise ValueError("need one exclusion set per block")
-        object.__setattr__(self, "excluded", excluded)
-        usable_idx = []
-        for block, cands, banned in zip(self.blocks, self.candidates, excluded):
-            idx = tuple(j for j, c in enumerate(cands) if c.config not in banned) if banned else range(len(cands))
-            if not idx:
-                raise AllocationBuildError(f"block {block.id}: all candidates excluded")
-            usable_idx.append(idx)
-        object.__setattr__(self, "usable_idx", tuple(usable_idx))
+        ids = [b.id for b in self.blocks]
+        if len(set(ids)) != n:
+            dup = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise AllocationBuildError(f"duplicate block id {dup}")
+        sizes = [len(row) for row in self.configs]
+        width = max(sizes, default=0)
+        for name, dtype in (("phi", np.float64), ("mem", np.int64), ("ratio", np.float64), ("usable_mask", bool)):
+            table = getattr(self, name)
+            if table.shape != (n, width) or table.dtype != dtype:
+                raise ValueError(f"{name} must be a ({n}, {width}) {np.dtype(dtype).name} array")
+            table.flags.writeable = False
+        valid = np.arange(width) < np.array(sizes, dtype=np.int64).reshape(n, 1)
+        checks = (
+            ("candidate memory must be non-negative", self.mem >= 0),
+            ("candidate time ratio must be positive", self.ratio > 0),
+            ("candidate objective term must be finite", np.isfinite(self.phi)),
+        )
+        bad = valid & ~(checks[0][1] & checks[1][1] & checks[2][1])
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            message = next(message for message, ok in checks if not ok[i, j])
+            raise ValueError(f"blocks[{i}]: candidates[{j}]: {message}")
+        if (self.usable_mask & ~valid).any():
+            raise ValueError("usable_mask marks padding columns")
+        empty = ~self.usable_mask.any(axis=1)
+        if empty.any():
+            raise AllocationBuildError(f"block {self.blocks[int(np.argmax(empty))].id}: all candidates excluded")
+
+    @classmethod
+    def from_candidates(
+        cls,
+        blocks: Sequence[ProblemBlock],
+        candidates: Sequence[Sequence[Candidate]],
+        mem_budget: int,
+        time_budget: float,
+        excluded: Sequence[frozenset[Configuration]] = (),
+    ) -> "AllocationProblem":
+        """The problem whose block i has the candidate row `candidates[i]`;
+        `excluded[i]` (default: none) names configurations block i may not take."""
+        if len(candidates) != len(blocks):
+            raise ValueError("need one candidate list per block")
+        n = len(blocks)
+        excluded = tuple(excluded) or (frozenset(),) * n
+        if len(excluded) != n:
+            raise ValueError("need one exclusion set per block")
+        configs = tuple(tuple(c.config for c in row) for row in candidates)
+        sizes = np.array(list(map(len, configs)), dtype=np.int64).reshape(n, 1)
+        valid = np.arange(max(map(len, configs), default=0)) < sizes
+        flat = [c for row in candidates for c in row]
+        phi = np.full(valid.shape, np.inf)
+        mem = np.zeros(valid.shape, np.int64)
+        ratio = np.zeros(valid.shape)
+        phi[valid] = [c.phi for c in flat]
+        try:
+            mem[valid] = [c.mem_bytes for c in flat]
+        except OverflowError:
+            raise ValueError("candidate memory must fit in 64-bit integers") from None
+        ratio[valid] = [c.time_ratio for c in flat]
+        usable = valid.copy()
+        for i, (row, banned) in enumerate(zip(configs, excluded)):
+            if banned:
+                usable[i, : len(row)] = [c not in banned for c in row]
+        return cls(
+            blocks=tuple(blocks),
+            configs=configs,
+            phi=phi,
+            mem=mem,
+            ratio=ratio,
+            usable_mask=usable,
+            mem_budget=mem_budget,
+            time_budget=time_budget,
+            excluded=excluded,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AllocationProblem):
+            return NotImplemented
+        return (
+            self.blocks == other.blocks
+            and self.configs == other.configs
+            and self.mem_budget == other.mem_budget
+            and self.time_budget == other.time_budget
+            and self.excluded == other.excluded
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("phi", "mem", "ratio", "usable_mask")
+            )
+        )
+
+    __hash__ = None  # the tables are arrays
+
+    @functools.cached_property
+    def candidates(self) -> tuple[tuple[Candidate, ...], ...]:
+        """Each block's configurations with their cost rows, excluded ones
+        included; built on first access."""
+        phi, mem, ratio = self.phi.tolist(), self.mem.tolist(), self.ratio.tolist()
+        return tuple(
+            tuple(Candidate(*cell) for cell in zip(row, phi[i], mem[i], ratio[i])) for i, row in enumerate(self.configs)
+        )
 
     def usable(self, i: int) -> list[tuple[int, Candidate]]:
         """Non-excluded candidates of block i with their original indices."""
-        return [(j, self.candidates[i][j]) for j in self.usable_idx[i]]
+        return [(j, c) for (j, c), ok in zip(enumerate(self.candidates[i]), self.usable_mask[i].tolist()) if ok]
 
     def min_feasible_mem(self) -> int:
-        return sum(min(cands[j].mem_bytes for j in idx) for cands, idx in zip(self.candidates, self.usable_idx))
+        least = np.where(self.usable_mask, self.mem, np.iinfo(np.int64).max).min(axis=1)
+        return sum(least.tolist())
 
 
 @dataclass(frozen=True)
@@ -151,52 +255,57 @@ def _infeasible(reason: str, nodes: int = 0) -> AllocationSolution:
 
 
 @dataclass(frozen=True)
-class _Arrays:
-    """Per-block numpy views over the usable candidates."""
+class _Front:
+    """The problem's table with each block's usable columns moved to the
+    front, in order: `cols[i, k]` is the table column of block i's k-th
+    usable candidate, and `sizes[i]` their count. Beyond it, phi is inf and
+    memory and ratio are 0."""
 
-    phis: list[np.ndarray]
-    mems: list[np.ndarray]
-    ratios: list[np.ndarray]
-    orig_idx: list[np.ndarray]
+    cols: np.ndarray
+    sizes: list[int]
+    valid: np.ndarray
+    phi: np.ndarray
+    mem: np.ndarray
+    ratio: np.ndarray
 
+    @classmethod
+    def of(cls, problem: AllocationProblem) -> "_Front":
+        usable = problem.usable_mask
+        sizes = usable.sum(axis=1)
+        valid = np.arange(usable.shape[1]) < sizes[:, None]
+        if np.array_equal(usable, valid):  # already in front
+            cols = np.broadcast_to(np.arange(usable.shape[1]), usable.shape)
+            phi, mem, ratio = problem.phi, problem.mem, problem.ratio
+        else:
+            cols = np.argsort(~usable, axis=1, kind="stable")
+            phi, mem, ratio = (np.take_along_axis(t, cols, axis=1) for t in (problem.phi, problem.mem, problem.ratio))
+        return cls(
+            cols=cols,
+            sizes=sizes.tolist(),
+            valid=valid,
+            phi=np.where(valid, phi, np.inf),
+            mem=np.where(valid, mem, 0),
+            ratio=np.where(valid, ratio, 0.0),
+        )
 
-def _usable_arrays(problem: AllocationProblem) -> _Arrays:
-    sizes = [len(idx) for idx in problem.usable_idx]
-    ends = np.cumsum(sizes).tolist()
-    cands = [row[j] for row, idx in zip(problem.candidates, problem.usable_idx) for j in idx]
-
-    def split(values: list, dtype) -> list[np.ndarray]:
-        flat = np.array(values, dtype=dtype)
-        return [flat[end - size : end] for end, size in zip(ends, sizes)]
-
-    return _Arrays(
-        phis=split([c.phi for c in cands], np.float64),
-        mems=split([c.mem_bytes for c in cands], np.int64),
-        ratios=split([c.time_ratio for c in cands], np.float64),
-        orig_idx=split([j for idx in problem.usable_idx for j in idx], np.int64),
-    )
-
-
-def _solution_from_choice(problem: AllocationProblem, arrays: _Arrays, choice: Sequence[int], nodes: int) -> AllocationSolution:
-    n = len(problem.blocks)
-    assignment = {}
-    objective = 0.0
-    total_mem = 0
-    total_r = 0.0
-    for i, k in enumerate(choice):
-        cand = problem.candidates[i][int(arrays.orig_idx[i][k])]
-        assignment[problem.blocks[i].id] = cand.config
-        objective += cand.phi
-        total_mem += cand.mem_bytes
-        total_r += cand.time_ratio
-    return AllocationSolution(
-        status="optimal",
-        assignment=assignment,
-        objective=objective,
-        total_mem=total_mem,
-        mean_time_ratio=total_r / n,
-        nodes_explored=nodes,
-    )
+    def solution(self, problem: AllocationProblem, choice: Sequence[int], nodes: int) -> AllocationSolution:
+        """The solution taking block i's `choice[i]`-th usable candidate;
+        totals are summed in block order."""
+        rows = np.arange(len(problem.blocks))
+        cols = self.cols[rows, np.asarray(choice, dtype=np.int64)]
+        objective, total_r = 0.0, 0.0
+        for value in problem.phi[rows, cols].tolist():
+            objective += value
+        for value in problem.ratio[rows, cols].tolist():
+            total_r += value
+        return AllocationSolution(
+            status="optimal",
+            assignment={b.id: row[j] for b, row, j in zip(problem.blocks, problem.configs, cols.tolist())},
+            objective=objective,
+            total_mem=sum(problem.mem[rows, cols].tolist()),
+            mean_time_ratio=total_r / len(rows),
+            nodes_explored=nodes,
+        )
 
 
 def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -> AllocationSolution:
@@ -205,9 +314,9 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
     Ties within the 1e-9 slack break toward the lexicographically smallest
     assignment (by block order, then candidate index).
     """
-    arrays = _usable_arrays(problem)
+    front = _Front.of(problem)
     n = len(problem.blocks)
-    sizes = [len(p) for p in arrays.phis]
+    sizes = front.sizes
     total = math.prod(sizes)
     if total > max_assignments:
         raise ValueError(f"instance too large for brute force: {total} assignments > {max_assignments}")
@@ -226,9 +335,9 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
         ratio = np.zeros(stop - start, dtype=np.float64)
         for i in range(n):
             digit = (flat // strides[i]) % sizes[i]
-            obj += arrays.phis[i][digit]
-            mem += arrays.mems[i][digit]
-            ratio += arrays.ratios[i][digit]
+            obj += front.phi[i, digit]
+            mem += front.mem[i, digit]
+            ratio += front.ratio[i, digit]
         feasible = (mem <= problem.mem_budget) & (ratio / n <= mean_cap)
         return obj, feasible
 
@@ -249,7 +358,7 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
         if hits.size:
             flat = start + int(hits[0])
             choice = [(flat // int(strides[i])) % sizes[i] for i in range(n)]
-            return _solution_from_choice(problem, arrays, choice, nodes=total)
+            return front.solution(problem, choice, nodes=total)
     raise RuntimeError("unreachable: feasible minimum vanished between passes")
 
 
@@ -368,8 +477,9 @@ class _PricedHulls:
 
 def _best_price(
     mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, spare_mem: float, time_cap: float, at_zero: tuple[float, float]
-) -> tuple[_PricedHulls, float]:
-    """The time price that maximizes the root bound, with that bound.
+) -> tuple[_PricedHulls, float, list[_PricedHulls]]:
+    """The time price that maximizes the root bound: its table, the bound,
+    and the tables at the two ends of the final price bracket.
 
     The bound is concave and piecewise linear in the price, with slope
     (LP summed ratio - time_cap); `at_zero` is (bound, slope) at price 0,
@@ -377,10 +487,12 @@ def _best_price(
     turns non-positive. Then the tangent lines at the bracket's two ends are
     intersected: either the bound reaches the intersection, which makes it
     the maximum, or the new point replaces the end whose slope sign it shares.
+    The maximum sits on a kink, where the LP has two solutions; the bracket's
+    ends hold one each (the price-0 end has no table here).
     """
     finite = np.isfinite(phi)
     lam = max(float(np.ptp(phi[finite])), 1e-12) / max(float(np.ptp(ratio[finite])), 1e-12)
-    lo, hi = (0.0, *at_zero), None
+    lo, hi = (0.0, *at_zero, None), None
     best_table, best = None, -math.inf
     for _ in range(_PRICE_STEPS):
         table = _PricedHulls.build(mem, phi, ratio, lam)
@@ -390,17 +502,18 @@ def _best_price(
         if hi is not None and g >= lo[1] + lo[2] * (lam - lo[0]) - 1e-12 * max(1.0, abs(g)):
             break
         if s > 0:
-            lo = (lam, g, s)
+            lo = (lam, g, s, table)
         else:
-            hi = (lam, g, s)
+            hi = (lam, g, s, table)
         if hi is None:
             lam *= 4.0
             continue
-        (l0, g0, s0), (l1, g1, s1) = lo, hi
+        (l0, g0, s0, _), (l1, g1, s1, _) = lo, hi
         lam = (g1 - s1 * l1 - g0 + s0 * l0) / (s0 - s1)
         if not l0 < lam < l1:
             break
-    return best_table, best
+    ends = [end[3] for end in (lo, hi) if end is not None and end[3] is not None]
+    return best_table, best, ends
 
 
 def _dominated_by_staircase(
@@ -466,7 +579,7 @@ def _undominated(
 class _ParetoDP:
     """The blocks' candidates, the budgets and the LP tables of one problem."""
 
-    def __init__(self, problem: AllocationProblem, arrays: _Arrays):
+    def __init__(self, problem: AllocationProblem):
         n = len(problem.blocks)
         self.n = n
         self.mem_budget = problem.mem_budget
@@ -477,37 +590,35 @@ class _ParetoDP:
         self.time_cap = n * self.mean_cap
         self.margin = 1e-9 * max(1.0, abs(self.time_cap)) if math.isfinite(self.time_cap) else 0.0
 
-        self.mems, self.ratios, self.phis = arrays.mems, arrays.ratios, arrays.phis
-
-        def suffix_sums(values: list, dtype) -> np.ndarray:
-            return np.concatenate((np.cumsum(np.array(values, dtype=dtype)[::-1])[::-1], np.zeros(1, dtype)))
-
-        self.min_mem = suffix_sums([int(m.min()) for m in self.mems], np.int64)
-        self.spare_mem = float(self.mem_budget - self.min_mem[0])  # beyond every block's minimum
-        self.max_mem = suffix_sums([int(m.max()) for m in self.mems], np.int64)
-        self.min_time = suffix_sums([float(r.min()) for r in self.ratios], np.float64)
-        self.max_time = suffix_sums([float(r.max()) for r in self.ratios], np.float64)
-        # (blocks, candidates) tables for the LP and the incumbent; padding
-        # has infinite memory and phi (no memory in the exact `mem_table`).
-        sizes = np.array([p.size for p in self.phis])
-        self.valid = np.arange(sizes.max()) < sizes[:, None]
-        self.mem_table = np.zeros(self.valid.shape, np.int64)
-        self.mem_table[self.valid] = np.concatenate(self.mems)
+        # (blocks, candidates) tables over the usable candidates: phi is
+        # infinite and memory and ratio 0 in the padding; `pad_mem` is the
+        # memory table for the LP, with infinite padding.
+        self.front = front = _Front.of(problem)
+        self.sizes, self.valid = front.sizes, front.valid
+        self.mem_table, self.pad_phi, self.pad_ratio = front.mem, front.phi, front.ratio
         self.pad_mem = np.where(self.valid, self.mem_table, np.inf)
-        self.pad_phi = np.full(self.valid.shape, np.inf)
-        self.pad_phi[self.valid] = np.concatenate(self.phis)
-        self.pad_ratio = np.zeros(self.valid.shape)
-        self.pad_ratio[self.valid] = np.concatenate(self.ratios)
-        self.tables: list[_PricedHulls] = []
+
+        def suffix_sums(values: np.ndarray) -> np.ndarray:
+            return np.concatenate((np.cumsum(values[::-1])[::-1], np.zeros(1, values.dtype)))
+
+        self.min_mem = suffix_sums(np.where(self.valid, self.mem_table, np.iinfo(np.int64).max).min(axis=1))
+        self.spare_mem = float(self.mem_budget - self.min_mem[0])  # beyond every block's minimum
+        self.max_mem = suffix_sums(self.mem_table.max(axis=1))
+        self.min_time = suffix_sums(np.where(self.valid, self.pad_ratio, np.inf).min(axis=1))
+        self.max_time = suffix_sums(self.pad_ratio.max(axis=1))
+        self.tables: list[_PricedHulls] = []  # bound the DP's states
+        self.bracket: list[_PricedHulls] = []  # only rounded for the incumbent
 
     def root_bound(self) -> float:
         """Build the LP tables (price 0, and the best time price when the
         time row binds the LP) and return the larger root bound."""
         table = _PricedHulls.build(self.pad_mem, self.pad_phi, self.pad_ratio, 0.0)
         root, slope = table.root(self.spare_mem, self.time_cap)
-        self.tables = [table]
+        self.tables, self.bracket = [table], []
         if math.isfinite(self.time_cap) and slope > 0:
-            table, priced = _best_price(self.pad_mem, self.pad_phi, self.pad_ratio, self.spare_mem, self.time_cap, (root, slope))
+            table, priced, self.bracket = _best_price(
+                self.pad_mem, self.pad_phi, self.pad_ratio, self.spare_mem, self.time_cap, (root, slope)
+            )
             self.tables.append(table)
             root = max(root, priced)
         return root
@@ -515,13 +626,19 @@ class _ParetoDP:
     def incumbent(self) -> tuple[float, np.ndarray] | None:
         """A feasible assignment from the LP tables: (its phi, its column per block).
 
-        Each table's root LP solution is rounded down and then improved by
+        The root LP solution of each table, and of the tables at the ends of
+        the final price bracket, is rounded down and then improved by
         `_moved`; the lowest phi wins. None when no rounding can be repaired
         to fit the time row.
         """
         best = None
-        for table in self.tables:
-            cols = self._moved(table.rounded(self.spare_mem))
+        tried: list[np.ndarray] = []
+        for table in self.tables + self.bracket:
+            start = table.rounded(self.spare_mem)
+            if any(np.array_equal(start, other) for other in tried):
+                continue
+            tried.append(start)
+            cols = self._moved(start)
             if cols is not None:
                 value = float(np.cumsum(self.pad_phi[np.arange(self.n), cols])[-1])  # in block order, as the oracle sums
                 if best is None or value < best[0]:
@@ -580,9 +697,10 @@ class _ParetoDP:
         kept = 0
         sel = [np.arange(t.block.size) for t in self.tables]
         for d in range(n):
-            mem = (mems[:, None] + self.mems[d]).ravel()
-            time = (times[:, None] + self.ratios[d]).ravel()
-            phi = (phis[:, None] + self.phis[d]).ravel()
+            k = self.sizes[d]
+            mem = (mems[:, None] + self.mem_table[d, :k]).ravel()
+            time = (times[:, None] + self.pad_ratio[d, :k]).ravel()
+            phi = (phis[:, None] + self.pad_phi[d, :k]).ravel()
             ok = mem <= self.mem_budget - self.min_mem[d + 1]
             if d == n - 1:
                 ok &= (time / n <= self.mean_cap) & (phi <= limit)
@@ -604,7 +722,7 @@ class _ParetoDP:
                     idx = idx[_undominated(mem[idx], time[idx], phi[idx], free_mem, free_time)]
             if idx.size == 0:
                 return None, kept
-            back.append(np.divmod(idx, self.phis[d].size))
+            back.append(np.divmod(idx, k))
             mems, times, phis = mem[idx], time[idx], phi[idx]
             kept += idx.size
         return (phis, back), kept
@@ -633,8 +751,9 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     Lagrangian multiplier; the larger of that and the unpriced bound is used.
 
     U is the phi of a feasible incumbent (`_ParetoDP.incumbent`): the root
-    LP solution of each table rounded down, repaired greedily until the time
-    row holds, then moved greedily to lower phi while both budgets hold.
+    LP solution of each table, and of the tables at both ends of the final
+    price bracket, rounded down, repaired greedily until the time row holds,
+    then moved greedily to lower phi while both budgets hold.
     Every prefix of the optimum has phi plus bound at most the optimum <= U,
     so one round keeps a leaf, and it keeps every leaf within OBJECTIVE_SLACK
     of the optimum. When no rounding can be repaired, U starts just above
@@ -646,9 +765,8 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     as the oracle sums them. `nodes_explored` counts the DP states kept,
     summed over the cutoff rounds.
     """
-    arrays = _usable_arrays(problem)
     n = len(problem.blocks)
-    dp = _ParetoDP(problem, arrays)
+    dp = _ParetoDP(problem)
     if dp.min_mem[0] > problem.mem_budget:
         return _infeasible(
             f"memory budget {problem.mem_budget} below minimum feasible {int(dp.min_mem[0])} bytes"
@@ -660,7 +778,7 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     root = dp.root_bound()
     lam = max(t.lam for t in dp.tables)
     scale = max(1.0, lam * abs(dp.time_cap)) if lam else 1.0  # of a bound's terms, for its rounding tolerance
-    ceiling = float(sum(float(p.max()) for p in arrays.phis))
+    ceiling = float(sum(np.where(dp.valid, dp.pad_phi, -np.inf).max(axis=1).tolist()))
     if root > ceiling + 1e-9 * max(scale, abs(ceiling)):
         return _infeasible("no assignment satisfies both budgets")
 
@@ -679,7 +797,7 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
             best = float(phis.min())
             if best <= cutoff:
                 leaf = int(np.flatnonzero(phis <= best + OBJECTIVE_SLACK)[0])
-                return _solution_from_choice(problem, arrays, dp.choice(back, leaf), nodes=nodes)
+                return dp.front.solution(problem, dp.choice(back, leaf), nodes=nodes)
         if cutoff == math.inf:
             return _infeasible("no assignment satisfies both budgets", nodes=nodes)
         delta = max(delta, cutoff - root) * _GROW
@@ -710,8 +828,21 @@ class VerificationReport:
         }
 
 
+def _column(configs: tuple[Configuration, ...], config: Configuration) -> int | None:
+    """Column of `config` within a block's configuration tuple, or None."""
+    try:
+        return configs.index(config)
+    except ValueError:
+        return None
+
+
 def verify(problem: AllocationProblem, solution: AllocationSolution) -> VerificationReport:
-    """Recompute totals from scratch and flag every violated contract."""
+    """Recompute totals from scratch and flag every violated contract.
+
+    Memory is checked over the assigned blocks even when the plan misses
+    some, since their state can only add to it; the time budget and the
+    stored objective are checked when every block is assigned.
+    """
     violations: list[Violation] = []
     by_id = {b.id: i for i, b in enumerate(problem.blocks)}
     missing = set(by_id) - set(solution.assignment)
@@ -734,8 +865,8 @@ def verify(problem: AllocationProblem, solution: AllocationSolution) -> Verifica
                 Violation("exclusion", f"block {block_id} uses excluded configuration {config.family}:{config.state_bits}")
             )
             continue
-        cand = next((c for c in problem.candidates[i] if c.config == config), None)
-        if cand is None:
+        j = _column(problem.configs[i], config)
+        if j is None:
             violations.append(
                 Violation(
                     "unknown-candidate",
@@ -743,21 +874,21 @@ def verify(problem: AllocationProblem, solution: AllocationSolution) -> Verifica
                 )
             )
             continue
-        objective += cand.phi
-        total_mem += cand.mem_bytes
-        total_r += cand.time_ratio
+        objective += float(problem.phi[i, j])
+        total_mem += int(problem.mem[i, j])
+        total_r += float(problem.ratio[i, j])
         counted += 1
 
     mean_ratio = total_r / counted if counted else math.inf
-    if counted == len(problem.blocks):
-        if total_mem > problem.mem_budget:
-            violations.append(
-                Violation(
-                    "memory",
-                    f"total state memory {total_mem} exceeds budget {problem.mem_budget} "
-                    f"by {total_mem - problem.mem_budget} bytes",
-                )
+    if total_mem > problem.mem_budget:
+        violations.append(
+            Violation(
+                "memory",
+                f"total state memory {total_mem} exceeds budget {problem.mem_budget} "
+                f"by {total_mem - problem.mem_budget} bytes",
             )
+        )
+    if counted == len(problem.blocks):
         if mean_ratio > problem.time_budget + TIME_SLACK:
             violations.append(
                 Violation(
@@ -781,6 +912,39 @@ def verify(problem: AllocationProblem, solution: AllocationSolution) -> Verifica
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The grid columns blocks take under one policy and one exclusion list,
+    keyed by whether every shape of the block factorizes."""
+
+    keep: np.ndarray  # grid columns no selector excludes
+    cols: dict[bool, np.ndarray]
+    configs: dict[bool, tuple[Configuration, ...]]
+    excluded: dict[bool, frozenset[Configuration]]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(policy: CandidatePolicy, exclude: tuple) -> _Layout:
+    grid = policy_columns(policy)
+    banned = expand_selectors(exclude, grid.configs)
+    keep = np.array([c not in banned for c in grid.configs], dtype=bool)
+    cols = {f: np.flatnonzero(keep & (f | ~grid.factorized)) for f in (True, False)}
+    return _Layout(
+        keep=keep,
+        cols=cols,
+        configs={f: tuple(grid.configs[j] for j in cols[f].tolist()) for f in cols},
+        excluded={True: banned, False: frozenset(c for c in banned if not c.factorized)},
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _block_sizes(shapes: tuple[BlockShape, ...]) -> tuple[int, bool, int]:
+    """A block's summed parameter count, whether every shape factorizes, and
+    its summed `factor_length` (0 when one shape cannot factorize)."""
+    whole = all(s.supports_factorized for s in shapes)
+    return sum(s.param_count for s in shapes), whole, sum(s.factor_length for s in shapes) if whole else 0
+
+
 def build_problem(
     blocks: Sequence,
     metrics: Mapping[int, RawMetrics],
@@ -802,6 +966,11 @@ def build_problem(
     family[:bits] selectors; excluded configurations are removed from the
     candidate lists and recorded per block. `signals` may be passed directly
     to bypass metric normalization (block id -> RiskSignals).
+
+    The table is filled in array passes over blocks x policy grid (phi,
+    state bytes, ratio) and then gathered into each block's columns: the
+    unexcluded grid, without the factorized configurations when one of the
+    block's shapes cannot factorize.
     """
     if not blocks:
         raise AllocationBuildError("need at least one block")
@@ -813,51 +982,62 @@ def build_problem(
         b if isinstance(b, ProblemBlock) else ProblemBlock(id=b.id, name=b.name, shapes=(b.shape,)) for b in blocks
     ]
 
-    baseline = sum(state_bytes(ADAMW16, s) for d in descriptors for s in d.shapes)
-    mem_budget = int(round(budget_ratio * baseline))
-
     # Selectors are matched once, on the policy grid; each block's grid is a
     # subset of it, and phi never sees a preferred configuration outside it.
-    full_grid = policy_grid(policy)
-    banned_any = expand_selectors(exclude, full_grid)
-    weights = replace(weights, pref_set=weights.pref_set | expand_selectors(prefer, full_grid))
+    grid = policy_columns(policy)
+    layout = _layout(policy, tuple(exclude))
+    prefer = tuple(prefer)
+    if prefer:
+        weights = replace(weights, pref_set=weights.pref_set | expand_selectors(prefer, grid.configs))
 
-    per_block_candidates: list[tuple[Candidate, ...]] = []
-    per_block_excluded: list[frozenset[Configuration]] = []
+    block_signals, sizes = [], []
     for d in descriptors:
-        grid = enumerate_candidates_multi(d.shapes, policy)
+        if not d.shapes:
+            raise AllocationBuildError(f"block {d.id} has no shapes")
         if signals is not None:
-            block_signals = signals[d.id]
+            block_signals.append(signals[d.id])
         else:
             try:
-                block_signals = signals_from_metrics(metrics[d.id], anchors)
+                block_signals.append(signals_from_metrics(metrics[d.id], anchors))
             except KeyError:
                 raise AllocationBuildError(f"no metrics available for block {d.id}") from None
-        banned = banned_any.intersection(grid)
-        per_block_candidates.append(
-            tuple(
-                Candidate(
-                    config=cfg,
-                    phi=phi(cfg, block_signals, weights, gamma),
-                    mem_bytes=sum(state_bytes(cfg, s) for s in d.shapes),
-                    time_ratio=cost_model.ratio(cfg),
-                )
-                for cfg in grid
-                if cfg not in banned
-            )
-        )
-        per_block_excluded.append(banned)
+        sizes.append(_block_sizes(d.shapes))
+    params, whole, factors = zip(*sizes)
+    total = sum(params)
+    # No configuration stores more than AdamW32's two 4-byte tensors per
+    # parameter, so this bounds every sum of state bytes the solver forms.
+    if 8 * total > np.iinfo(np.int64).max:
+        raise AllocationBuildError(f"state memory of {total} parameters overflows 64-bit integers")
+    mem_budget = int(round(budget_ratio * (4 * total)))  # AdamW16: two 2-byte tensors per parameter
 
+    kinds = set(whole)
+    width = max(layout.cols[f].size for f in kinds)
+    whole = np.array(whole, dtype=bool).reshape(-1, 1)
+    index = np.zeros((whole.size, width), dtype=np.int64)  # grid column of each table column
+    for f in kinds:
+        index[whole[:, 0] == f, : layout.cols[f].size] = layout.cols[f]
+    valid = np.arange(width) < np.where(whole, layout.cols[True].size, layout.cols[False].size)
+    used = layout.keep & (whole | ~grid.factorized)
+    rows = np.arange(whole.size).reshape(-1, 1)
+    phi = phi_table(grid, block_signals, weights, gamma, used)[rows, index]
+    mem = state_bytes_table(grid, np.array(params, dtype=np.int64), np.array(factors, dtype=np.int64))[rows, index]
+    ratio = cost_model.ratio_row(grid, used.any(axis=0))[index]
+    kind = whole[:, 0].tolist()
     return AllocationProblem(
         blocks=tuple(descriptors),
-        candidates=tuple(per_block_candidates),
+        configs=tuple(layout.configs[f] for f in kind),
+        phi=np.where(valid, phi, np.inf),
+        mem=np.where(valid, mem, 0),
+        ratio=np.where(valid, ratio, 0.0),
+        usable_mask=valid,
         mem_budget=mem_budget,
         time_budget=time_budget,
-        excluded=tuple(per_block_excluded),
+        excluded=tuple(layout.excluded[f] for f in kind),
     )
 
 
 def problem_to_json_dict(problem: AllocationProblem) -> dict:
+    phi, mem, ratio = problem.phi.tolist(), problem.mem.tolist(), problem.ratio.tolist()
     return {
         "B_mem": problem.mem_budget,
         "B_time": problem.time_budget,
@@ -867,17 +1047,12 @@ def problem_to_json_dict(problem: AllocationProblem) -> dict:
                 "name": b.name,
                 "dims_list": [list(s.dims) for s in b.shapes],
                 "candidates": [
-                    {
-                        "config": c.config.to_json_dict(),
-                        "phi": c.phi,
-                        "mem_bytes": c.mem_bytes,
-                        "time_ratio": c.time_ratio,
-                    }
-                    for c in cands
+                    {"config": c.to_json_dict(), "phi": p, "mem_bytes": m, "time_ratio": r}
+                    for c, p, m, r in zip(row, phi[i], mem[i], ratio[i])
                 ],
                 "excluded": [c.to_json_dict() for c in sorted(banned, key=Configuration.sort_key)],
             }
-            for b, cands, banned in zip(problem.blocks, problem.candidates, problem.excluded)
+            for i, (b, row, banned) in enumerate(zip(problem.blocks, problem.configs, problem.excluded))
         ],
     }
 
@@ -951,7 +1126,7 @@ def problem_from_json_dict(d: dict) -> AllocationProblem:
                     )
             candidates.append(tuple(rows))
             excluded.append(frozenset(Configuration.from_json_dict(c) for c in _json_list(entry.get("excluded", []), "excluded")))
-    return AllocationProblem(
+    return AllocationProblem.from_candidates(
         blocks=tuple(blocks),
         candidates=tuple(candidates),
         mem_budget=_field(d, "B_mem", json_int),
@@ -967,15 +1142,15 @@ def plan_to_json_dict(problem: AllocationProblem, solution: AllocationSolution) 
     block_rows = []
     for i, block in enumerate(problem.blocks):
         config = solution.assignment[block.id]
-        cand = next(c for c in problem.candidates[i] if c.config == config)
+        j = problem.configs[i].index(config)
         block_rows.append(
             {
                 "id": block.id,
                 "name": block.name,
                 "config": config.to_json_dict(),
-                "phi": cand.phi,
-                "mem_bytes": cand.mem_bytes,
-                "time_ratio": cand.time_ratio,
+                "phi": float(problem.phi[i, j]),
+                "mem_bytes": int(problem.mem[i, j]),
+                "time_ratio": float(problem.ratio[i, j]),
             }
         )
     return {

@@ -198,6 +198,13 @@ class BlockShape:
         axis; it needs two non-degenerate trailing axes to mean anything."""
         return len(self.dims) >= 2 and self.dims[-1] > 1 and self.dims[-2] > 1
 
+    @property
+    def factor_length(self) -> int:
+        """Elements of the factored second moment: a row and a column vector
+        over the two trailing axes, per index of the leading axes. Needs at
+        least two axes."""
+        return math.prod(self.dims[:-2]) * (self.dims[-2] + self.dims[-1])
+
 
 @dataclass(frozen=True, slots=True)
 class CandidatePolicy:
@@ -232,6 +239,47 @@ def policy_grid(policy: CandidatePolicy) -> tuple[Configuration, ...]:
         a, m, d, f = _FAMILY_FLAGS[fam]
         out.update(Configuration(a, m, d, f, bits) for bits in ((32,) if not a and not m else policy.bits))
     return tuple(sorted(out, key=Configuration.sort_key))
+
+
+@dataclass(frozen=True, eq=False)
+class GridColumns:
+    """A policy grid with each configuration attribute as a read-only array,
+    one entry per configuration in grid order."""
+
+    configs: tuple[Configuration, ...]
+    keys: tuple[tuple[str, int], ...]  # (family, state bits), as `CostModel` keys its ratios
+    adaptive: np.ndarray
+    momentum: np.ndarray
+    decoupled_decay: np.ndarray
+    factorized: np.ndarray
+    stateless: np.ndarray
+    bits: np.ndarray  # int64 state bits
+    bits_at: np.ndarray  # position of each configuration's bits in VALID_BITS
+    aggressiveness: np.ndarray  # float64, `aggressiveness` of each configuration
+
+
+@functools.lru_cache(maxsize=32)
+def policy_columns(policy: CandidatePolicy) -> GridColumns:
+    """`policy_grid(policy)` with its attribute arrays; built once per policy."""
+    grid = policy_grid(policy)
+
+    def column(values: list, dtype) -> np.ndarray:
+        out = np.array(values, dtype=dtype)
+        out.flags.writeable = False
+        return out
+
+    return GridColumns(
+        configs=grid,
+        keys=tuple((c.family, c.state_bits) for c in grid),
+        adaptive=column([c.adaptive for c in grid], bool),
+        momentum=column([c.momentum for c in grid], bool),
+        decoupled_decay=column([c.decoupled_decay for c in grid], bool),
+        factorized=column([c.factorized for c in grid], bool),
+        stateless=column([c.stateless for c in grid], bool),
+        bits=column([c.state_bits for c in grid], np.int64),
+        bits_at=column([VALID_BITS.index(c.state_bits) for c in grid], np.int64),
+        aggressiveness=column([aggressiveness(c) for c in grid], np.float64),
+    )
 
 
 def enumerate_candidates(block_shape: BlockShape, policy: CandidatePolicy = DEFAULT_POLICY) -> list[Configuration]:
@@ -274,12 +322,24 @@ def state_bytes(config: Configuration, block_shape: BlockShape) -> int:
                 raise InvalidConfigurationError(
                     f"factorized configuration needs two non-degenerate trailing axes, got shape {block_shape.dims}"
                 )
-            rows, cols = block_shape.dims[-2], block_shape.dims[-1]
-            leading = math.prod(block_shape.dims[:-2]) if len(block_shape.dims) > 2 else 1
-            elements += leading * (rows + cols)
+            elements += block_shape.factor_length
         else:
             elements += block_shape.param_count
     return elements * (config.state_bits // 8)
+
+
+def state_bytes_table(grid: GridColumns, params: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """`state_bytes` summed over each block's shapes, for every grid configuration.
+
+    `params` holds each block's summed parameter count and `factors` its
+    summed `factor_length` (int64, one entry per block). Returns an int64
+    (blocks, configurations) array; its factorized entries mean something
+    only for blocks whose every shape supports factorization. The caller
+    keeps the products within int64.
+    """
+    second = np.where(grid.factorized, factors[:, None], params[:, None])
+    elements = grid.momentum * params[:, None] + grid.adaptive * second
+    return elements * np.where(grid.stateless, 0, grid.bits // 8)
 
 
 def aggressiveness(config: Configuration) -> float:
@@ -345,11 +405,17 @@ class CostModel:
         except KeyError:
             raise KeyError(f"cost model has no ratio for {key[0]}:{key[1]}") from None
 
+    def ratio_row(self, grid: GridColumns, used: np.ndarray) -> np.ndarray:
+        """`ratio` of each grid configuration that `used` marks, else 0.0."""
+        try:
+            return np.array([self.ratio_table[key] if u else 0.0 for key, u in zip(grid.keys, used.tolist())])
+        except KeyError as exc:
+            raise KeyError("cost model has no ratio for {}:{}".format(*exc.args[0])) from None
+
     @classmethod
     def static_default(cls, policy: CandidatePolicy = DEFAULT_POLICY) -> "CostModel":
-        table = {(cfg.family, cfg.state_bits): _static_ratio(cfg) for cfg in policy_grid(policy)}
-        table[("adamw", 16)] = 1.0
-        return cls(ratio_table=table, source="static_table")
+        """The placeholder table over the policy grid; built once per policy and shared."""
+        return _static_cost_model(cls, policy)
 
     def to_json_dict(self) -> dict:
         return {
@@ -377,6 +443,13 @@ class CostModel:
     @classmethod
     def from_json(cls, text: str) -> "CostModel":
         return cls.from_json_dict(json.loads(text))
+
+
+@functools.lru_cache(maxsize=32)
+def _static_cost_model(cls: type, policy: CandidatePolicy) -> CostModel:
+    table = {(cfg.family, cfg.state_bits): _static_ratio(cfg) for cfg in policy_grid(policy)}
+    table[("adamw", 16)] = 1.0
+    return cls(ratio_table=table, source="static_table")
 
 
 def _one_step_kernel(config: Configuration, shape: tuple[int, ...], buffers: dict) -> None:
@@ -418,8 +491,9 @@ def _store_state(arr: np.ndarray, bits: int) -> np.ndarray:
     if bits == 16:
         return arr.astype(np.float16)
     # int8 storage with a per-tensor absmax scale, as 8-bit optimizers do
-    scale = float(np.abs(arr).max()) / 127.0 or 1.0
-    return (np.clip(np.round(arr / scale), -127, 127) * scale).astype(np.float32)
+    from .diagnostics import quantize  # diagnostics imports this module through trace
+
+    return quantize(arr, 8).astype(np.float32)
 
 
 def _make_buffers(config: Configuration, shape: tuple[int, ...]) -> dict:

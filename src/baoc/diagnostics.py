@@ -112,7 +112,9 @@ def quantize(x: np.ndarray, bits: int) -> np.ndarray:
 
     32: identity. 16: IEEE binary16 round-to-nearest-even, saturating at the
     largest finite half-precision value. 8: symmetric absmax linear
-    quantization onto 255 signed levels (scale = absmax/127).
+    quantization onto 255 signed levels (scale = absmax/127). The level is
+    round(x / absmax * 127), so a subnormal absmax, whose scale underflows
+    to 0, still gives finite values.
     """
     arr = np.asarray(x, dtype=np.float64)
     if bits == 32:
@@ -124,8 +126,7 @@ def quantize(x: np.ndarray, bits: int) -> np.ndarray:
         absmax = float(np.abs(arr).max()) if arr.size else 0.0
         if absmax == 0.0:
             return np.zeros_like(arr)
-        scale = absmax / 127.0
-        return np.clip(np.round(arr / scale), -127, 127) * scale
+        return np.clip(np.round(arr / absmax * 127.0), -127, 127) * (absmax / 127.0)
     raise ValueError(f"unsupported bit-width {bits}")
 
 

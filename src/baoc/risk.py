@@ -10,13 +10,16 @@ on top.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .config_space import Configuration, aggressiveness
+import numpy as np
+
+from .config_space import VALID_BITS, Configuration, GridColumns, aggressiveness
 from .diagnostics import EPS, RawMetrics
 
 
@@ -188,8 +191,58 @@ def phi(
     weights: RiskWeights = RiskWeights(),
     gamma: float = 0.1,
 ) -> float:
-    """Allocation objective term: risk plus gamma times aggressiveness."""
+    """Allocation objective term: risk plus gamma times aggressiveness.
+
+    The scalar definition; `phi_table` computes it for a whole grid at once
+    and must agree with it bit for bit.
+    """
     return risk(config, signals, weights) + gamma * aggressiveness(config)
+
+
+@functools.lru_cache(maxsize=32)
+def _term_layout(grid: GridColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `risk`'s five terms (A, M, C, F, Q) counts in the grid,
+    and which signal it reads: a (5, configurations) mask and a (5,
+    configurations) index into (geometry, momentum, distortion, structure,
+    precision at each of VALID_BITS)."""
+    mask = np.stack((~grid.adaptive, ~grid.momentum, ~grid.decoupled_decay, grid.factorized, ~grid.stateless))
+    source = np.repeat(np.arange(5).reshape(5, 1), grid.bits.size, axis=1)
+    source[4] += grid.bits_at
+    mask.flags.writeable = source.flags.writeable = False
+    return mask, source
+
+
+def phi_table(
+    grid: GridColumns,
+    signals: Sequence[RiskSignals],
+    weights: RiskWeights = RiskWeights(),
+    gamma: float = 0.1,
+    used: np.ndarray | None = None,
+) -> np.ndarray:
+    """`phi` of every grid configuration for every block, as a (blocks, configurations) array.
+
+    The terms are added in `risk`'s order (A, M, C, F, Q, then the preference
+    subtracted), a skipped term adding 0.0, and gamma times aggressiveness
+    last, so every entry is bit-identical to the scalar `phi`. A stateful
+    configuration whose bit-width has no precision signal raises KeyError in
+    the cells `used` marks (every cell by default); the other cells are not
+    meaningful then.
+    """
+    rows = [(s.geometry, s.momentum, s.distortion, s.structure, *map(s.precision.get, VALID_BITS)) for s in signals]
+    mask, source = _term_layout(grid)
+    if any(None in row for row in rows):
+        live = mask[4] & (np.ones((len(rows), 1), dtype=bool) if used is None else used)
+        for i, j in np.argwhere(live).tolist():
+            if rows[i][source[4, j]] is None:
+                raise KeyError(f"no precision signal for {grid.bits[j]}-bit states")
+    raw = np.array(rows, dtype=np.float64).reshape(len(rows), 4 + len(VALID_BITS))  # None reads as NaN
+    scale = np.array([weights.w_A, weights.w_M, weights.w_C, weights.w_F, weights.w_Q]).reshape(5, 1)
+    terms = np.where(mask, scale * raw[:, source], 0.0)  # (blocks, terms, configurations)
+    value = 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + terms[:, 4]
+    if weights.pref_set:
+        preferred = np.array([c in weights.pref_set for c in grid.configs], dtype=bool)
+        value = value - np.where(preferred, weights.lambda_pref, 0.0)
+    return value + gamma * grid.aggressiveness
 
 
 def parse_selector(text: str) -> tuple[str, int | None]:

@@ -58,7 +58,7 @@ def random_instance(rng: np.random.Generator, max_product: int = 300_000) -> All
     max_r = sum(max(usable_vals(i, "time_ratio")) for i in range(n)) / n
     u_mem = rng.uniform(-0.1, 1.2)
     u_time = rng.uniform(-0.05, 1.1)
-    return AllocationProblem(
+    return AllocationProblem.from_candidates(
         blocks=tuple(blocks),
         candidates=tuple(cands),
         mem_budget=int(round(min_mem + u_mem * (max_mem - min_mem))),

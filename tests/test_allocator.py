@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baoc import allocator
 from baoc.allocator import (
@@ -20,8 +21,18 @@ from baoc.allocator import (
     solve_exact,
     verify,
 )
-from baoc.config_space import ADAMW16, BlockShape, CandidatePolicy, Configuration, CostModel
-from baoc.risk import RiskSignals, RiskWeights
+from baoc.config_space import (
+    ADAMW16,
+    BlockShape,
+    CandidatePolicy,
+    Configuration,
+    CostModel,
+    enumerate_candidates_multi,
+    policy_grid,
+    state_bytes,
+)
+from baoc.pipeline import plan_bytes
+from baoc.risk import RiskSignals, RiskWeights, expand_selectors, phi
 from conftest import GRID, random_instance
 
 X = Configuration.from_family("adamw", 16)
@@ -37,7 +48,7 @@ def two_block_problem(mem_budget, time_budget=math.inf):
         (Candidate(X, 0.1, 10, 1.0), Candidate(Y, 1.0, 4, 1.0)),
         (Candidate(X, 0.2, 10, 1.0), Candidate(Y, 0.3, 4, 1.0)),
     )
-    return AllocationProblem(blocks=blocks, candidates=cands, mem_budget=mem_budget, time_budget=time_budget)
+    return AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=mem_budget, time_budget=time_budget)
 
 
 class TestBruteforce:
@@ -65,7 +76,7 @@ class TestBruteforce:
     def test_lexicographic_tie_break(self):
         blocks = (ProblemBlock(0, "b0"),)
         cands = ((Candidate(X, 0.5, 1, 1.0), Candidate(Y, 0.5, 1, 1.0)),)
-        prob = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=10, time_budget=2.0)
+        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=10, time_budget=2.0)
         assert solve_bruteforce(prob).assignment == {0: X}
 
 
@@ -92,7 +103,7 @@ class TestSolveExact:
         b = Configuration.from_family("sgd")
         blocks = (ProblemBlock(0, "b0"),)
         cands = ((Candidate(a, 0.1, 0, 2.0), Candidate(b, 0.1, 100, 0.5)),)
-        prob = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=50, time_budget=1.0)
+        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=50, time_budget=1.0)
         sol = solve_exact(prob)
         assert sol.status == "infeasible"
         assert solve_bruteforce(prob).status == "infeasible"
@@ -109,7 +120,7 @@ class TestSolveExact:
                     Candidate(Z, float(rng.uniform(0.5, 1.0)), 0, 0.4),
                 )
             )
-        prob = AllocationProblem(blocks=tuple(blocks), candidates=tuple(cands),
+        prob = AllocationProblem.from_candidates(blocks=tuple(blocks), candidates=tuple(cands),
                                  mem_budget=10**6, time_budget=1.3)
         sol = solve_exact(prob)
         assert sol.status == "optimal"
@@ -148,7 +159,7 @@ class TestSolveExact:
             budgets = sorted({prob.mem_budget, prob.mem_budget + 50, prob.mem_budget * 2 + 100})
             last = math.inf
             for budget in budgets:
-                variant = AllocationProblem(
+                variant = AllocationProblem.from_candidates(
                     blocks=prob.blocks, candidates=prob.candidates,
                     mem_budget=budget, time_budget=prob.time_budget, excluded=prob.excluded,
                 )
@@ -176,7 +187,7 @@ class TestSolveExact:
                 )
             min_mem = sum(min(c.mem_bytes for c in row) for row in cands)
             max_mem = sum(max(c.mem_bytes for c in row) for row in cands)
-            prob = AllocationProblem(
+            prob = AllocationProblem.from_candidates(
                 blocks=tuple(blocks), candidates=tuple(cands),
                 mem_budget=int(min_mem + rng.uniform(0.05, 0.4) * (max_mem - min_mem)),
                 time_budget=float(rng.uniform(0.8, 1.1)),
@@ -230,7 +241,7 @@ def _table_instance(rng, n, k, mem_ratio, time_budget, phi_levels=None, ban=Fals
         excluded.append(frozenset({row[int(rng.integers(k))].config}) if ban else frozenset())
     min_mem = sum(min(c.mem_bytes for c in row) for row in cands)
     max_mem = sum(max(c.mem_bytes for c in row) for row in cands)
-    return AllocationProblem(
+    return AllocationProblem.from_candidates(
         blocks=tuple(blocks), candidates=tuple(cands),
         mem_budget=int(min_mem + mem_ratio * (max_mem - min_mem)),
         time_budget=time_budget, excluded=tuple(excluded),
@@ -258,7 +269,7 @@ class TestParetoDP:
             prob = _table_instance(rng, 5, 6, float(rng.uniform(0.2, 1.0)), time_budget)
             exact = assert_same_as_bruteforce(prob)
             unconstrained = solve_bruteforce(
-                AllocationProblem(blocks=prob.blocks, candidates=prob.candidates,
+                AllocationProblem.from_candidates(blocks=prob.blocks, candidates=prob.candidates,
                                   mem_budget=prob.mem_budget, time_budget=math.inf)
             )
             binding += exact.is_optimal and unconstrained.mean_time_ratio > time_budget
@@ -281,9 +292,9 @@ class TestParetoDP:
             (Candidate(X, 0.5 + 4e-10, 4, 1.0), Candidate(Y, 0.5, 2, 1.0), Candidate(Z, 0.5, 2, 1.0)),
             (Candidate(Z, 0.2, 8, 0.4), Candidate(X, 0.2, 8, 0.4)),
         )
-        prob = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=100, time_budget=2.0)
+        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=100, time_budget=2.0)
         assert assert_same_as_bruteforce(prob).assignment == {0: X, 1: Z}
-        tight = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=10, time_budget=2.0)
+        tight = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=10, time_budget=2.0)
         assert assert_same_as_bruteforce(tight).assignment == {0: Y, 1: Z}
 
     @pytest.mark.parametrize("kind", ["memory", "time", "joint"])
@@ -297,7 +308,7 @@ class TestParetoDP:
             # The cheapest memory runs slow and the fastest ratio needs memory.
             a, b = Configuration.from_family("adamw", 32), Configuration.from_family("sgd")
             row = (Candidate(a, 0.1, 0, 2.0), Candidate(b, 0.1, 100, 0.5))
-            prob = AllocationProblem(
+            prob = AllocationProblem.from_candidates(
                 blocks=tuple(ProblemBlock(i, f"b{i}") for i in range(3)),
                 candidates=(row,) * 3, mem_budget=150, time_budget=1.0,
             )
@@ -342,13 +353,12 @@ class TestParetoDP:
 
 
 def incumbent_of(prob):
-    """`solve_exact`'s incumbent for `prob`, the usable arrays it indexes, and
-    whether some table's rounded LP solution broke the time row."""
-    arrays = allocator._usable_arrays(prob)
-    dp = allocator._ParetoDP(prob, arrays)
+    """`solve_exact`'s incumbent for `prob`, the usable-candidate table it
+    indexes, and whether some table's rounded LP solution broke the time row."""
+    dp = allocator._ParetoDP(prob)
     dp.root_bound()
     broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded(dp.spare_mem)].sum() / dp.n > dp.mean_cap for t in dp.tables)
-    return dp.incumbent(), arrays, broken
+    return dp.incumbent(), dp.front, broken
 
 
 @pytest.fixture
@@ -374,11 +384,11 @@ class TestIncumbent:
         repaired = 0
         for _ in range(80):
             prob = _table_instance(rng, 6, 6, float(rng.uniform(0.1, 1.0)), time_budget)
-            (found, arrays, broken), brute = incumbent_of(prob), solve_bruteforce(prob)
+            (found, front, broken), brute = incumbent_of(prob), solve_bruteforce(prob)
             if found is None:
                 continue
             value, cols = found
-            sol = allocator._solution_from_choice(prob, arrays, cols, nodes=0)
+            sol = front.solution(prob, cols, nodes=0)
             assert verify(prob, sol).ok
             assert sol.objective == value
             assert brute.is_optimal and value >= brute.objective - 1e-9
@@ -389,10 +399,10 @@ class TestIncumbent:
         found_seen = 0
         for _ in range(150):
             prob = random_instance(instance_rng)
-            (found, arrays, _), brute = incumbent_of(prob), solve_bruteforce(prob)
+            (found, front, _), brute = incumbent_of(prob), solve_bruteforce(prob)
             if found is not None:
                 found_seen += 1
-                assert verify(prob, allocator._solution_from_choice(prob, arrays, found[1], nodes=0)).ok
+                assert verify(prob, front.solution(prob, found[1], nodes=0)).ok
                 assert found[0] >= brute.objective - 1e-9
         assert found_seen > 50
 
@@ -425,6 +435,35 @@ class TestIncumbent:
         assert sol.is_optimal and verify(prob, sol).ok
         assert len(dp_rounds) == 1
 
+    def test_both_ends_of_the_price_bracket_are_rounded(self):
+        # The root bound's maximum sits on a kink of the priced LP. The table
+        # at the best price buys block 0's increment, which breaks the time
+        # row and cannot be repaired; the bracket's upper end buys block 1's,
+        # which rounds to the optimum (X, Z).
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        cands = (
+            (Candidate(X, 1.0, 0, 2.0), Candidate(Y, 0.0, 100, 2.0)),
+            (Candidate(X, 0.0, 0, 2.0), Candidate(Z, 1.0, 100, 0.5)),
+        )
+        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.25)
+        (value, cols), front, _ = incumbent_of(prob)
+        assert front.solution(prob, cols, nodes=0).assignment == {0: X, 1: Z}
+        assert value == 2.0
+        assert assert_same_as_bruteforce(prob).assignment == {0: X, 1: Z}
+
+    def test_an_excluded_candidate_is_never_the_incumbent(self, dp_rounds):
+        # The excluded Y is the last column, with the least memory and phi.
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        row = (Candidate(X, 1.0, 10, 1.0), Candidate(Z, 2.0, 5, 0.5), Candidate(Y, 0.0, 0, 1.0))
+        prob = AllocationProblem.from_candidates(
+            blocks=blocks, candidates=(row, row), mem_budget=15, time_budget=1.0, excluded=(frozenset({Y}),) * 2
+        )
+        (value, cols), front, _ = incumbent_of(prob)
+        assert verify(prob, front.solution(prob, cols, nodes=0)).ok
+        assert value == 3.0
+        assert assert_same_as_bruteforce(prob).assignment == {0: X, 1: Z}
+        assert len(dp_rounds) == 1
+
     def test_no_incumbent_still_matches_the_oracle(self, dp_rounds):
         # The LP takes block 0's cheap increment and 90% of block 1's, which
         # meets the time row; rounded down, block 1 runs slow, and moving it
@@ -435,7 +474,7 @@ class TestIncumbent:
             (Candidate(X, 0.5, 0, 2.0), Candidate(Y, 0.0, 10, 2.0)),
             (Candidate(X, 1.0, 0, 2.0), Candidate(Z, 0.0, 100, 0.4)),
         )
-        prob = AllocationProblem(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.3)
+        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.3)
         assert incumbent_of(prob)[0] is None
         sol = assert_same_as_bruteforce(prob)
         assert sol.assignment == {0: X, 1: Z}
@@ -463,7 +502,7 @@ class TestVerify:
     def test_excluded_config_flagged(self):
         blocks = (ProblemBlock(0, "b0"),)
         cands = ((Candidate(X, 0.1, 4, 1.0), Candidate(Y, 0.9, 2, 0.7)),)
-        prob = AllocationProblem(
+        prob = AllocationProblem.from_candidates(
             blocks=blocks, candidates=cands, mem_budget=10, time_budget=2.0,
             excluded=(frozenset({X}),),
         )
@@ -479,6 +518,16 @@ class TestVerify:
         report = verify(prob, weird)
         kinds = {v.kind for v in report.violations}
         assert "unknown-candidate" in kinds and "coverage" in kinds
+
+    def test_partial_plan_memory_is_checked(self):
+        prob = two_block_problem(8)
+        partial = AllocationSolution(status="optimal", assignment={0: X}, objective=0.1,
+                                     total_mem=10, mean_time_ratio=1.0)
+        report = verify(prob, partial)
+        assert {v.kind for v in report.violations} == {"coverage", "memory"}
+        assert report.total_mem == 10
+        within = verify(two_block_problem(14), partial)
+        assert {v.kind for v in within.violations} == {"coverage"}
 
     def test_objective_mismatch_flagged(self):
         prob = two_block_problem(14)
@@ -568,6 +617,118 @@ class TestBuildProblem:
         assert prob.candidates[0][0].config == ADAMW32
 
 
+SHAPE_SETS = (
+    (BlockShape((100,)),),
+    (BlockShape((64, 32)),),
+    (BlockShape((3, 10, 20)),),
+    (BlockShape((100, 1)),),
+    (BlockShape((64, 32)), BlockShape((3, 10, 20))),
+    (BlockShape((64, 32)), BlockShape((100,))),
+    (BlockShape((1, 100)), BlockShape((5, 1, 100))),
+)
+SELECTORS = ("adamw:8", "adam", "sgd", "sgdm:16", "adafactor", "adafactor:32", "sgdwm:8")
+block_signals = st.builds(
+    RiskSignals,
+    *[st.floats(0.0, 2.0)] * 4,
+    st.fixed_dictionaries({32: st.floats(0.0, 0.1), 16: st.floats(0.0, 0.5), 8: st.floats(0.0, 3.0)}),
+)
+
+
+class TestProblemTable:
+    """`build_problem`'s (blocks x grid) table against the scalar definitions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape_sets=st.lists(st.sampled_from(SHAPE_SETS), min_size=1, max_size=5),
+        signals=st.lists(block_signals, min_size=5, max_size=5),
+        exclude=st.lists(st.sampled_from(SELECTORS), max_size=3),
+        prefer=st.lists(st.sampled_from(SELECTORS), max_size=2),
+        lambda_pref=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 0.5),
+        policy=st.sampled_from([CandidatePolicy(), CandidatePolicy(bits=(16, 8)), CandidatePolicy(families=("adafactor", "sgd"))]),
+    )
+    def test_cells_equal_the_scalar_definitions(self, shape_sets, signals, exclude, prefer, lambda_pref, gamma, policy):
+        blocks = [ProblemBlock(10 + i, f"b{i}", shapes) for i, shapes in enumerate(shape_sets)]
+        by_id = {b.id: s for b, s in zip(blocks, signals)}
+        weights = RiskWeights(lambda_pref=lambda_pref)
+        try:
+            prob = build_problem(blocks, {}, signals=by_id, weights=weights, gamma=gamma, policy=policy,
+                                 exclude=exclude, prefer=prefer)
+        except AllocationBuildError as exc:
+            assert "all candidates excluded" in str(exc)
+            return
+        preferred = RiskWeights(lambda_pref=lambda_pref, pref_set=expand_selectors(prefer, policy_grid(policy)))
+        for i, block in enumerate(blocks):
+            grid = enumerate_candidates_multi(block.shapes, policy)
+            assert prob.configs[i] == tuple(c for c in grid if c not in prob.excluded[i])
+            assert all(c in grid for c in prob.excluded[i])
+            for j, cfg in enumerate(prob.configs[i]):
+                assert int(prob.mem[i, j]) == sum(state_bytes(cfg, s) for s in block.shapes)
+                assert prob.phi[i, j] == phi(cfg, by_id[block.id], preferred, gamma)
+                assert prob.ratio[i, j] == CostModel.static_default(policy).ratio(cfg)
+            assert prob.usable_mask[i].sum() == len(prob.configs[i])
+        assert prob.mem_budget == round(0.5 * sum(state_bytes(ADAMW16, s) for b in blocks for s in b.shapes))
+
+    def test_state_bytes_beyond_int64_is_an_error(self):
+        huge = ProblemBlock(0, "huge", (BlockShape((2**31, 2**31)),))
+        with pytest.raises(AllocationBuildError, match="64-bit"):
+            build_problem([huge], {}, signals={0: _signals()})
+
+    def test_an_op_builds_no_candidate_objects(self):
+        prob = build_problem(_specs3(), {}, budget_ratio=0.4, signals={i: _signals() for i in range(3)})
+        sol = solve_exact(prob)
+        plan_bytes(plan_to_json_dict(prob, sol))
+        assert verify(prob, sol).ok
+        assert "candidates" not in vars(prob)
+        assert prob.candidates[1][0] == Candidate(prob.configs[1][0], float(prob.phi[1, 0]), int(prob.mem[1, 0]),
+                                                  float(prob.ratio[1, 0]))
+        assert "candidates" in vars(prob)
+
+    def test_candidate_views(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            prob = random_instance(rng)
+            for i in range(len(prob.blocks)):
+                row = prob.candidates[i]
+                assert tuple(c.config for c in row) == prob.configs[i]
+                assert [(j, c) for j, c in enumerate(row) if c.config not in prob.excluded[i]] == prob.usable(i)
+            again = AllocationProblem.from_candidates(prob.blocks, prob.candidates, prob.mem_budget, prob.time_budget,
+                                                      prob.excluded)
+            assert again == prob and again.candidates == prob.candidates
+
+    def test_duplicate_block_ids_are_rejected(self):
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(0, "b1"))
+        row = (Candidate(X, 0.1, 64, 1.0),)
+        with pytest.raises(AllocationBuildError, match="duplicate block id 0"):
+            AllocationProblem.from_candidates(blocks, (row, row), mem_budget=100, time_budget=2.0)
+        shaped = [ProblemBlock(0, "b0", (BlockShape((4, 4)),)), ProblemBlock(0, "b1", (BlockShape((8,)),))]
+        with pytest.raises(AllocationBuildError, match="duplicate block id 0"):
+            build_problem(shaped, {}, signals={0: _signals()})
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (Candidate(Y, 0.1, -1, 1.0), "memory must be non-negative"),
+            (Candidate(Y, 0.1, 4, 0.0), "time ratio must be positive"),
+            (Candidate(Y, math.nan, 4, 1.0), "objective term must be finite"),
+            (Candidate(Y, math.inf, 4, 1.0), "objective term must be finite"),
+        ],
+    )
+    def test_from_candidates_checks_every_cell(self, cell, message):
+        rows = ((Candidate(X, 0.1, 10, 1.0),), (Candidate(X, 0.2, 10, 1.0), cell))
+        with pytest.raises(ValueError, match=rf"blocks\[1\]: candidates\[1\]: candidate {message}"):
+            AllocationProblem.from_candidates((ProblemBlock(0, "b0"), ProblemBlock(1, "b1")), rows, 100, 2.0)
+
+    def test_content_equality(self):
+        prob = two_block_problem(14)
+        assert prob == two_block_problem(14)
+        assert prob != two_block_problem(15)
+        other = AllocationProblem.from_candidates(
+            prob.blocks, ((Candidate(X, 0.1, 10, 1.0), Candidate(Y, 1.0, 4, 1.0)),
+                          (Candidate(X, 0.2, 10, 1.0), Candidate(Y, 0.3, 5, 1.0))), 14, math.inf)
+        assert prob != other
+
+
 class TestSerialization:
     def test_problem_round_trip(self):
         specs = _specs3()
@@ -575,6 +736,14 @@ class TestSerialization:
         prob = build_problem(specs, {}, signals=signals, exclude=["sgd"])
         again = problem_from_json_dict(json.loads(json.dumps(problem_to_json_dict(prob))))
         assert again == prob
+
+    def test_from_candidates_round_trip(self, instance_rng):
+        for _ in range(50):
+            prob = random_instance(instance_rng)
+            again = problem_from_json_dict(json.loads(json.dumps(problem_to_json_dict(prob))))
+            assert again == prob
+            assert again.candidates == prob.candidates
+            assert [again.usable(i) for i in range(len(prob.blocks))] == [prob.usable(i) for i in range(len(prob.blocks))]
 
     def test_plan_round_trip(self):
         prob = two_block_problem(14)

@@ -363,6 +363,36 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag} {paths[flag]}: {message}")
 
+    def test_duplicate_block_ids_are_one_error_line(self, trace_path, tmp_path, capsys):
+        plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--out", str(plan_path),
+                         "--dump-problem", str(problem_path), "--quiet"]) == EXIT_OK
+        problem = json.loads(problem_path.read_text())
+        problem["blocks"][1]["id"] = problem["blocks"][0]["id"]
+        problem_path.write_text(json.dumps(problem))
+        capsys.readouterr()
+        code = dispatch(["verify", "--problem", str(problem_path), "--plan", str(plan_path), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --problem {problem_path}: duplicate block id ")
+
+    def test_partial_plan_over_memory_exits_two(self, trace_path, tmp_path, capsys):
+        plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--out", str(plan_path),
+                         "--dump-problem", str(problem_path), "--quiet"]) == EXIT_OK
+        plan, problem = json.loads(plan_path.read_text()), json.loads(problem_path.read_text())
+        kept = plan["blocks"][0]
+        kept["config"] = problem["blocks"][0]["candidates"][0]["config"]  # AdamW32, the most memory
+        plan["blocks"] = [kept]
+        problem["B_mem"] = problem["blocks"][0]["candidates"][0]["mem_bytes"] - 1
+        plan_path.write_text(json.dumps(plan))
+        problem_path.write_text(json.dumps(problem))
+        capsys.readouterr()
+        code = dispatch(["verify", "--problem", str(problem_path), "--plan", str(plan_path), "--quiet"])
+        assert code == EXIT_INFEASIBLE
+        kinds = {v["kind"] for v in json.loads(capsys.readouterr().out)["violations"]}
+        assert kinds == {"coverage", "memory"}
+
     def test_tampered_plan_exits_two(self, trace_path, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         problem_path = tmp_path / "problem.json"

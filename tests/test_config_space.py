@@ -16,7 +16,9 @@ from baoc.config_space import (
     enumerate_candidates,
     enumerate_candidates_multi,
     measure_update_ratio,
+    policy_columns,
     state_bytes,
+    state_bytes_table,
 )
 
 MATRIX = BlockShape((64, 64))
@@ -232,6 +234,40 @@ class TestStateBytes:
         for fam in ("adamw", "adam", "sgdm", "adafactor"):
             vals = [state_bytes(Configuration.from_family(fam, b), MATRIX) for b in (8, 16, 32)]
             assert vals == sorted(vals)
+
+
+class TestStateBytesTable:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("shapes", SHAPE_SETS)
+    def test_equals_summed_state_bytes(self, shapes, policy):
+        grid = policy_columns(policy)
+        whole = all(s.supports_factorized for s in shapes)
+        params = np.array([sum(s.param_count for s in shapes)], dtype=np.int64)
+        factors = np.array([sum(s.factor_length for s in shapes) if whole else 0], dtype=np.int64)
+        table = state_bytes_table(grid, params, factors)
+        assert table.dtype == np.int64
+        for j, cfg in enumerate(grid.configs):
+            if whole or not cfg.factorized:
+                assert int(table[0, j]) == sum(state_bytes(cfg, s) for s in shapes)
+
+    def test_grid_columns_match_the_configurations(self):
+        grid = policy_columns(DEFAULT_POLICY)
+        assert policy_columns(DEFAULT_POLICY) is grid
+        for j, cfg in enumerate(grid.configs):
+            assert (grid.adaptive[j], grid.momentum[j], grid.decoupled_decay[j], grid.factorized[j]) == (
+                cfg.adaptive, cfg.momentum, cfg.decoupled_decay, cfg.factorized,
+            )
+            assert grid.stateless[j] == cfg.stateless and grid.bits[j] == cfg.state_bits
+            assert grid.aggressiveness[j] == aggressiveness(cfg)
+            assert grid.keys[j] == (cfg.family, cfg.state_bits)
+
+
+class TestStoreState:
+    def test_subnormal_absmax_is_finite(self):
+        from baoc.config_space import _store_state
+
+        stored = _store_state(np.array([0.0, 1e-45], np.float32), 8)
+        assert stored.dtype == np.float32 and np.isfinite(stored).all()
 
 
 class TestAggressiveness:
