@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -68,8 +68,9 @@ class AllocationBuildError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Candidate:
-    """One admissible configuration for a block, with its cost row: a view
-    of one column of an `AllocationProblem`'s table."""
+    """One configuration for a block with its cost row: a row entry for
+    `AllocationProblem.from_candidates`, and one column of a problem's table
+    in the `AllocationProblem.candidates` view."""
 
     config: Configuration
     phi: float
@@ -93,9 +94,9 @@ class AllocationProblem:
     Column j of block i is the configuration `configs[i][j]`, with its
     objective term `phi[i, j]`, its exact state bytes `mem[i, j]` and its
     update-time ratio `ratio[i, j]`. Beyond a block's configurations the
-    table is padded with phi inf, memory 0 and ratio 0. `usable_mask` marks
-    the columns a solution may take: the block's configurations minus its
-    `excluded` set. Equality compares the content.
+    table is padded with phi inf, memory 0 and ratio 0. `usable_mask`, set
+    at construction, marks the columns a solution may take: the block's
+    configurations minus its `excluded` set. Equality compares the content.
     """
 
     blocks: tuple[ProblemBlock, ...]
@@ -103,10 +104,10 @@ class AllocationProblem:
     phi: np.ndarray
     mem: np.ndarray
     ratio: np.ndarray
-    usable_mask: np.ndarray
     mem_budget: int
     time_budget: float
     excluded: tuple[frozenset[Configuration], ...] = ()
+    usable_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.blocks)
@@ -122,7 +123,7 @@ class AllocationProblem:
             raise AllocationBuildError(f"duplicate block id {dup}")
         sizes = [len(row) for row in self.configs]
         width = max(sizes, default=0)
-        for name, dtype in (("phi", np.float64), ("mem", np.int64), ("ratio", np.float64), ("usable_mask", bool)):
+        for name, dtype in (("phi", np.float64), ("mem", np.int64), ("ratio", np.float64)):
             table = getattr(self, name)
             if table.shape != (n, width) or table.dtype != dtype:
                 raise ValueError(f"{name} must be a ({n}, {width}) {np.dtype(dtype).name} array")
@@ -138,9 +139,17 @@ class AllocationProblem:
             i, j = np.argwhere(bad)[0].tolist()
             message = next(message for message, ok in checks if not ok[i, j])
             raise ValueError(f"blocks[{i}]: candidates[{j}]: {message}")
-        if (self.usable_mask & ~valid).any():
-            raise ValueError("usable_mask marks padding columns")
-        empty = ~self.usable_mask.any(axis=1)
+        usable = valid.copy()
+        rows: dict[tuple[int, int], list[bool]] = {}  # blocks often share one tuple and one exclusion set
+        for i, (row, banned) in enumerate(zip(self.configs, self.excluded)):
+            if banned:
+                key = (id(row), id(banned))
+                if key not in rows:
+                    rows[key] = [c not in banned for c in row]
+                usable[i, : len(row)] = rows[key]
+        usable.flags.writeable = False
+        object.__setattr__(self, "usable_mask", usable)
+        empty = ~usable.any(axis=1)
         if empty.any():
             raise AllocationBuildError(f"block {self.blocks[int(np.argmax(empty))].id}: all candidates excluded")
 
@@ -158,9 +167,6 @@ class AllocationProblem:
         if len(candidates) != len(blocks):
             raise ValueError("need one candidate list per block")
         n = len(blocks)
-        excluded = tuple(excluded) or (frozenset(),) * n
-        if len(excluded) != n:
-            raise ValueError("need one exclusion set per block")
         configs = tuple(tuple(c.config for c in row) for row in candidates)
         sizes = np.array(list(map(len, configs)), dtype=np.int64).reshape(n, 1)
         valid = np.arange(max(map(len, configs), default=0)) < sizes
@@ -174,20 +180,15 @@ class AllocationProblem:
         except OverflowError:
             raise ValueError("candidate memory must fit in 64-bit integers") from None
         ratio[valid] = [c.time_ratio for c in flat]
-        usable = valid.copy()
-        for i, (row, banned) in enumerate(zip(configs, excluded)):
-            if banned:
-                usable[i, : len(row)] = [c not in banned for c in row]
         return cls(
             blocks=tuple(blocks),
             configs=configs,
             phi=phi,
             mem=mem,
             ratio=ratio,
-            usable_mask=usable,
             mem_budget=mem_budget,
             time_budget=time_budget,
-            excluded=excluded,
+            excluded=tuple(excluded),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -199,10 +200,7 @@ class AllocationProblem:
             and self.mem_budget == other.mem_budget
             and self.time_budget == other.time_budget
             and self.excluded == other.excluded
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("phi", "mem", "ratio", "usable_mask")
-            )
+            and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in ("phi", "mem", "ratio"))
         )
 
     __hash__ = None  # the tables are arrays
@@ -1029,7 +1027,6 @@ def build_problem(
         phi=np.where(valid, phi, np.inf),
         mem=np.where(valid, mem, 0),
         ratio=np.where(valid, ratio, 0.0),
-        usable_mask=valid,
         mem_budget=mem_budget,
         time_budget=time_budget,
         excluded=tuple(layout.excluded[f] for f in kind),
