@@ -96,7 +96,8 @@ class AllocationProblem:
     update-time ratio `ratio[i, j]`. Beyond a block's configurations the
     table is padded with phi inf, memory 0 and ratio 0. `usable_mask`, set
     at construction, marks the columns a solution may take: the block's
-    configurations minus its `excluded` set. Equality compares the content.
+    configurations minus its `excluded` set. The constructor stores
+    read-only copies of the three tables. Equality compares the content.
     """
 
     blocks: tuple[ProblemBlock, ...]
@@ -127,7 +128,9 @@ class AllocationProblem:
             table = getattr(self, name)
             if table.shape != (n, width) or table.dtype != dtype:
                 raise ValueError(f"{name} must be a ({n}, {width}) {np.dtype(dtype).name} array")
+            table = table.copy()
             table.flags.writeable = False
+            object.__setattr__(self, name, table)
         valid = np.arange(width) < np.array(sizes, dtype=np.int64).reshape(n, 1)
         checks = (
             ("candidate memory must be non-negative", self.mem >= 0),
@@ -140,13 +143,9 @@ class AllocationProblem:
             message = next(message for message, ok in checks if not ok[i, j])
             raise ValueError(f"blocks[{i}]: candidates[{j}]: {message}")
         usable = valid.copy()
-        rows: dict[tuple[int, int], list[bool]] = {}  # blocks often share one tuple and one exclusion set
         for i, (row, banned) in enumerate(zip(self.configs, self.excluded)):
             if banned:
-                key = (id(row), id(banned))
-                if key not in rows:
-                    rows[key] = [c not in banned for c in row]
-                usable[i, : len(row)] = rows[key]
+                usable[i, : len(row)] = [c not in banned for c in row]
         usable.flags.writeable = False
         object.__setattr__(self, "usable_mask", usable)
         empty = ~usable.any(axis=1)
@@ -271,12 +270,8 @@ class _Front:
         usable = problem.usable_mask
         sizes = usable.sum(axis=1)
         valid = np.arange(usable.shape[1]) < sizes[:, None]
-        if np.array_equal(usable, valid):  # already in front
-            cols = np.broadcast_to(np.arange(usable.shape[1]), usable.shape)
-            phi, mem, ratio = problem.phi, problem.mem, problem.ratio
-        else:
-            cols = np.argsort(~usable, axis=1, kind="stable")
-            phi, mem, ratio = (np.take_along_axis(t, cols, axis=1) for t in (problem.phi, problem.mem, problem.ratio))
+        cols = np.argsort(~usable, axis=1, kind="stable")
+        phi, mem, ratio = (np.take_along_axis(t, cols, axis=1) for t in (problem.phi, problem.mem, problem.ratio))
         return cls(
             cols=cols,
             sizes=sizes.tolist(),
@@ -910,39 +905,6 @@ def verify(problem: AllocationProblem, solution: AllocationSolution) -> Verifica
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """The grid columns blocks take under one policy and one exclusion list,
-    keyed by whether every shape of the block factorizes."""
-
-    keep: np.ndarray  # grid columns no selector excludes
-    cols: dict[bool, np.ndarray]
-    configs: dict[bool, tuple[Configuration, ...]]
-    excluded: dict[bool, frozenset[Configuration]]
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(policy: CandidatePolicy, exclude: tuple) -> _Layout:
-    grid = policy_columns(policy)
-    banned = expand_selectors(exclude, grid.configs)
-    keep = np.array([c not in banned for c in grid.configs], dtype=bool)
-    cols = {f: np.flatnonzero(keep & (f | ~grid.factorized)) for f in (True, False)}
-    return _Layout(
-        keep=keep,
-        cols=cols,
-        configs={f: tuple(grid.configs[j] for j in cols[f].tolist()) for f in cols},
-        excluded={True: banned, False: frozenset(c for c in banned if not c.factorized)},
-    )
-
-
-@functools.lru_cache(maxsize=4096)
-def _block_sizes(shapes: tuple[BlockShape, ...]) -> tuple[int, bool, int]:
-    """A block's summed parameter count, whether every shape factorizes, and
-    its summed `factor_length` (0 when one shape cannot factorize)."""
-    whole = all(s.supports_factorized for s in shapes)
-    return sum(s.param_count for s in shapes), whole, sum(s.factor_length for s in shapes) if whole else 0
-
-
 def build_problem(
     blocks: Sequence,
     metrics: Mapping[int, RawMetrics],
@@ -983,12 +945,13 @@ def build_problem(
     # Selectors are matched once, on the policy grid; each block's grid is a
     # subset of it, and phi never sees a preferred configuration outside it.
     grid = policy_columns(policy)
-    layout = _layout(policy, tuple(exclude))
+    banned = expand_selectors(exclude, grid.configs)
+    keep = np.array([c not in banned for c in grid.configs], dtype=bool)
     prefer = tuple(prefer)
     if prefer:
         weights = replace(weights, pref_set=weights.pref_set | expand_selectors(prefer, grid.configs))
 
-    block_signals, sizes = [], []
+    block_signals, params, whole, factors = [], [], [], []
     for d in descriptors:
         if not d.shapes:
             raise AllocationBuildError(f"block {d.id} has no shapes")
@@ -999,8 +962,11 @@ def build_problem(
                 block_signals.append(signals_from_metrics(metrics[d.id], anchors))
             except KeyError:
                 raise AllocationBuildError(f"no metrics available for block {d.id}") from None
-        sizes.append(_block_sizes(d.shapes))
-    params, whole, factors = zip(*sizes)
+        # Factorized columns need every shape to factorize; `factors` is
+        # then the block's summed factor-vector length, else 0.
+        whole.append(all(s.supports_factorized for s in d.shapes))
+        params.append(sum(s.param_count for s in d.shapes))
+        factors.append(sum(s.factor_length for s in d.shapes) if whole[-1] else 0)
     total = sum(params)
     # No configuration stores more than AdamW32's two 4-byte tensors per
     # parameter, so this bounds every sum of state bytes the solver forms.
@@ -1008,28 +974,30 @@ def build_problem(
         raise AllocationBuildError(f"state memory of {total} parameters overflows 64-bit integers")
     mem_budget = int(round(budget_ratio * (4 * total)))  # AdamW16: two 2-byte tensors per parameter
 
-    kinds = set(whole)
-    width = max(layout.cols[f].size for f in kinds)
-    whole = np.array(whole, dtype=bool).reshape(-1, 1)
-    index = np.zeros((whole.size, width), dtype=np.int64)  # grid column of each table column
-    for f in kinds:
-        index[whole[:, 0] == f, : layout.cols[f].size] = layout.cols[f]
-    valid = np.arange(width) < np.where(whole, layout.cols[True].size, layout.cols[False].size)
-    used = layout.keep & (whole | ~grid.factorized)
-    rows = np.arange(whole.size).reshape(-1, 1)
+    # The grid columns a block takes, keyed by whether it factorizes.
+    cols = {f: np.flatnonzero(keep & (f | ~grid.factorized)) for f in set(whole)}
+    configs = {f: tuple(grid.configs[j] for j in c.tolist()) for f, c in cols.items()}
+    excluded = {True: banned, False: frozenset(c for c in banned if not c.factorized)}
+    width = max(c.size for c in cols.values())
+    factorizes = np.array(whole, dtype=bool).reshape(-1, 1)
+    index = np.zeros((len(whole), width), dtype=np.int64)  # grid column of each table column
+    for f, c in cols.items():
+        index[factorizes[:, 0] == f, : c.size] = c
+    valid = np.arange(width) < np.array([cols[f].size for f in whole]).reshape(-1, 1)
+    used = keep & (factorizes | ~grid.factorized)
+    rows = np.arange(len(whole)).reshape(-1, 1)
     phi = phi_table(grid, block_signals, weights, gamma, used)[rows, index]
     mem = state_bytes_table(grid, np.array(params, dtype=np.int64), np.array(factors, dtype=np.int64))[rows, index]
     ratio = cost_model.ratio_row(grid, used.any(axis=0))[index]
-    kind = whole[:, 0].tolist()
     return AllocationProblem(
         blocks=tuple(descriptors),
-        configs=tuple(layout.configs[f] for f in kind),
+        configs=tuple(configs[f] for f in whole),
         phi=np.where(valid, phi, np.inf),
         mem=np.where(valid, mem, 0),
         ratio=np.where(valid, ratio, 0.0),
         mem_budget=mem_budget,
         time_budget=time_budget,
-        excluded=tuple(layout.excluded[f] for f in kind),
+        excluded=tuple(excluded[f] for f in whole),
     )
 
 

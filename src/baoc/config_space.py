@@ -15,8 +15,9 @@ import json
 import math
 import statistics
 import time
+import types
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -387,7 +388,7 @@ class CostModel:
     Immutable once built; share freely across threads.
     """
 
-    ratio_table: dict[tuple[str, int], float]
+    ratio_table: Mapping[tuple[str, int], float]
     source: str = "static_table"
 
     def __post_init__(self) -> None:
@@ -449,7 +450,7 @@ class CostModel:
 def _static_cost_model(cls: type, policy: CandidatePolicy) -> CostModel:
     table = {(cfg.family, cfg.state_bits): _static_ratio(cfg) for cfg in policy_grid(policy)}
     table[("adamw", 16)] = 1.0
-    return cls(ratio_table=table, source="static_table")
+    return cls(ratio_table=types.MappingProxyType(table), source="static_table")  # shared, so read-only
 
 
 def _one_step_kernel(config: Configuration, shape: tuple[int, ...], buffers: dict) -> None:

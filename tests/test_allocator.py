@@ -719,6 +719,17 @@ class TestProblemTable:
         with pytest.raises(ValueError, match=rf"blocks\[1\]: candidates\[1\]: candidate {message}"):
             AllocationProblem.from_candidates((ProblemBlock(0, "b0"), ProblemBlock(1, "b1")), rows, 100, 2.0)
 
+    def test_constructor_keeps_read_only_copies(self):
+        base = np.array([[0.1, 1.0], [0.2, 0.3], [9.0, 9.0]])
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        prob = AllocationProblem(blocks, ((X, Y), (X, Y)), base[:2], np.array([[10, 4], [10, 5]]),
+                                 np.ones((2, 2)), mem_budget=14, time_budget=2.0)
+        assert base.flags.writeable
+        base[0, 0] = 5.0
+        assert prob.phi[0, 0] == 0.1
+        with pytest.raises(ValueError):
+            prob.phi[0, 0] = 5.0
+
     def test_content_equality(self):
         prob = two_block_problem(14)
         assert prob == two_block_problem(14)

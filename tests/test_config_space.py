@@ -324,6 +324,13 @@ class TestCostModel:
         cm = CostModel.static_default(CandidatePolicy(families=["adam", "sgd", "adafactor"], bits=[32]))
         assert cm.ratio_table == {("adam", 32): 1.05, ("sgd", 32): 0.4, ("adafactor", 32): 1.2, ("adamw", 16): 1.0}
 
+    def test_static_default_is_shared_and_read_only(self):
+        cm = CostModel.static_default()
+        assert CostModel.static_default() is cm
+        with pytest.raises(TypeError):
+            cm.ratio_table[("sgd", 32)] = 9.0
+        assert CostModel.static_default().ratio(Configuration.from_family("sgd")) == 0.4
+
     def test_json_round_trip(self):
         cm = CostModel.static_default()
         again = CostModel.from_json(cm.to_json())
