@@ -21,10 +21,12 @@ dominates in (memory, time, objective) (Nemhauser & Ullmann, 1969), pruned
 by the LP relaxation of the memory-budgeted multiple-choice knapsack with a
 Lagrangian price on the time budget (Sinha & Zoltners, 1979). Its cutoff
 is the phi of a feasible incumbent, that LP's solution rounded down and
-repaired to fit, so one pass usually proves the optimum. It proves
-optimality or infeasibility on any instance, with no recursion. Both return
-the lexicographically smallest assignment among those within the slack of
-the optimum.
+repaired to fit, so one pass usually proves the optimum. Before each pass,
+reduced-cost fixing (Dyer, Kayal & Walker, 1984) drops every candidate
+whose Lagrangian bound, with its block fixed to it, exceeds the cutoff. It
+proves optimality or infeasibility on any instance, with no recursion. Both
+return the lexicographically smallest assignment among those within the
+slack of the optimum.
 """
 
 from __future__ import annotations
@@ -431,6 +433,30 @@ class _PricedHulls:
             ratio += frac * float(self.d_ratio[taken])
         return (cost - self.lam * time_cap if self.lam else cost), ratio - time_cap
 
+    def column_bounds(
+        self, mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, spare_mem: float, time_cap: float
+    ) -> np.ndarray:
+        """Lagrangian bound with each block fixed to each column, as a (blocks, columns) array.
+
+        The prices are `lam` on time and mu on memory, minus the slope of the
+        increment the root LP buys in part (0 when every increment fits).
+        With red = phi + lam * ratio + mu * (memory beyond the block's
+        minimum), the bound at the root is L = sum of each block's least red
+        - mu * `spare_mem` - lam * `time_cap`, which is `root`'s; fixing block
+        i to column j adds red[i, j] minus block i's least red. Memory counts
+        from each block's minimum, so mu never multiplies a large byte total.
+        `mem` is the int64 table with padding 0; padding has infinite phi.
+        """
+        _, taken = self._taken(spare_mem)
+        mu = -float(self.d_cost[taken] / self.d_mem[taken]) if taken < self.d_mem.size else 0.0
+        rows = np.arange(mem.shape[0])
+        red = phi + mu * (mem - mem[rows, self.start][:, None])
+        if self.lam:  # time_cap may be inf, and 0 * inf is nan
+            red += self.lam * ratio
+        least = red.min(axis=1)
+        root = float(least.sum()) - mu * spare_mem - (self.lam * time_cap if self.lam else 0.0)
+        return root + (red - least[:, None])
+
     def _taken(self, spare_mem: float) -> tuple[np.ndarray, int]:
         """Cumulative increment memory, and how many increments fit in full."""
         cum_mem = np.cumsum(self.d_mem)
@@ -587,7 +613,7 @@ class _ParetoDP:
         # infinite and memory and ratio 0 in the padding; `pad_mem` is the
         # memory table for the LP, with infinite padding.
         self.front = front = _Front.of(problem)
-        self.sizes, self.valid = front.sizes, front.valid
+        self.valid = front.valid
         self.mem_table, self.pad_phi, self.pad_ratio = front.mem, front.phi, front.ratio
         self.pad_mem = np.where(self.valid, self.mem_table, np.inf)
 
@@ -601,10 +627,13 @@ class _ParetoDP:
         self.max_time = suffix_sums(self.pad_ratio.max(axis=1))
         self.tables: list[_PricedHulls] = []  # bound the DP's states
         self.bracket: list[_PricedHulls] = []  # only rounded for the incumbent
+        self.column_bound = np.zeros_like(self.pad_phi)  # the tables' largest bound with a block fixed to a column
 
     def root_bound(self) -> float:
         """Build the LP tables (price 0, and the best time price when the
-        time row binds the LP) and return the larger root bound."""
+        time row binds the LP), fill `column_bound` from them and return the
+        larger root bound. The column bounds take the time cap with the
+        margin, as the states' bounds do."""
         table = _PricedHulls.build(self.pad_mem, self.pad_phi, self.pad_ratio, 0.0)
         root, slope = table.root(self.spare_mem, self.time_cap)
         self.tables, self.bracket = [table], []
@@ -614,6 +643,11 @@ class _ParetoDP:
             )
             self.tables.append(table)
             root = max(root, priced)
+        cap = self.time_cap + self.margin
+        self.column_bound = np.max(
+            [t.column_bounds(self.mem_table, self.pad_phi, self.pad_ratio, self.spare_mem, cap) for t in self.tables],
+            axis=0,
+        )
         return root
 
     def incumbent(self) -> tuple[float, np.ndarray] | None:
@@ -678,11 +712,22 @@ class _ParetoDP:
     def run(self, limit: float) -> tuple[tuple[np.ndarray, list] | None, int]:
         """One pass over the blocks, keeping states whose phi plus bound is <= `limit`.
 
-        Returns the leaves' phis in lexicographic order of their assignments
-        with per-step (parent, candidate) back-pointers (or None when no leaf
-        survives), and the number of states kept.
+        First, reduced-cost fixing: a column whose `column_bound` exceeds
+        `limit` is dropped, since every assignment through it has phi above
+        the limit. Each block's remaining columns keep their order, so the
+        states stay in lexicographic order. Returns the leaves' phis in that
+        order with per-step (parent, usable-candidate index) back-pointers
+        (or None when no leaf survives), and the number of states kept.
         """
         n = self.n
+        keep = self.valid & (self.column_bound <= limit)
+        sizes = keep.sum(axis=1).tolist()
+        if 0 in sizes:
+            return None, 0
+        cols = np.argsort(~keep, axis=1, kind="stable")
+        mem_table, pad_ratio, pad_phi = (
+            np.take_along_axis(t, cols, axis=1) for t in (self.mem_table, self.pad_ratio, self.pad_phi)
+        )
         mems = np.zeros(1, dtype=np.int64)
         times = np.zeros(1, dtype=np.float64)
         phis = np.zeros(1, dtype=np.float64)
@@ -690,10 +735,10 @@ class _ParetoDP:
         kept = 0
         sel = [np.arange(t.block.size) for t in self.tables]
         for d in range(n):
-            k = self.sizes[d]
-            mem = (mems[:, None] + self.mem_table[d, :k]).ravel()
-            time = (times[:, None] + self.pad_ratio[d, :k]).ravel()
-            phi = (phis[:, None] + self.pad_phi[d, :k]).ravel()
+            k = sizes[d]
+            mem = (mems[:, None] + mem_table[d, :k]).ravel()
+            time = (times[:, None] + pad_ratio[d, :k]).ravel()
+            phi = (phis[:, None] + pad_phi[d, :k]).ravel()
             ok = mem <= self.mem_budget - self.min_mem[d + 1]
             if d == n - 1:
                 ok &= (time / n <= self.mean_cap) & (phi <= limit)
@@ -701,7 +746,9 @@ class _ParetoDP:
             else:
                 ok &= time + self.min_time[d + 1] <= self.time_cap + self.margin
                 idx = np.flatnonzero(ok)
-                if limit < math.inf:
+                # One column moves every state alike; the next block's
+                # bound and dominance passes see them.
+                if k > 1 and limit < math.inf:
                     spare_mem = (self.mem_budget - self.min_mem[d + 1] - mem[idx]).astype(np.float64)
                     spare_time = self.time_cap + self.margin - time[idx]
                     bounds = []
@@ -709,13 +756,13 @@ class _ParetoDP:
                         sel[t] = sel[t][table.block[sel[t]] > d]
                         bounds.append(table.bound(d + 1, sel[t], spare_mem, spare_time))
                     idx = idx[phi[idx] + np.max(bounds, axis=0) <= limit]
-                if idx.size > 1:
+                if k > 1 and idx.size > 1:
                     free_mem = mem[idx] + self.max_mem[d + 1] <= self.mem_budget
                     free_time = time[idx] + self.max_time[d + 1] <= self.time_cap - self.margin
                     idx = idx[_undominated(mem[idx], time[idx], phi[idx], free_mem, free_time)]
             if idx.size == 0:
                 return None, kept
-            back.append(np.divmod(idx, k))
+            back.append((idx // k, cols[d, idx % k]))
             mems, times, phis = mem[idx], time[idx], phi[idx]
             kept += idx.size
         return (phis, back), kept
@@ -742,6 +789,15 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     (see `_undominated`). The bound is the LP relaxation of the memory row
     over the blocks' convex hulls, with the time row priced by the root
     Lagrangian multiplier; the larger of that and the unpriced bound is used.
+
+    Each pass starts with reduced-cost fixing. At each LP table's time price
+    and its root memory price, the Lagrangian bound with block i fixed to
+    candidate j is the root bound plus j's reduced cost above block i's
+    least; j is dropped when that exceeds the pass's limit, U plus the slack,
+    for either table. Every assignment through a dropped candidate has phi
+    above the limit, so the optimum and the tie rule's answer stay. The
+    remaining candidates keep their order, and a block left with one
+    candidate extends every state without the bound and dominance tests.
 
     U is the phi of a feasible incumbent (`_ParetoDP.incumbent`): the root
     LP solution of each table, and of the tables at both ends of the final
@@ -934,8 +990,8 @@ def build_problem(
     """
     if not blocks:
         raise AllocationBuildError("need at least one block")
-    if not budget_ratio > 0:
-        raise AllocationBuildError(f"budget ratio must be positive, got {budget_ratio}")
+    if not 0 < budget_ratio < math.inf:
+        raise AllocationBuildError(f"budget ratio must be positive and finite, got {budget_ratio}")
     cost_model = cost_model or CostModel.static_default(policy)
 
     descriptors = [  # ProblemBlock or trace.BlockSpec

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -479,6 +480,141 @@ class TestIncumbent:
         sol = assert_same_as_bruteforce(prob)
         assert sol.assignment == {0: X, 1: Z}
         assert dp_rounds[0] < 0.5  # the first cutoff comes from the root bound
+
+
+def _draw(seed, index):
+    """Draw `index` of the `random_instance` suite seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        random_instance(rng)
+    return random_instance(rng)
+
+
+def _solver_signals(rng, n):
+    """The signal model of the benchmark's `solve` workload."""
+    signals = {}
+    for i in range(n):
+        geometry, momentum, distortion, structure = (float(x) for x in rng.uniform(0.0, 1.0, size=4))
+        signals[i] = RiskSignals(
+            geometry=geometry, momentum=momentum, distortion=distortion, structure=structure,
+            precision={32: 0.0, 16: float(rng.uniform(0.0, 0.05)), 8: float(rng.uniform(0.0, 0.5))},
+        )
+    return signals
+
+
+class TestReducedCostFixing:
+    """`_ParetoDP.run` drops the columns whose Lagrangian bound exceeds its limit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), squeeze=st.one_of(st.none(), st.floats(0.0, 1.0)))
+    def test_no_assignment_within_the_slack_loses_a_column(self, seed, squeeze):
+        prob = random_instance(np.random.default_rng(seed), max_product=20_000)
+        if squeeze is not None:
+            # A time budget below the unconstrained optimum's mean ratio: the row binds.
+            free = solve_bruteforce(AllocationProblem.from_candidates(
+                prob.blocks, prob.candidates, prob.mem_budget, math.inf, prob.excluded))
+            least = float(np.where(prob.usable_mask, prob.ratio, np.inf).min(axis=1).mean())
+            if free.is_optimal and free.mean_time_ratio > least:
+                prob = AllocationProblem.from_candidates(
+                    prob.blocks, prob.candidates, prob.mem_budget,
+                    least + squeeze * (free.mean_time_ratio - least), prob.excluded)
+        brute = assert_same_as_bruteforce(prob)
+        if not brute.is_optimal:
+            return
+        dp = allocator._ParetoDP(prob)
+        dp.root_bound()
+        for table in dp.tables:
+            bounds = table.column_bounds(dp.mem_table, dp.pad_phi, dp.pad_ratio, dp.spare_mem, dp.time_cap)
+            root = table.root(dp.spare_mem, dp.time_cap)[0]
+            scale = max(1.0, table.lam * abs(dp.time_cap)) if table.lam else 1.0
+            assert np.abs(bounds.min(axis=1) - root).max() <= 1e-9 * scale
+
+        keep = dp.valid & (dp.column_bound <= brute.objective + allocator.OBJECTIVE_SLACK)
+        front, n = dp.front, len(prob.blocks)
+        choice = np.array(list(itertools.product(*map(range, front.sizes))))
+        rows = np.arange(n)
+        obj = np.zeros(len(choice))
+        for i in range(n):
+            obj += front.phi[i, choice[:, i]]
+        within = (
+            (front.mem[rows, choice].sum(axis=1) <= prob.mem_budget)
+            & (front.ratio[rows, choice].sum(axis=1) / n <= prob.time_budget + allocator.TIME_SLACK)
+            & (obj <= brute.objective + allocator.OBJECTIVE_SLACK)
+        )
+        assert within.any()
+        assert keep[rows, choice[within]].all()
+
+    def test_infinite_time_budget_proves_the_optimum_in_one_round(self, dp_rounds):
+        # Time is unpriced (lam 0): the bounds must not take 0 * inf.
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            prob = _table_instance(rng, 6, 6, float(rng.uniform(0.1, 0.9)), math.inf)
+            dp = allocator._ParetoDP(prob)
+            dp.root_bound()
+            assert np.isfinite(dp.column_bound[dp.valid]).all()
+            dp_rounds.clear()
+            assert assert_same_as_bruteforce(prob).is_optimal
+            assert len(dp_rounds) == 1
+
+    def test_rounds_without_an_incumbent(self, monkeypatch):
+        # Draw 560 of the seed-987654321 suite has no incumbent, so the
+        # cutoff starts at root + delta and grows; early rounds end without
+        # a leaf, one of them with each block down to a single column.
+        prob = _draw(987654321, 560)
+        assert incumbent_of(prob)[0] is None
+        rounds = []
+        run = allocator._ParetoDP.run
+
+        def recorded(self, limit):
+            leaves, kept = run(self, limit)
+            rounds.append(((self.valid & (self.column_bound <= limit)).sum(axis=1).tolist(), leaves is not None))
+            return leaves, kept
+
+        monkeypatch.setattr(allocator._ParetoDP, "run", recorded)
+        assert_same_as_bruteforce(prob)
+        assert len(rounds) > 1 and rounds[-1][1]
+        assert ([1, 1], False) in rounds
+
+    def test_a_block_without_columns_ends_the_round(self):
+        # Just below the least bound some block reaches, that block keeps no column.
+        prob = _draw(987654321, 560)
+        dp = allocator._ParetoDP(prob)
+        dp.root_bound()
+        limit = np.nextafter(np.where(dp.valid, dp.column_bound, np.inf).min(axis=1).max(), -np.inf)
+        assert not (dp.valid & (dp.column_bound <= limit)).any(axis=1).all()
+        assert dp.run(limit) == (None, 0)
+
+    @pytest.mark.parametrize("mem_ratio", [0.3, 0.5])
+    def test_three_hundred_blocks_against_scipy_milp(self, mem_ratio):
+        # The benchmark's solver shapes at time 0.9. At memory 0.3 the time
+        # row binds the root LP; at 0.5 it also moves the optimum.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        n = 300
+        shapes = ((4096, 4096), (4096, 11008), (11008, 4096), (4096,))
+        blocks = [ProblemBlock(i, f"b{i}", (BlockShape(shapes[i % 4]),)) for i in range(n)]
+        prob = build_problem(blocks, {}, budget_ratio=mem_ratio, time_budget=0.9,
+                             signals=_solver_signals(np.random.default_rng(0), n))
+        sol = solve_exact(prob)
+        assert sol.is_optimal and verify(prob, sol).ok
+
+        rows, cols = np.nonzero(prob.usable_mask)
+        one_each = np.zeros((n, rows.size))
+        one_each[rows, np.arange(rows.size)] = 1.0
+        res = milp(
+            c=prob.phi[rows, cols],
+            constraints=[
+                LinearConstraint(one_each, 1, 1),
+                # Scaled by the budget, so HiGHS's tolerances act on a row of order 1.
+                LinearConstraint(prob.mem[rows, cols][None, :] / prob.mem_budget, -np.inf, 1.0),
+                LinearConstraint(prob.ratio[rows, cols][None, :] / n, -np.inf, 0.9 + allocator.TIME_SLACK),
+            ],
+            integrality=np.ones(rows.size),
+            bounds=Bounds(0, 1),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert res.status == 0
+        assert abs(sol.objective - float(res.fun)) <= 1e-9
 
 
 class TestVerify:

@@ -125,6 +125,14 @@ class TestAllocate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--budget-ratio" in err
 
+    @pytest.mark.parametrize("ratio", ["inf", "1e400"])
+    def test_infinite_budget_ratio_is_one_error_line(self, trace_path, ratio, capsys):
+        code = dispatch(["allocate", "--trace", str(trace_path), "--budget-ratio", ratio, "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget ratio must be positive and finite, got inf" in err
+
     def test_infeasible_exit_code(self, trace_path, capsys):
         excludes = []
         for fam in ("adam", "sgd", "sgdm", "sgdw", "sgdwm", "adafactor"):
