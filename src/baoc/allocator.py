@@ -16,10 +16,11 @@ when `AllocationProblem.candidates` is read.
 
 Two solvers are provided. `solve_bruteforce` exhaustively enumerates small
 instances and is the testing oracle. `solve_exact` is a forward dynamic
-program over the blocks that keeps only partial assignments no other one
-dominates in (memory, time, objective) (Nemhauser & Ullmann, 1969), pruned
-by the LP relaxation of the memory-budgeted multiple-choice knapsack with a
-Lagrangian price on the time budget (Sinha & Zoltners, 1979). Its cutoff
+program over the blocks that reads the problem's table columns. It keeps
+only partial assignments that one sweep in memory order finds no other one
+to dominate in (memory, time, objective) (Nemhauser & Ullmann, 1969), and
+prunes by the LP relaxation of the memory-budgeted multiple-choice knapsack
+with a Lagrangian price on the time budget (Sinha & Zoltners, 1979). Its cutoff
 is the phi of a feasible incumbent, that LP's solution rounded down and
 repaired to fit, so one pass usually proves the optimum. Before each pass,
 reduced-cost fixing (Dyer, Kayal & Walker, 1984) drops every candidate
@@ -114,6 +115,8 @@ class AllocationProblem:
 
     def __post_init__(self) -> None:
         n = len(self.blocks)
+        if math.isnan(self.time_budget):  # every comparison with NaN is false, so no plan would break it
+            raise AllocationBuildError("time budget must be a number, got NaN")
         if len(self.configs) != n:
             raise ValueError("need one configuration tuple per block")
         if not self.excluded:
@@ -253,54 +256,24 @@ def _infeasible(reason: str, nodes: int = 0) -> AllocationSolution:
     )
 
 
-@dataclass(frozen=True)
-class _Front:
-    """The problem's table with each block's usable columns moved to the
-    front, in order: `cols[i, k]` is the table column of block i's k-th
-    usable candidate, and `sizes[i]` their count. Beyond it, phi is inf and
-    memory and ratio are 0."""
-
-    cols: np.ndarray
-    sizes: list[int]
-    valid: np.ndarray
-    phi: np.ndarray
-    mem: np.ndarray
-    ratio: np.ndarray
-
-    @classmethod
-    def of(cls, problem: AllocationProblem) -> "_Front":
-        usable = problem.usable_mask
-        sizes = usable.sum(axis=1)
-        valid = np.arange(usable.shape[1]) < sizes[:, None]
-        cols = np.argsort(~usable, axis=1, kind="stable")
-        phi, mem, ratio = (np.take_along_axis(t, cols, axis=1) for t in (problem.phi, problem.mem, problem.ratio))
-        return cls(
-            cols=cols,
-            sizes=sizes.tolist(),
-            valid=valid,
-            phi=np.where(valid, phi, np.inf),
-            mem=np.where(valid, mem, 0),
-            ratio=np.where(valid, ratio, 0.0),
-        )
-
-    def solution(self, problem: AllocationProblem, choice: Sequence[int], nodes: int) -> AllocationSolution:
-        """The solution taking block i's `choice[i]`-th usable candidate;
-        totals are summed in block order."""
-        rows = np.arange(len(problem.blocks))
-        cols = self.cols[rows, np.asarray(choice, dtype=np.int64)]
-        objective, total_r = 0.0, 0.0
-        for value in problem.phi[rows, cols].tolist():
-            objective += value
-        for value in problem.ratio[rows, cols].tolist():
-            total_r += value
-        return AllocationSolution(
-            status="optimal",
-            assignment={b.id: row[j] for b, row, j in zip(problem.blocks, problem.configs, cols.tolist())},
-            objective=objective,
-            total_mem=sum(problem.mem[rows, cols].tolist()),
-            mean_time_ratio=total_r / len(rows),
-            nodes_explored=nodes,
-        )
+def _solution(problem: AllocationProblem, cols: Sequence[int], nodes: int) -> AllocationSolution:
+    """The solution taking table column `cols[i]` of block i; totals are
+    summed in block order."""
+    rows = np.arange(len(problem.blocks))
+    cols = np.asarray(cols, dtype=np.int64)
+    objective, total_r = 0.0, 0.0
+    for value in problem.phi[rows, cols].tolist():
+        objective += value
+    for value in problem.ratio[rows, cols].tolist():
+        total_r += value
+    return AllocationSolution(
+        status="optimal",
+        assignment={b.id: row[j] for b, row, j in zip(problem.blocks, problem.configs, cols.tolist())},
+        objective=objective,
+        total_mem=sum(problem.mem[rows, cols].tolist()),
+        mean_time_ratio=total_r / len(rows),
+        nodes_explored=nodes,
+    )
 
 
 def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -> AllocationSolution:
@@ -309,9 +282,13 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
     Ties within the 1e-9 slack break toward the lexicographically smallest
     assignment (by block order, then candidate index).
     """
-    front = _Front.of(problem)
     n = len(problem.blocks)
-    sizes = front.sizes
+    # Digit k of block i names its k-th usable column, `cols[i, k]`.
+    cols = np.argsort(~problem.usable_mask, axis=1, kind="stable")
+    phi, mem_table, ratio_table = (
+        np.take_along_axis(t, cols, axis=1) for t in (problem.phi, problem.mem, problem.ratio)
+    )
+    sizes = problem.usable_mask.sum(axis=1).tolist()
     total = math.prod(sizes)
     if total > max_assignments:
         raise ValueError(f"instance too large for brute force: {total} assignments > {max_assignments}")
@@ -330,9 +307,9 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
         ratio = np.zeros(stop - start, dtype=np.float64)
         for i in range(n):
             digit = (flat // strides[i]) % sizes[i]
-            obj += front.phi[i, digit]
-            mem += front.mem[i, digit]
-            ratio += front.ratio[i, digit]
+            obj += phi[i, digit]
+            mem += mem_table[i, digit]
+            ratio += ratio_table[i, digit]
         feasible = (mem <= problem.mem_budget) & (ratio / n <= mean_cap)
         return obj, feasible
 
@@ -352,8 +329,7 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
         hits = np.flatnonzero(feasible & (obj <= best + OBJECTIVE_SLACK))
         if hits.size:
             flat = start + int(hits[0])
-            choice = [(flat // int(strides[i])) % sizes[i] for i in range(n)]
-            return front.solution(problem, choice, nodes=total)
+            return _solution(problem, [cols[i, (flat // int(strides[i])) % sizes[i]] for i in range(n)], nodes=total)
     raise RuntimeError("unreachable: feasible minimum vanished between passes")
 
 
@@ -535,34 +511,6 @@ def _best_price(
     return best_table, best, ends
 
 
-def _dominated_by_staircase(
-    x_a: np.ndarray, x_b: np.ndarray, y_a: np.ndarray, y_b: np.ndarray, phis: np.ndarray
-) -> np.ndarray:
-    """Flag each state B that some state A beats by more than OBJECTIVE_SLACK.
-
-    A counts when x_a[A] <= x_b[B] and y_a[A] <= tau <= y_b[B] for one of
-    the thresholds tau: -inf and every (F // 16)-th value of sorted y_b.
-    Sorting on x_a and one prefix minimum of phi per threshold answer every
-    B: O(F log F) time and O(F) memory per threshold, in chunks of at most
-    2**18 cells. Pairs with no threshold between their y values are
-    missed, which keeps the filter sound but not complete.
-    """
-    f = phis.size
-    order = np.argsort(x_a, kind="stable")
-    ends = np.searchsorted(x_a[order], x_b, side="right") - 1
-    ys, ps = y_a[order], phis[order]
-    taus = np.concatenate(([-np.inf], np.sort(y_b)[:: max(1, f // 16)]))
-    bucket = np.searchsorted(taus, y_b, side="right") - 1
-    dominated = np.zeros(f, dtype=bool)
-    rows = max(1, (1 << 18) // f)
-    for lo in range(0, taus.size, rows):
-        hi = min(lo + rows, taus.size)
-        best = np.minimum.accumulate(np.where(ys <= taus[lo:hi, None], ps, np.inf), axis=1)
-        sel = np.flatnonzero((bucket >= lo) & (bucket < hi))
-        dominated[sel] = best[bucket[sel] - lo, ends[sel]] < phis[sel] - OBJECTIVE_SLACK
-    return dominated
-
-
 def _undominated(
     mems: np.ndarray, times: np.ndarray, phis: np.ndarray, mem_free: np.ndarray, time_free: np.ndarray
 ) -> np.ndarray:
@@ -576,6 +524,17 @@ def _undominated(
     set fits the memory (time) budget under every completion, so it competes
     on the other resource alone. Removing only dominated states keeps the
     optimum and the tie rule's answer.
+
+    Two passes look for dominators. The first groups the states of equal
+    memory and time and keeps the first of least phi in each group. The
+    second is one sweep in memory order: A beats B when its memory (-1 if
+    free) is at most B's, its phi is lower by more than OBJECTIVE_SLACK, and
+    its time (-inf if free) <= tau <= B's time for one of the thresholds
+    tau: -inf and every (F // 16)-th of the sorted times. One prefix minimum
+    of phi per threshold answers every B: O(F log F) time and O(F) memory
+    per threshold, in chunks of at most 2**18 cells. Pairs with no threshold
+    between their times are missed, which keeps the filter sound but not
+    complete.
     """
     f = phis.size
     keep = np.ones(f, dtype=bool)
@@ -586,12 +545,19 @@ def _undominated(
     group = np.cumsum(np.concatenate(([True], (m[1:] != m[:-1]) | (t[1:] != t[:-1]))))
     key = order - group * (f + 1)  # earlier groups hold larger keys
     keep[order[1:][np.minimum.accumulate(key)[:-1] < key[1:]]] = False
+
     mem_a = np.where(mem_free, -1, mems)
-    time_a = np.where(time_free, -np.inf, times)
-    if not mem_free.all():
-        keep &= ~_dominated_by_staircase(mem_a, mems, time_a, times, phis)
-    if not time_free.all():
-        keep &= ~_dominated_by_staircase(time_a, times, mem_a.astype(np.float64), mems.astype(np.float64), phis)
+    order = np.argsort(mem_a, kind="stable")
+    ends = np.searchsorted(mem_a[order], mems, side="right") - 1
+    time_a, phi_a = np.where(time_free, -np.inf, times)[order], phis[order]
+    taus = np.concatenate(([-np.inf], np.sort(times)[:: max(1, f // 16)]))
+    bucket = np.searchsorted(taus, times, side="right") - 1
+    rows = max(1, (1 << 18) // f)
+    for lo in range(0, taus.size, rows):
+        hi = min(lo + rows, taus.size)
+        best = np.minimum.accumulate(np.where(time_a <= taus[lo:hi, None], phi_a, np.inf), axis=1)
+        sel = np.flatnonzero((bucket >= lo) & (bucket < hi))
+        keep[sel] &= best[bucket[sel] - lo, ends[sel]] >= phis[sel] - OBJECTIVE_SLACK
     return keep
 
 
@@ -609,13 +575,14 @@ class _ParetoDP:
         self.time_cap = n * self.mean_cap
         self.margin = 1e-9 * max(1.0, abs(self.time_cap)) if math.isfinite(self.time_cap) else 0.0
 
-        # (blocks, candidates) tables over the usable candidates: phi is
-        # infinite and memory and ratio 0 in the padding; `pad_mem` is the
-        # memory table for the LP, with infinite padding.
-        self.front = front = _Front.of(problem)
-        self.valid = front.valid
-        self.mem_table, self.pad_phi, self.pad_ratio = front.mem, front.phi, front.ratio
-        self.pad_mem = np.where(self.valid, self.mem_table, np.inf)
+        # The problem's (blocks, columns) tables with phi infinite and memory
+        # and ratio 0 in every column a solution may not take; `pad_mem` is
+        # the memory table for the LP, infinite in those columns.
+        self.valid = valid = problem.usable_mask
+        self.mem_table = np.where(valid, problem.mem, 0)
+        self.pad_phi = np.where(valid, problem.phi, np.inf)
+        self.pad_ratio = np.where(valid, problem.ratio, 0.0)
+        self.pad_mem = np.where(valid, problem.mem, np.inf)
 
         def suffix_sums(values: np.ndarray) -> np.ndarray:
             return np.concatenate((np.cumsum(values[::-1])[::-1], np.zeros(1, values.dtype)))
@@ -714,10 +681,11 @@ class _ParetoDP:
 
         First, reduced-cost fixing: a column whose `column_bound` exceeds
         `limit` is dropped, since every assignment through it has phi above
-        the limit. Each block's remaining columns keep their order, so the
-        states stay in lexicographic order. Returns the leaves' phis in that
-        order with per-step (parent, usable-candidate index) back-pointers
-        (or None when no leaf survives), and the number of states kept.
+        the limit. One stable sort moves each block's remaining columns to
+        the front in table order, so the states stay in lexicographic order.
+        Returns the leaves' phis in that order with per-step (parent, table
+        column) back-pointers (or None when no leaf survives), and the
+        number of states kept.
         """
         n = self.n
         keep = self.valid & (self.column_bound <= limit)
@@ -768,7 +736,7 @@ class _ParetoDP:
         return (phis, back), kept
 
     def choice(self, back: list, leaf: int) -> list[int]:
-        """Usable-candidate index per block of the leaf's assignment."""
+        """Table column per block of the leaf's assignment."""
         choice = [0] * self.n
         for d in range(self.n - 1, -1, -1):
             parent, cand = back[d]
@@ -846,7 +814,7 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
             best = float(phis.min())
             if best <= cutoff:
                 leaf = int(np.flatnonzero(phis <= best + OBJECTIVE_SLACK)[0])
-                return dp.front.solution(problem, dp.choice(back, leaf), nodes=nodes)
+                return _solution(problem, dp.choice(back, leaf), nodes=nodes)
         if cutoff == math.inf:
             return _infeasible("no assignment satisfies both budgets", nodes=nodes)
         delta = max(delta, cutoff - root) * _GROW

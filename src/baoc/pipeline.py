@@ -64,7 +64,6 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    metrics_report: list[dict]
     problem: AllocationProblem
     solution: AllocationSolution
     plan: dict
@@ -178,7 +177,6 @@ def run_allocation(
 
     bits = tuple(sorted(set(config.policy.bits) | {32}, reverse=True))
     metrics = collect_metrics(specs, records, bits=bits, max_steps=config.warmup_steps)
-    metrics_report = [metrics[s.id].to_json_dict(s.id) for s in specs]
     signals = {s.id: signals_from_metrics(metrics[s.id], config.anchors) for s in specs}
 
     if groups is not None:
@@ -208,4 +206,4 @@ def run_allocation(
             message += f" (budget ratio {min_mem / max(problem.mem_budget / config.budget_ratio, 1e-300):.4g})"
         raise AllocationInfeasibleError(message, solution, problem)
     plan = render_plan(problem, solution)
-    return RunResult(metrics_report=metrics_report, problem=problem, solution=solution, plan=plan)
+    return RunResult(problem=problem, solution=solution, plan=plan)

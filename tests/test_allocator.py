@@ -353,13 +353,58 @@ class TestParetoDP:
         assert abs(sol.objective - floor) <= 1e-9
 
 
+# (memory, time, phi, mem_free, time_free): few values, so states tie in
+# memory and time, and phi 0.1 + 0.2 lies within OBJECTIVE_SLACK of 0.3.
+_STATES = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+              st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.1 + 0.2]), st.booleans(), st.booleans()),
+    max_size=60,
+)
+
+
+class TestUndominated:
+    """`_undominated` drops only states that another state dominates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(states=_STATES)
+    def test_every_dropped_state_has_a_dominator(self, states):
+        mems = np.array([s[0] for s in states], dtype=np.int64)
+        times = np.array([s[1] for s in states], dtype=np.float64)
+        phis = np.array([s[2] for s in states], dtype=np.float64)
+        mem_free = np.array([s[3] for s in states], dtype=bool)
+        time_free = np.array([s[4] for s in states], dtype=bool)
+        keep = allocator._undominated(mems, times, phis, mem_free, time_free)
+
+        def dominates(a, b):
+            fits = (mem_free[a] or mems[a] <= mems[b]) and (time_free[a] or times[a] <= times[b])
+            same = mems[a] == mems[b] and times[a] == times[b]
+            return a != b and fits and (
+                phis[a] < phis[b] - allocator.OBJECTIVE_SLACK or (same and phis[a] <= phis[b] and a < b)
+            )
+
+        for b in np.flatnonzero(~keep).tolist():
+            assert any(dominates(a, b) for a in range(len(states)))
+        # Among exact duplicates only the first can be kept. It can only be
+        # dropped for a dominator the check above finds, as its copies come later.
+        seen = set()
+        for b, state in enumerate(zip(mems.tolist(), times.tolist(), phis.tolist())):
+            assert state not in seen or not keep[b]
+            seen.add(state)
+
+    def test_the_first_of_exact_duplicates_is_kept(self):
+        free = np.zeros(4, dtype=bool)
+        keep = allocator._undominated(np.array([2, 2, 2, 1]), np.array([1.0, 1.0, 1.0, 1.5]), np.full(4, 0.3),
+                                      free, free)
+        assert keep.tolist() == [True, False, False, True]
+
+
 def incumbent_of(prob):
-    """`solve_exact`'s incumbent for `prob`, the usable-candidate table it
-    indexes, and whether some table's rounded LP solution broke the time row."""
+    """`solve_exact`'s incumbent for `prob` and whether some table's rounded
+    LP solution broke the time row."""
     dp = allocator._ParetoDP(prob)
     dp.root_bound()
     broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded(dp.spare_mem)].sum() / dp.n > dp.mean_cap for t in dp.tables)
-    return dp.incumbent(), dp.front, broken
+    return dp.incumbent(), broken
 
 
 @pytest.fixture
@@ -385,11 +430,11 @@ class TestIncumbent:
         repaired = 0
         for _ in range(80):
             prob = _table_instance(rng, 6, 6, float(rng.uniform(0.1, 1.0)), time_budget)
-            (found, front, broken), brute = incumbent_of(prob), solve_bruteforce(prob)
+            (found, broken), brute = incumbent_of(prob), solve_bruteforce(prob)
             if found is None:
                 continue
             value, cols = found
-            sol = front.solution(prob, cols, nodes=0)
+            sol = allocator._solution(prob, cols, nodes=0)
             assert verify(prob, sol).ok
             assert sol.objective == value
             assert brute.is_optimal and value >= brute.objective - 1e-9
@@ -400,10 +445,10 @@ class TestIncumbent:
         found_seen = 0
         for _ in range(150):
             prob = random_instance(instance_rng)
-            (found, front, _), brute = incumbent_of(prob), solve_bruteforce(prob)
+            (found, _), brute = incumbent_of(prob), solve_bruteforce(prob)
             if found is not None:
                 found_seen += 1
-                assert verify(prob, front.solution(prob, found[1], nodes=0)).ok
+                assert verify(prob, allocator._solution(prob, found[1], nodes=0)).ok
                 assert found[0] >= brute.objective - 1e-9
         assert found_seen > 50
 
@@ -447,8 +492,8 @@ class TestIncumbent:
             (Candidate(X, 0.0, 0, 2.0), Candidate(Z, 1.0, 100, 0.5)),
         )
         prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.25)
-        (value, cols), front, _ = incumbent_of(prob)
-        assert front.solution(prob, cols, nodes=0).assignment == {0: X, 1: Z}
+        (value, cols), _ = incumbent_of(prob)
+        assert allocator._solution(prob, cols, nodes=0).assignment == {0: X, 1: Z}
         assert value == 2.0
         assert assert_same_as_bruteforce(prob).assignment == {0: X, 1: Z}
 
@@ -459,8 +504,8 @@ class TestIncumbent:
         prob = AllocationProblem.from_candidates(
             blocks=blocks, candidates=(row, row), mem_budget=15, time_budget=1.0, excluded=(frozenset({Y}),) * 2
         )
-        (value, cols), front, _ = incumbent_of(prob)
-        assert verify(prob, front.solution(prob, cols, nodes=0)).ok
+        (value, cols), _ = incumbent_of(prob)
+        assert verify(prob, allocator._solution(prob, cols, nodes=0)).ok
         assert value == 3.0
         assert assert_same_as_bruteforce(prob).assignment == {0: X, 1: Z}
         assert len(dp_rounds) == 1
@@ -530,15 +575,15 @@ class TestReducedCostFixing:
             assert np.abs(bounds.min(axis=1) - root).max() <= 1e-9 * scale
 
         keep = dp.valid & (dp.column_bound <= brute.objective + allocator.OBJECTIVE_SLACK)
-        front, n = dp.front, len(prob.blocks)
-        choice = np.array(list(itertools.product(*map(range, front.sizes))))
+        n = len(prob.blocks)
+        choice = np.array(list(itertools.product(*map(np.flatnonzero, prob.usable_mask))))
         rows = np.arange(n)
         obj = np.zeros(len(choice))
         for i in range(n):
-            obj += front.phi[i, choice[:, i]]
+            obj += prob.phi[i, choice[:, i]]
         within = (
-            (front.mem[rows, choice].sum(axis=1) <= prob.mem_budget)
-            & (front.ratio[rows, choice].sum(axis=1) / n <= prob.time_budget + allocator.TIME_SLACK)
+            (prob.mem[rows, choice].sum(axis=1) <= prob.mem_budget)
+            & (prob.ratio[rows, choice].sum(axis=1) / n <= prob.time_budget + allocator.TIME_SLACK)
             & (obj <= brute.objective + allocator.OBJECTIVE_SLACK)
         )
         assert within.any()
@@ -840,6 +885,14 @@ class TestProblemTable:
         shaped = [ProblemBlock(0, "b0", (BlockShape((4, 4)),)), ProblemBlock(0, "b1", (BlockShape((8,)),))]
         with pytest.raises(AllocationBuildError, match="duplicate block id 0"):
             build_problem(shaped, {}, signals={0: _signals()})
+
+    def test_nan_time_budget_is_rejected(self):
+        # Every comparison with NaN is false, so verify would pass any plan.
+        row = (Candidate(X, 0.1, 64, 1.0),)
+        with pytest.raises(AllocationBuildError, match="time budget must be a number, got NaN"):
+            AllocationProblem.from_candidates((ProblemBlock(0, "b0"),), (row,), mem_budget=100, time_budget=math.nan)
+        with pytest.raises(AllocationBuildError, match="time budget must be a number, got NaN"):
+            build_problem(_specs3(), {}, time_budget=math.nan, signals={i: _signals() for i in range(3)})
 
     @pytest.mark.parametrize(
         "cell, message",

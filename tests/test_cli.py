@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -383,6 +384,21 @@ class TestVerifyCommand:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: --problem {problem_path}: duplicate block id ")
+
+    def test_nan_time_budget_is_one_error_line(self, trace_path, tmp_path, capsys):
+        plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--out", str(plan_path),
+                         "--dump-problem", str(problem_path), "--quiet"]) == EXIT_OK
+        problem = json.loads(problem_path.read_text())
+        problem["B_time"] = math.nan
+        problem_path.write_text(json.dumps(problem))
+        capsys.readouterr()
+        code = dispatch(["verify", "--problem", str(problem_path), "--plan", str(plan_path), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == [f"error: --problem {problem_path}: time budget must be a number, got NaN"]
 
     def test_partial_plan_over_memory_exits_two(self, trace_path, tmp_path, capsys):
         plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"

@@ -49,10 +49,9 @@ class TestRunAllocation:
         )
         assert sol.objective <= adamw16_objective + 1e-9
 
-    def test_plan_schema_and_metrics_report(self):
+    def test_plan_schema(self):
         specs, records = three_block_trace()
         result = run_allocation(RunConfig(budget_ratio=0.5), (specs, records))
-        assert {row["block_id"] for row in result.metrics_report} == {0, 1, 2}
         assert set(result.plan) == {"status", "objective", "B_mem", "total_mem", "B_time",
                                     "mean_time_ratio", "blocks"}
         assert [row["id"] for row in result.plan["blocks"]] == [0, 1, 2]
