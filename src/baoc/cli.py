@@ -3,12 +3,23 @@
 stdout carries data documents, stderr carries logs (silenced by --quiet).
 Exit codes: 0 success or optimal, 1 input error, 2 infeasible or failed
 verification. Input errors print a single line prefixed with "error: ".
+
+The partition document (`partition --out B`) hands the diagnostics on to
+`allocate --blocks B`. Next to the blocks it carries `trace_sha256`, the hex
+sha256 of the trace file's bytes; `warmup_steps`, the window diagnosed (null
+for the whole trace); and `metrics`, one `diagnose` row per traced unit.
+`allocate --blocks B --trace T` reuses those metrics, reading only T's
+header, when T's sha256 matches, its --warmup-steps equals the stamped
+window, and the rows cover every unit in T's header with exactly the
+precision bits the candidates need. Otherwise it diagnoses T itself, and
+its log says why the document's metrics were not used.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -22,7 +33,8 @@ from .allocator import (
     solution_from_plan_dict,
     verify,
 )
-from .config_space import BlockShape, CostModel, json_ints, measure_cost_model
+from .config_space import DEFAULT_POLICY, BlockShape, CostModel, json_ints, measure_cost_model
+from .diagnostics import RawMetrics
 from .partitioner import (
     PartitionParams,
     compute_tau,
@@ -30,7 +42,7 @@ from .partitioner import (
     partition,
     partition_to_json_dict,
 )
-from .pipeline import AllocationInfeasibleError, RunConfig, collect_metrics, plan_bytes, run_allocation
+from .pipeline import AllocationInfeasibleError, RunConfig, collect_metrics, metric_bits, plan_bytes, run_allocation
 from .risk import Anchors, RiskWeights, load_risk_config, parse_selector, signals_from_metrics
 from .simulator import generate_stream, load_profiles
 from .trace import BlockSpec, TraceParseError, read_trace, write_trace
@@ -91,13 +103,23 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-problem", default=None, help="also write the solver input document")
     common(p)
 
-    p = sub.add_parser("partition", help="refine structural units into final blocks")
+    p = sub.add_parser(
+        "partition",
+        help="refine structural units into final blocks",
+        description="Refine structural units into final blocks. Besides the blocks, the document "
+        "carries trace_sha256 (the sha256 of the trace file), warmup_steps (the window diagnosed, "
+        "null for the whole trace) and metrics (the `baoc diagnose` row of every traced unit). "
+        "`baoc allocate --blocks` reuses the metrics instead of diagnosing the trace again when "
+        "its trace has that sha256, its --warmup-steps is that window and the rows cover the "
+        "trace's units with the precision bits it needs.",
+    )
     p.add_argument("--model-desc", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--tau", type=float, default=None, help="fixed threshold (upper quartile when absent)")
     p.add_argument("--anchor-scale", type=float, default=1.0)
     p.add_argument("--risk-config", default=None)
+    p.add_argument("--warmup-steps", type=int, default=None, help="diagnose the first N steps, as allocate does")
     p.add_argument("--out", default=None)
     common(p)
 
@@ -175,6 +197,97 @@ def _load_risk_settings(args: argparse.Namespace) -> tuple[Anchors, RiskWeights,
     return anchors, weights, prefer
 
 
+def _file_sha256(path: str) -> str:
+    """Hex sha256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Diagnosed:
+    """The raw metrics a partition document carries, and the trace bytes and window they came from."""
+
+    trace_sha256: str
+    warmup_steps: int | None
+    metrics: dict[int, RawMetrics]
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "_Diagnosed":
+        rows = doc["metrics"]
+        if not isinstance(rows, list):
+            raise ValueError(f"'metrics' must be a list, got {type(rows).__name__}")
+        metrics: dict[int, RawMetrics] = {}
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise ValueError(f"metrics[{i}] must be an object, got {type(row).__name__}")
+            try:
+                block_id, raw = row["block_id"], RawMetrics.from_json_dict(row)
+            except KeyError as exc:
+                raise ValueError(f"metrics[{i}] has no {exc} key") from None
+            except ValueError as exc:
+                raise ValueError(f"metrics[{i}]: {exc}") from None
+            if type(block_id) is not int:
+                raise ValueError(f"metrics[{i}]: 'block_id' must be an integer, got {json.dumps(block_id)}")
+            if block_id in metrics:
+                raise ValueError(f"metrics[{i}]: duplicate block_id {block_id}")
+            metrics[block_id] = raw
+        for key in ("trace_sha256", "warmup_steps"):
+            if key not in doc:
+                raise ValueError(f"'metrics' comes without '{key}'")
+        digest, window = doc["trace_sha256"], doc["warmup_steps"]
+        if not isinstance(digest, str):
+            raise ValueError(f"'trace_sha256' must be a string, got {json.dumps(digest)}")
+        if window is not None and type(window) is not int:
+            raise ValueError(f"'warmup_steps' must be an integer or null, got {json.dumps(window)}")
+        return cls(digest, window, metrics)
+
+    def mismatch(self, trace: str, warmup_steps: int | None, specs: list[BlockSpec], bits: tuple[int, ...]) -> str:
+        """Why these metrics are not the ones `allocate` would diagnose; "" when they are."""
+        if self.warmup_steps != warmup_steps:
+            return f"they cover {_window(self.warmup_steps)}, --warmup-steps asks for {_window(warmup_steps)}"
+        digest = _file_sha256(trace)
+        if digest != self.trace_sha256:
+            return f"the trace's sha256 is {digest[:12]}..., theirs {self.trace_sha256[:12]}..."
+        ids = {s.id for s in specs}
+        if set(self.metrics) != ids:
+            missing, extra = sorted(ids - set(self.metrics)), sorted(set(self.metrics) - ids)
+            return f"the rows lack units {missing} and add units {extra}"
+        wrong = [i for i in sorted(ids) if set(self.metrics[i].precision_cosine) != set(bits)]
+        if wrong:
+            return f"the rows of units {wrong} do not carry exactly the bits {list(bits)}"
+        return ""
+
+
+def _window(warmup_steps: int | None) -> str:
+    return "the whole trace" if warmup_steps is None else f"{warmup_steps} steps"
+
+
+def _read_blocks(path: str) -> tuple[list[list[int]], _Diagnosed | None]:
+    """The unit-id groups of a partition document, and the metrics it carries, if any."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    rows = doc.get("blocks") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"--blocks {path}: expected an object with a 'blocks' list")
+    groups = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or not isinstance(row.get("unit_ids"), list):
+            raise ValueError(f"--blocks {path}: blocks[{i}] is not an object with a 'unit_ids' list")
+        try:
+            groups.append(json_ints(row["unit_ids"]).tolist())
+        except ValueError as exc:
+            raise ValueError(f"--blocks {path}: blocks[{i}].unit_ids: {exc}") from None
+    if doc.get("metrics") is None:
+        return groups, None
+    try:
+        return groups, _Diagnosed.from_json_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"--blocks {path}: {exc}") from None
+
+
 def _cmd_allocate(args: argparse.Namespace) -> int:
     _positive(args.budget_ratio, "--budget-ratio")
     _positive(args.time_budget, "--time-budget")
@@ -196,22 +309,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"--cost-model {args.cost_model}: {exc}") from None
 
-    groups = None
-    if args.blocks is not None:
-        with open(args.blocks, "r", encoding="utf-8") as fh:
-            blocks_doc = json.load(fh)
-        rows = blocks_doc.get("blocks") if isinstance(blocks_doc, dict) else None
-        if not isinstance(rows, list):
-            raise ValueError(f"--blocks {args.blocks}: expected an object with a 'blocks' list")
-        groups = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict) or not isinstance(row.get("unit_ids"), list):
-                raise ValueError(f"--blocks {args.blocks}: blocks[{i}] is not an object with a 'unit_ids' list")
-            try:
-                groups.append(json_ints(row["unit_ids"]).tolist())
-            except ValueError as exc:
-                raise ValueError(f"--blocks {args.blocks}: blocks[{i}].unit_ids: {exc}") from None
-
+    groups, diagnosed = (None, None) if args.blocks is None else _read_blocks(args.blocks)
     config = RunConfig(
         budget_ratio=args.budget_ratio,
         time_budget=args.time_budget,
@@ -223,7 +321,17 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         exclude=tuple(args.exclude),
         prefer=tuple(prefer),
     )
-    result = run_allocation(config, args.trace, groups=groups)
+    specs, records = read_trace(args.trace)
+    metrics, reason = None, ""
+    if diagnosed is not None:
+        reason = diagnosed.mismatch(args.trace, config.warmup_steps, specs, metric_bits(config.policy))
+        metrics = None if reason else diagnosed.metrics
+    result = run_allocation(config, (specs, records), groups=groups, metrics=metrics)
+    if metrics is not None:
+        _log(args, f"diagnostics reused from --blocks (trace sha256 {diagnosed.trace_sha256[:12]}...)")
+    else:
+        why = f" (--blocks metrics not used: {reason})" if reason else ""
+        _log(args, f"diagnosed {_window(config.warmup_steps)} of {len(specs)} units from --trace{why}")
     if args.dump_problem is not None:
         Path(args.dump_problem).write_text(
             json.dumps(problem_to_json_dict(result.problem), sort_keys=True, indent=2) + "\n",
@@ -245,6 +353,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     _positive(args.alpha, "--alpha")
     if args.alpha >= 1.0:
         raise UsageError(f"--alpha must be below 1, got {args.alpha}")
+    if args.warmup_steps is not None and args.warmup_steps < 2:
+        raise UsageError(f"--warmup-steps must be at least 2 for direction stability, got {args.warmup_steps}")
     anchors, _, _ = _load_risk_settings(args)
     units = load_model_description(args.model_desc)
     specs, records = read_trace(args.trace)
@@ -258,12 +368,17 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 f"--model-desc {args.model_desc}: unit {unit.id} has dims {list(unit.shape.dims)}, "
                 f"but the trace's block {unit.id} has dims {list(traced[unit.id].dims)}"
             )
-    metrics = collect_metrics(specs, records)
+    digest = _file_sha256(args.trace)
+    metrics = collect_metrics(specs, records, bits=metric_bits(DEFAULT_POLICY), max_steps=args.warmup_steps)
     signals = {u.id: signals_from_metrics(metrics[u.id], anchors) for u in units}
     params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
     tau = compute_tau(units, signals, params)
     blocks = partition(units, signals, dataclasses.replace(params, tau=tau))
-    doc = partition_to_json_dict(units, blocks, params, tau)
+    doc = partition_to_json_dict(units, blocks, params, tau) | {
+        "trace_sha256": digest,
+        "warmup_steps": args.warmup_steps,
+        "metrics": [metrics[s.id].to_json_dict(s.id) for s in specs],
+    }
     _write_output(json.dumps(doc, sort_keys=True, indent=2), args.out)
     _log(args, f"partitioned {len(units)} units into {len(blocks)} blocks (tau {tau:.4g})")
     return EXIT_OK

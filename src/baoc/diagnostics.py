@@ -20,10 +20,13 @@ cells alone: no metric builds the block's dense matrix.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config_space import VALID_BITS
 from .trace import BlockSpec
 
 #: Numerical-stability constant for metric formulas.
@@ -177,15 +180,47 @@ class RawMetrics:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RawMetrics":
+        """Read a `to_json_dict` row strictly; the row's ``block_id`` is not read.
+
+        The five metrics and every ``Q`` value must be finite JSON numbers (a
+        boolean or a string such as "0.5" is rejected, not parsed), ``Q`` an
+        object keyed by bit-widths of `VALID_BITS` written as integers, and
+        ``steps`` an integer of at least 1. A missing key raises KeyError;
+        any other malformed value a ValueError naming the key. Floats written
+        by `to_json_dict` read back bit-identical.
+        """
+        q = d["Q"]
+        if not isinstance(q, dict):
+            raise ValueError(f"'Q' must be an object, got {json.dumps(q)}")
+        bit_keys = {str(b): b for b in VALID_BITS}
+        precision = {}
+        for key, value in q.items():
+            if key not in bit_keys:
+                raise ValueError(f"'Q' key {key!r} is not a bit-width in {VALID_BITS}")
+            precision[bit_keys[key]] = _finite(value, f"Q[{key!r}]")
+        steps = d["steps"]
+        if type(steps) is not int or steps < 1:
+            raise ValueError(f"'steps' must be an integer >= 1, got {json.dumps(steps)}")
         return cls(
-            anisotropy=float(d["A"]),
-            direction_stability=float(d["rho_bar"]),
-            snr=float(d["snr"]),
-            distortion=float(d["C"]),
-            structure_residual=float(d["F"]),
-            precision_cosine={int(b): float(q) for b, q in d["Q"].items()},
-            steps=int(d["steps"]),
+            anisotropy=_finite(d["A"], "'A'"),
+            direction_stability=_finite(d["rho_bar"], "'rho_bar'"),
+            snr=_finite(d["snr"], "'snr'"),
+            distortion=_finite(d["C"], "'C'"),
+            structure_residual=_finite(d["F"], "'F'"),
+            precision_cosine=precision,
+            steps=steps,
         )
+
+
+def _finite(value: object, what: str) -> float:
+    """`value` as a float if it is a finite JSON number; ValueError naming `what` otherwise."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{what} must be a finite number, got {json.dumps(value)}")
 
 
 class DiagnosticsState:

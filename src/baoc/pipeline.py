@@ -69,6 +69,11 @@ class RunResult:
     plan: dict
 
 
+def metric_bits(policy: CandidatePolicy) -> tuple[int, ...]:
+    """Bit-widths whose precision cosines a policy's candidates read, 32 included, descending."""
+    return tuple(sorted(set(policy.bits) | {32}, reverse=True))
+
+
 def collect_metrics(
     specs: Sequence[BlockSpec],
     records: Iterable[StepRecord],
@@ -160,8 +165,14 @@ def run_allocation(
     config: RunConfig,
     trace_source: str | Path | tuple[Sequence[BlockSpec], Iterable[StepRecord]],
     groups: Sequence[Sequence[int]] | None = None,
+    metrics: Mapping[int, RawMetrics] | None = None,
 ) -> RunResult:
     """Warmup-trace consumption, diagnostics, allocation, plan rendering.
+
+    `metrics`, when given, are every traced unit's raw metrics, diagnosed
+    over `config.warmup_steps` with `metric_bits(config.policy)`: the trace
+    records are then never read, and the plan is the one diagnosing them
+    here would give.
 
     Raises AllocationInfeasibleError when the budgets admit no assignment;
     when the memory budget is below the cheapest assignment's memory, the
@@ -175,8 +186,8 @@ def run_allocation(
     if not specs:
         raise ValueError("trace declares no blocks")
 
-    bits = tuple(sorted(set(config.policy.bits) | {32}, reverse=True))
-    metrics = collect_metrics(specs, records, bits=bits, max_steps=config.warmup_steps)
+    if metrics is None:
+        metrics = collect_metrics(specs, records, bits=metric_bits(config.policy), max_steps=config.warmup_steps)
     signals = {s.id: signals_from_metrics(metrics[s.id], config.anchors) for s in specs}
 
     if groups is not None:

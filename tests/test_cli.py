@@ -1,9 +1,13 @@
+import gc
+import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
 from baoc.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, dispatch
+from baoc.diagnostics import DiagnosticsState
 
 PROFILES = {
     "sampling_ratio": 1.0,
@@ -278,6 +282,24 @@ def test_malformed_input_document_is_one_error_line(command, flag, doc, trace_pa
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
+_METRICS_ROW = {"block_id": 0, "A": 1.0, "rho_bar": 0.5, "snr": 0.1, "C": 0.2, "F": 0.3,
+                "Q": {"32": 1.0, "16": 0.99, "8": 0.9}, "steps": 120}
+
+
+def _handed_off(**changes):
+    """A partition document with metrics; a change to a document key applies to the
+    document, any other to its first metrics row, and `...` deletes the key."""
+    doc = {"blocks": [{"unit_ids": [0, 1]}], "trace_sha256": "0" * 64, "warmup_steps": None,
+           "metrics": [dict(_METRICS_ROW), dict(_METRICS_ROW, block_id=1)]}
+    for key, value in changes.items():
+        target = doc if key in doc else doc["metrics"][0]
+        if value is ...:
+            del target[key]
+        else:
+            target[key] = value
+    return doc
+
+
 MALFORMED_VALUES = [
     ("partition", "--model-desc", {"units": [{"id": 0, "name": "a", "dims": [[1]]}]}, "[1] is not an integer"),
     ("partition", "--model-desc", {"units": [{"id": 0, "name": "a", "dims": [16.9, 16]}]}, "16.9 is not an integer"),
@@ -300,6 +322,22 @@ MALFORMED_VALUES = [
     ("allocate", "--blocks", {"blocks": [{"unit_ids": [[0]]}, {"unit_ids": [1]}]}, "blocks[0].unit_ids: [0] is not an integer"),
     ("allocate", "--blocks", {"blocks": [{"unit_ids": [0]}, {"unit_ids": [True]}]}, "blocks[1].unit_ids: True is not an integer"),
     ("allocate", "--blocks", {"blocks": [{"unit_ids": [0, 1.0]}]}, "blocks[0].unit_ids: 1.0 is not an integer"),
+    ("allocate", "--blocks", _handed_off(A=True), "metrics[0]: 'A' must be a finite number, got true"),
+    ("allocate", "--blocks", _handed_off(A="0.5"), "metrics[0]: 'A' must be a finite number, got \"0.5\""),
+    ("allocate", "--blocks", _handed_off(snr=math.nan), "metrics[0]: 'snr' must be a finite number, got NaN"),
+    ("allocate", "--blocks", _handed_off(Q={"32": 1.0, "12": 0.5}), "metrics[0]: 'Q' key '12' is not a bit-width in (32, 16, 8)"),
+    ("allocate", "--blocks", _handed_off(Q={"16": "1"}), "metrics[0]: Q['16'] must be a finite number, got \"1\""),
+    ("allocate", "--blocks", _handed_off(steps=0), "metrics[0]: 'steps' must be an integer >= 1, got 0"),
+    ("allocate", "--blocks", _handed_off(steps=2.0), "metrics[0]: 'steps' must be an integer >= 1, got 2.0"),
+    ("allocate", "--blocks", _handed_off(F=None), "metrics[0]: 'F' must be a finite number, got null"),
+    ("allocate", "--blocks", _handed_off(block_id="0"), "metrics[0]: 'block_id' must be an integer, got \"0\""),
+    ("allocate", "--blocks", _handed_off(block_id=1), "metrics[1]: duplicate block_id 1"),
+    ("allocate", "--blocks", _handed_off(steps=...), "metrics[0] has no 'steps' key"),
+    ("allocate", "--blocks", _handed_off(metrics=5), "'metrics' must be a list, got int"),
+    ("allocate", "--blocks", _handed_off(metrics=[5]), "metrics[0] must be an object, got int"),
+    ("allocate", "--blocks", _handed_off(trace_sha256=5), "'trace_sha256' must be a string, got 5"),
+    ("allocate", "--blocks", _handed_off(warmup_steps="all"), "'warmup_steps' must be an integer or null, got \"all\""),
+    ("allocate", "--blocks", _handed_off(warmup_steps=...), "'metrics' comes without 'warmup_steps'"),
 ]
 
 
@@ -476,6 +514,166 @@ class TestPartitionCommand:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: trace lacks diagnostics for units [7]"]
+
+
+MODEL = {
+    "units": [
+        {"id": 0, "name": "l0.attn", "dims": [16, 16], "kind": "attention"},
+        {"id": 1, "name": "l0.ffn", "dims": [16, 16], "kind": "ffn"},
+    ]
+}
+
+
+class TestDiagnosticsHandOff:
+    """`partition` hands its metrics to `allocate --blocks`, stamped with the trace's sha256."""
+
+    @staticmethod
+    def partition(trace, tmp_path, *extra, name="blocks.json"):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(MODEL))
+        out = tmp_path / name
+        assert dispatch(["partition", "--model-desc", str(model_path), "--trace", str(trace),
+                         "--out", str(out), "--quiet", *extra]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def without_metrics(blocks):
+        doc = json.loads(blocks.read_text())
+        del doc["metrics"]
+        bare = blocks.with_name("bare-" + blocks.name)
+        bare.write_text(json.dumps(doc))
+        return bare
+
+    @staticmethod
+    def allocate(trace, blocks, capsys, *extra):
+        """Plan bytes and the stderr log of one `allocate --blocks` run."""
+        capsys.readouterr()
+        out = blocks.with_name("plan.json")
+        assert dispatch(["allocate", "--trace", str(trace), "--blocks", str(blocks),
+                         "--out", str(out), *extra]) == EXIT_OK
+        return out.read_bytes(), capsys.readouterr().err
+
+    def test_document_carries_digest_window_and_diagnose_rows(self, trace_path, tmp_path, capsys):
+        doc = json.loads(self.partition(trace_path, tmp_path).read_text())
+        assert doc["trace_sha256"] == hashlib.sha256(trace_path.read_bytes()).hexdigest()
+        assert doc["warmup_steps"] is None
+        assert dispatch(["diagnose", "--trace", str(trace_path), "--quiet"]) == EXIT_OK
+        assert doc["metrics"] == json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--anchor-scale", "2"],
+            ["--risk-config", "RISK"],
+            ["--exclude", "adamw:8", "--exclude", "adafactor"],
+            ["--budget-ratio", "0.3"],
+            ["--time-budget", "1.0"],
+        ],
+    )
+    def test_reuse_and_trace_paths_give_the_same_bytes(self, extra, trace_path, tmp_path, capsys, monkeypatch):
+        risk = tmp_path / "risk.json"
+        risk.write_text(json.dumps({"anchors": {"A_low": 0.1, "A_high": 0.5}, "weights": {"w_Q": 3.0}}))
+        extra = [str(risk) if arg == "RISK" else arg for arg in extra]
+        blocks = self.partition(trace_path, tmp_path)
+        updates = []
+        update = DiagnosticsState.update
+
+        def counted(state, *args):
+            updates.append(state.spec.id)
+            update(state, *args)
+
+        monkeypatch.setattr(DiagnosticsState, "update", counted)
+
+        reused, log = self.allocate(trace_path, blocks, capsys, *extra)
+        digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+        assert log.splitlines()[0] == f"diagnostics reused from --blocks (trace sha256 {digest[:12]}...)"
+        assert updates == []
+
+        diagnosed, log = self.allocate(trace_path, self.without_metrics(blocks), capsys, *extra)
+        assert log.splitlines()[0] == "diagnosed the whole trace of 2 units from --trace"
+        assert len(updates) == 240
+        assert reused == diagnosed
+
+    def test_rewritten_trace_is_diagnosed_afresh(self, trace_path, tmp_path, capsys):
+        blocks = self.partition(trace_path, tmp_path)
+        profile_path = tmp_path / "profiles.json"
+        profile_path.write_text(json.dumps(PROFILES))
+        assert dispatch(["simulate", "--profile", str(profile_path), "--steps", "120",
+                         "--seed", "4", "--out", str(trace_path), "--quiet"]) == EXIT_OK
+        assert dispatch(["diagnose", "--trace", str(trace_path), "--quiet"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) != json.loads(blocks.read_text())["metrics"]
+
+        stale, log = self.allocate(trace_path, blocks, capsys)
+        assert "diagnosed the whole trace of 2 units from --trace (--blocks metrics not used: the trace's sha256 is " in log
+        fresh, _ = self.allocate(trace_path, self.without_metrics(blocks), capsys)
+        assert stale == fresh
+
+    def test_hand_written_document(self, trace_path, tmp_path, capsys):
+        blocks = tmp_path / "blocks.json"
+        blocks.write_text(json.dumps({"blocks": [{"unit_ids": [1]}, {"unit_ids": [0]}]}))
+        plan, log = self.allocate(trace_path, blocks, capsys)
+        assert log.splitlines()[0] == "diagnosed the whole trace of 2 units from --trace"
+        assert [row["name"] for row in json.loads(plan)["blocks"]] == ["l0.ffn", "l0.attn"]
+
+    def test_window_mismatch_falls_back_to_the_trace(self, trace_path, tmp_path, capsys):
+        blocks = self.partition(trace_path, tmp_path, "--warmup-steps", "60")
+        doc = json.loads(blocks.read_text())
+        assert doc["warmup_steps"] == 60 and {row["steps"] for row in doc["metrics"]} == {60}
+        bare = self.without_metrics(blocks)
+
+        whole, log = self.allocate(trace_path, blocks, capsys)
+        assert log.splitlines()[0] == (
+            "diagnosed the whole trace of 2 units from --trace (--blocks metrics not used: "
+            "they cover 60 steps, --warmup-steps asks for the whole trace)"
+        )
+        assert whole == self.allocate(trace_path, bare, capsys)[0]
+
+        window, log = self.allocate(trace_path, blocks, capsys, "--warmup-steps", "60")
+        assert log.startswith("diagnostics reused from --blocks")
+        assert window == self.allocate(trace_path, bare, capsys, "--warmup-steps", "60")[0]
+        assert window != whole
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: doc["metrics"].pop(), "the rows lack units [1] and add units []"),
+            (lambda doc: doc["metrics"][0].update(block_id=7), "the rows lack units [0] and add units [7]"),
+            (lambda doc: doc["metrics"][1]["Q"].pop("8"), "the rows of units [1] do not carry exactly the bits [32, 16, 8]"),
+        ],
+    )
+    def test_rows_that_miss_a_unit_or_a_bit_fall_back(self, edit, reason, trace_path, tmp_path, capsys):
+        blocks = self.partition(trace_path, tmp_path)
+        doc = json.loads(blocks.read_text())
+        edit(doc)
+        blocks.write_text(json.dumps(doc))
+        plan, log = self.allocate(trace_path, blocks, capsys)
+        assert log.splitlines()[0].endswith(f"(--blocks metrics not used: {reason})")
+        assert plan == self.allocate(trace_path, self.without_metrics(blocks), capsys)[0]
+
+    def test_no_file_handle_leaks(self, trace_path, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blocks = self.partition(trace_path, tmp_path)
+            self.allocate(trace_path, blocks, capsys)
+            self.allocate(trace_path, self.without_metrics(blocks), capsys)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_quiet_keeps_stderr_empty(self, trace_path, tmp_path, capsys):
+        blocks = self.partition(trace_path, tmp_path)
+        plan, log = self.allocate(trace_path, blocks, capsys, "--quiet")
+        assert log == "" and json.loads(plan)["status"] == "optimal"
+
+    @pytest.mark.parametrize("steps", ["1", "0", "-3"])
+    def test_partition_window_below_two_is_one_error_line(self, steps, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(MODEL))
+        code = dispatch(["partition", "--model-desc", str(model_path), "--trace", str(trace_path),
+                         "--warmup-steps", steps, "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --warmup-steps must be at least 2 for direction stability, got {steps}"]
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -400,3 +401,31 @@ class TestSnapshot:
         assert doc["block_id"] == 3
         assert set(doc["Q"]) == {"32", "16", "8"}
         assert RawMetrics.from_json_dict(doc) == metrics
+        assert RawMetrics.from_json_dict(json.loads(json.dumps(doc))) == metrics
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("A", True, "'A' must be a finite number, got true"),
+            ("rho_bar", "0.5", "'rho_bar' must be a finite number, got \"0.5\""),
+            ("snr", math.inf, "'snr' must be a finite number, got Infinity"),
+            ("C", 10**400, "'C' must be a finite number"),
+            ("F", None, "'F' must be a finite number, got null"),
+            ("Q", [1.0], "'Q' must be an object"),
+            ("Q", {"32": 1.0, "12": 0.5}, "'Q' key '12' is not a bit-width in (32, 16, 8)"),
+            ("Q", {"16.0": 0.5}, "'Q' key '16.0' is not a bit-width"),
+            ("Q", {"16": math.nan}, "Q['16'] must be a finite number, got NaN"),
+            ("steps", 0, "'steps' must be an integer >= 1, got 0"),
+            ("steps", 2.0, "'steps' must be an integer >= 1, got 2.0"),
+            ("steps", True, "'steps' must be an integer >= 1, got true"),
+        ],
+    )
+    def test_from_json_dict_is_strict(self, key, value, message):
+        row = {"block_id": 0, "A": 1, "rho_bar": 0.5, "snr": 0.1, "C": 0.2, "F": 0.3,
+               "Q": {"32": 1.0, "16": 0.99, "8": 0.9}, "steps": 4}
+        assert RawMetrics.from_json_dict(row).anisotropy == 1.0
+        with pytest.raises(ValueError) as err:
+            RawMetrics.from_json_dict(row | {key: value})
+        assert str(err.value).startswith(message)
+        with pytest.raises(KeyError):
+            RawMetrics.from_json_dict({k: v for k, v in row.items() if k != key})

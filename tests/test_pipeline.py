@@ -14,6 +14,7 @@ from baoc.pipeline import (
     RunResult,
     collect_metrics,
     group_blocks,
+    metric_bits,
     plan_bytes,
     run_allocation,
 )
@@ -132,6 +133,20 @@ class TestRunAllocation:
         assert metrics_cut[0].steps == 10
         assert metrics_full[0].steps == 100
         assert metrics_cut[0].anisotropy != metrics_full[0].anisotropy
+
+    def test_given_metrics_replace_the_records(self):
+        specs, records = three_block_trace()
+        config = RunConfig(budget_ratio=0.5, warmup_steps=40)
+        metrics = collect_metrics(specs, records, bits=metric_bits(config.policy), max_steps=40)
+        specs, records = three_block_trace()
+
+        def unread():
+            raise AssertionError("records read although metrics were given")
+            yield
+
+        given = run_allocation(config, (specs, unread()), groups=[[0, 1], [2]], metrics=metrics)
+        diagnosed = run_allocation(config, (specs, records), groups=[[0, 1], [2]])
+        assert plan_bytes(given.plan) == plan_bytes(diagnosed.plan)
 
     def test_run_config_validation(self):
         with pytest.raises(ValueError):
