@@ -340,11 +340,15 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceParseError(f"record {record_no}: malformed JSON: {exc}") from None
+                if not isinstance(obj, dict) or "step" not in obj or "grads" not in obj:
+                    raise TraceParseError(f"record {record_no}: missing step or grads")
                 try:
-                    step = int(obj["step"])
-                    raw_grads = obj["grads"]
-                except (KeyError, TypeError, ValueError):
-                    raise TraceParseError(f"record {record_no}: missing step or grads") from None
+                    step = json_int(obj["step"])
+                except ValueError:
+                    raise TraceParseError(
+                        f"record {record_no}: step {json.dumps(obj['step']):.40} is not a 64-bit integer"
+                    ) from None
+                raw_grads = obj["grads"]
                 if prev_step is not None and step <= prev_step:
                     raise TraceParseError(
                         f"record {record_no}: step {step} not greater than previous step {prev_step}"

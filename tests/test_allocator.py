@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -547,6 +548,23 @@ def _solver_signals(rng, n):
     return signals
 
 
+def _solver_problem(rng, n, mem_ratio, time_budget):
+    """n blocks of the benchmark's solver shapes under the `solve` signal model."""
+    shapes = ((4096, 4096), (4096, 11008), (11008, 4096), (4096,))
+    blocks = [ProblemBlock(i, f"b{i}", (BlockShape(shapes[i % 4]),)) for i in range(n)]
+    return build_problem(blocks, {}, budget_ratio=mem_ratio, time_budget=time_budget,
+                         signals=_solver_signals(rng, n))
+
+
+def _sweep_draws(seed, count):
+    """12-block problems over the `sweep` workload's memory and time budgets."""
+    rng = np.random.default_rng(seed)
+    return [
+        _solver_problem(rng, 12, float(rng.choice(np.arange(4, 21) / 20)), float(rng.choice([1.3, 1.0, 0.9])))
+        for _ in range(count)
+    ]
+
+
 class TestReducedCostFixing:
     """`_ParetoDP.run` drops the columns whose Lagrangian bound exceeds its limit."""
 
@@ -636,10 +654,7 @@ class TestReducedCostFixing:
         from scipy.optimize import Bounds, LinearConstraint, milp
 
         n = 300
-        shapes = ((4096, 4096), (4096, 11008), (11008, 4096), (4096,))
-        blocks = [ProblemBlock(i, f"b{i}", (BlockShape(shapes[i % 4]),)) for i in range(n)]
-        prob = build_problem(blocks, {}, budget_ratio=mem_ratio, time_budget=0.9,
-                             signals=_solver_signals(np.random.default_rng(0), n))
+        prob = _solver_problem(np.random.default_rng(0), n, mem_ratio, 0.9)
         sol = solve_exact(prob)
         assert sol.is_optimal and verify(prob, sol).ok
 
@@ -660,6 +675,69 @@ class TestReducedCostFixing:
         )
         assert res.status == 0
         assert abs(sol.objective - float(res.fun)) <= 1e-9
+
+
+class TestSmallFrontGate:
+    """Fronts of at most `_SMALL_FRONT` states skip the bound and dominance passes."""
+
+    @staticmethod
+    def _solutions(monkeypatch, problems, gate):
+        monkeypatch.setattr(allocator, "_SMALL_FRONT", gate)
+        # The states kept depend on the gate; nothing else may.
+        return [dataclasses.replace(solve_exact(prob), nodes_explored=0) for prob in problems]
+
+    @staticmethod
+    def _first_round_columns(prob):
+        """Product of the columns each block keeps in the first DP round: the
+        most states that round carries unpruned (inf without an incumbent)."""
+        dp = allocator._ParetoDP(prob)
+        dp.root_bound()
+        incumbent = dp.incumbent()
+        if incumbent is None:
+            return math.inf
+        return math.prod((dp.valid & (dp.column_bound <= incumbent[0] + 1e-6)).sum(axis=1).tolist())
+
+    @pytest.mark.parametrize("suite", ["random", "sweep"])
+    def test_the_gate_leaves_every_solution_unchanged(self, suite, monkeypatch):
+        if suite == "random":
+            rng = np.random.default_rng(20240615)
+            problems = [random_instance(rng) for _ in range(200)]  # at most 300,000 assignments each
+            small = list(range(len(problems)))
+        else:
+            problems = _sweep_draws(11, 60)
+            # Unpruned, a few draws carry over ten million states (GBs); leave those to gate 0.
+            small = [i for i, prob in enumerate(problems) if self._first_round_columns(prob) <= 2**21]
+            assert len(small) >= 50
+        default = self._solutions(monkeypatch, problems, allocator._SMALL_FRONT)
+        assert sum(sol.is_optimal for sol in default) > len(problems) // 2
+        assert self._solutions(monkeypatch, problems, 0) == default  # every front pruned
+        unpruned = self._solutions(monkeypatch, [problems[i] for i in small], 2**62)  # only the leaves pruned
+        assert unpruned == [default[i] for i in small]
+
+    def test_the_passes_see_only_large_fronts(self, monkeypatch):
+        fronts = {"bound": [], "dominance": []}
+        bound, undominated = allocator._PricedHulls.bound, allocator._undominated
+
+        def counted_bound(self, first, sel, spare_mem, spare_time):
+            fronts["bound"].append(spare_mem.size)
+            return bound(self, first, sel, spare_mem, spare_time)
+
+        def counted_undominated(mems, times, phis, mem_free, time_free):
+            fronts["dominance"].append(mems.size)
+            return undominated(mems, times, phis, mem_free, time_free)
+
+        monkeypatch.setattr(allocator._PricedHulls, "bound", counted_bound)
+        monkeypatch.setattr(allocator, "_undominated", counted_undominated)
+        rng = np.random.default_rng(5)
+        for prob in _sweep_draws(5, 60) + [random_instance(rng) for _ in range(100)]:
+            solve_exact(prob)
+        assert min(fronts["bound"] + fronts["dominance"], default=math.inf) > allocator._SMALL_FRONT
+
+        fronts["bound"].clear()
+        fronts["dominance"].clear()
+        assert solve_exact(_solver_problem(np.random.default_rng(0), 300, 0.3, 0.9)).is_optimal
+        assert min(fronts["bound"]) > allocator._SMALL_FRONT
+        assert min(fronts["dominance"]) > allocator._SMALL_FRONT
 
 
 class TestVerify:

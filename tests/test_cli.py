@@ -165,6 +165,14 @@ class TestAllocate:
         assert err.startswith("error: record 1 (step 1): grads must be an object")
         assert err.count("\n") == 1
 
+    def test_non_integer_trace_step_is_one_error_line(self, trace_path, tmp_path, capsys):
+        header = trace_path.read_text().splitlines()[0]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps({"step": "1", "grads": {}}) + "\n")
+        assert dispatch(["allocate", "--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ['error: record 1: step "1" is not a 64-bit integer']
+
     @pytest.mark.parametrize(
         "doc", [{"blocks": 5}, {"blocks": [5]}, [1, 2], {}, {"blocks": [{"unit_ids": 3}]}]
     )

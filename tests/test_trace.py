@@ -204,6 +204,21 @@ class TestParseErrors:
         with pytest.raises(TraceParseError, match="record 2"):
             list(stream)
 
+    @pytest.mark.parametrize("text", ['"1"', "2.9", "3.0", "true", "null", "9223372036854775808"])
+    def test_step_not_an_integer(self, tmp_path, text):
+        path = self._write(tmp_path, [self._header(), '{"step": %s, "grads": {"0": [0.1, 0.2]}}' % text])
+        _, stream = read_trace(path)
+        with pytest.raises(TraceParseError, match=r"record 1: step .* is not a 64-bit integer") as err:
+            list(stream)
+        assert text in str(err.value)
+
+    @pytest.mark.parametrize("record", ['{"grads": {"0": [0.1, 0.2]}}', '{"step": 1}', '[1, 2]', '"step"'])
+    def test_missing_step_or_grads(self, tmp_path, record):
+        path = self._write(tmp_path, [self._header(), record])
+        _, stream = read_trace(path)
+        with pytest.raises(TraceParseError, match="record 1: missing step or grads"):
+            list(stream)
+
     def test_unknown_block_id(self, tmp_path):
         path = self._write(
             tmp_path,
