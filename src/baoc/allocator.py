@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,11 +45,11 @@ from .config_space import (
     Configuration,
     CostModel,
     DEFAULT_POLICY,
-    json_int,
     policy_columns,
     state_bytes_table,
 )
 from .diagnostics import RawMetrics
+from .documents import json_int, json_number, json_number_or_inf, json_str, read, read_list
 from .risk import Anchors, RiskSignals, RiskWeights, expand_selectors, phi_table, signals_from_metrics
 
 OBJECTIVE_SLACK = 1e-9
@@ -1060,81 +1059,38 @@ def problem_to_json_dict(problem: AllocationProblem) -> dict:
     }
 
 
-def _json_list(value: object, key: str) -> list:
-    """The value of `key`, checked to be a list."""
-    if not isinstance(value, list):
-        raise ValueError(f"'{key}' must be a list, got {type(value).__name__}")
-    return value
-
-
-def _json_objects(d: object, key: str) -> list[dict]:
-    """The list `d[key]` of a JSON object `d`, checked to hold objects."""
-    if not isinstance(d, dict):
-        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-    entries = _json_list(d[key], key)
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{key}[{i}] must be an object, got {type(entry).__name__}")
-    return entries
-
-
-def _field(d: dict, key: str, parse):
-    """`parse(d[key])`; a bad value raises a ValueError that names the key."""
-    value = d[key]
-    try:
-        return parse(value)
-    except KeyError as exc:
-        raise ValueError(f"{key!r} has no {exc} key") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key!r}: {exc}") from None
-
-
-@contextmanager
-def _naming(where: str) -> Iterator[None]:
-    """Re-raise malformed content of one document entry as a ValueError naming it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{where} has no {exc} key") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def problem_from_json_dict(d: dict) -> AllocationProblem:
-    """The document `problem_to_json_dict` writes; a ValueError names the
-    key or entry that is malformed."""
-    blocks = []
-    candidates = []
-    excluded = []
-    for i, entry in enumerate(_json_objects(d, "blocks")):
-        with _naming(f"blocks[{i}]"):
-            block_id = _field(entry, "id", json_int)
-            blocks.append(
-                ProblemBlock(
-                    id=block_id,
-                    name=str(entry.get("name", f"block{block_id}")),
-                    shapes=tuple(BlockShape.from_json(dims) for dims in _json_list(entry.get("dims_list", []), "dims_list")),
-                )
-            )
-            rows = []
-            for k, c in enumerate(_json_objects(entry, "candidates")):
-                with _naming(f"candidates[{k}]"):
-                    rows.append(
-                        Candidate(
-                            config=_field(c, "config", Configuration.from_json_dict),
-                            phi=_field(c, "phi", float),
-                            mem_bytes=_field(c, "mem_bytes", json_int),
-                            time_ratio=_field(c, "time_ratio", float),
-                        )
-                    )
-            candidates.append(tuple(rows))
-            excluded.append(frozenset(Configuration.from_json_dict(c) for c in _json_list(entry.get("excluded", []), "excluded")))
+    """The document `problem_to_json_dict` writes, read by the rules of
+    `baoc.documents`; a ValueError names the key or entry that is malformed.
+    `B_time` may be Infinity, which `allocate --time-budget inf` writes."""
+    rows = read_list(d, "blocks", _problem_row)
     return AllocationProblem.from_candidates(
-        blocks=tuple(blocks),
-        candidates=tuple(candidates),
-        mem_budget=_field(d, "B_mem", json_int),
-        time_budget=_field(d, "B_time", float),
-        excluded=tuple(excluded),
+        blocks=tuple(block for block, _, _ in rows),
+        candidates=tuple(candidates for _, candidates, _ in rows),
+        mem_budget=read(d, "B_mem", json_int),
+        time_budget=read(d, "B_time", json_number_or_inf),
+        excluded=tuple(banned for _, _, banned in rows),
+    )
+
+
+def _problem_row(entry: object) -> tuple[ProblemBlock, tuple[Candidate, ...], frozenset[Configuration]]:
+    """One `blocks` entry of a problem document: the block, its candidates and its excluded set."""
+    block_id = read(entry, "id", json_int)
+    name = read(entry, "name", json_str, f"block{block_id}")
+    shapes = tuple(read_list(entry, "dims_list", BlockShape.from_json, []))
+    return (
+        ProblemBlock(block_id, name, shapes),
+        tuple(read_list(entry, "candidates", _candidate)),
+        frozenset(read_list(entry, "excluded", Configuration.from_json_dict, [])),
+    )
+
+
+def _candidate(c: object) -> Candidate:
+    return Candidate(
+        config=read(c, "config", Configuration.from_json_dict),
+        phi=read(c, "phi", json_number),
+        mem_bytes=read(c, "mem_bytes", json_int),
+        time_ratio=read(c, "time_ratio", json_number),
     )
 
 
@@ -1170,14 +1126,14 @@ def plan_to_json_dict(problem: AllocationProblem, solution: AllocationSolution) 
 def solution_from_plan_dict(d: dict) -> AllocationSolution:
     """Rehydrate a solution (claimed totals included) from a plan document;
     ValueError naming the key or entry when it is malformed."""
-    assignment = {}
-    for i, row in enumerate(_json_objects(d, "blocks")):
-        with _naming(f"blocks[{i}]"):
-            assignment[_field(row, "id", json_int)] = _field(row, "config", Configuration.from_json_dict)
     return AllocationSolution(
-        status=str(d.get("status", "optimal")),
-        assignment=assignment,
-        objective=_field(d, "objective", float),
-        total_mem=_field(d, "total_mem", json_int),
-        mean_time_ratio=_field(d, "mean_time_ratio", float),
+        status=read(d, "status", json_str, "optimal"),
+        assignment=dict(read_list(d, "blocks", _assigned)),
+        objective=read(d, "objective", json_number),
+        total_mem=read(d, "total_mem", json_int),
+        mean_time_ratio=read(d, "mean_time_ratio", json_number),
     )
+
+
+def _assigned(row: object) -> tuple[int, Configuration]:
+    return read(row, "id", json_int), read(row, "config", Configuration.from_json_dict)

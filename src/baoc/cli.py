@@ -33,8 +33,9 @@ from .allocator import (
     solution_from_plan_dict,
     verify,
 )
-from .config_space import DEFAULT_POLICY, BlockShape, CostModel, json_ints, measure_cost_model
+from .config_space import DEFAULT_POLICY, BlockShape, CostModel, measure_cost_model
 from .diagnostics import RawMetrics
+from .documents import BadValue, json_int, json_ints, json_list, json_str, load, naming, read, read_list
 from .partitioner import (
     PartitionParams,
     compute_tau,
@@ -216,33 +217,17 @@ class _Diagnosed:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "_Diagnosed":
-        rows = doc["metrics"]
-        if not isinstance(rows, list):
-            raise ValueError(f"'metrics' must be a list, got {type(rows).__name__}")
         metrics: dict[int, RawMetrics] = {}
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise ValueError(f"metrics[{i}] must be an object, got {type(row).__name__}")
-            try:
-                block_id, raw = row["block_id"], RawMetrics.from_json_dict(row)
-            except KeyError as exc:
-                raise ValueError(f"metrics[{i}] has no {exc} key") from None
-            except ValueError as exc:
-                raise ValueError(f"metrics[{i}]: {exc}") from None
-            if type(block_id) is not int:
-                raise ValueError(f"metrics[{i}]: 'block_id' must be an integer, got {json.dumps(block_id)}")
-            if block_id in metrics:
-                raise ValueError(f"metrics[{i}]: duplicate block_id {block_id}")
-            metrics[block_id] = raw
+        for i, row in enumerate(read(doc, "metrics", json_list)):
+            with naming(f"metrics[{i}]"):
+                block_id = read(row, "block_id", json_int)
+                if block_id in metrics:
+                    raise ValueError(f"duplicate block_id {block_id}")
+                metrics[block_id] = RawMetrics.from_json_dict(row)
         for key in ("trace_sha256", "warmup_steps"):
             if key not in doc:
                 raise ValueError(f"'metrics' comes without '{key}'")
-        digest, window = doc["trace_sha256"], doc["warmup_steps"]
-        if not isinstance(digest, str):
-            raise ValueError(f"'trace_sha256' must be a string, got {json.dumps(digest)}")
-        if window is not None and type(window) is not int:
-            raise ValueError(f"'warmup_steps' must be an integer or null, got {json.dumps(window)}")
-        return cls(digest, window, metrics)
+        return cls(read(doc, "trace_sha256", json_str), read(doc, "warmup_steps", _window_steps), metrics)
 
     def mismatch(self, trace: str, warmup_steps: int | None, specs: list[BlockSpec], bits: tuple[int, ...]) -> str:
         """Why these metrics are not the ones `allocate` would diagnose; "" when they are."""
@@ -265,27 +250,16 @@ def _window(warmup_steps: int | None) -> str:
     return "the whole trace" if warmup_steps is None else f"{warmup_steps} steps"
 
 
-def _read_blocks(path: str) -> tuple[list[list[int]], _Diagnosed | None]:
+def _window_steps(value: object) -> int | None:
+    if value is None or type(value) is int:
+        return value
+    raise BadValue("an integer or null", value)
+
+
+def _partition_document(doc: dict) -> tuple[list[list[int]], _Diagnosed | None]:
     """The unit-id groups of a partition document, and the metrics it carries, if any."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rows = doc.get("blocks") if isinstance(doc, dict) else None
-    if not isinstance(rows, list):
-        raise ValueError(f"--blocks {path}: expected an object with a 'blocks' list")
-    groups = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or not isinstance(row.get("unit_ids"), list):
-            raise ValueError(f"--blocks {path}: blocks[{i}] is not an object with a 'unit_ids' list")
-        try:
-            groups.append(json_ints(row["unit_ids"]).tolist())
-        except ValueError as exc:
-            raise ValueError(f"--blocks {path}: blocks[{i}].unit_ids: {exc}") from None
-    if doc.get("metrics") is None:
-        return groups, None
-    try:
-        return groups, _Diagnosed.from_json_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"--blocks {path}: {exc}") from None
+    groups = read_list(doc, "blocks", lambda row: read(row, "unit_ids", json_ints).tolist())
+    return groups, None if doc.get("metrics") is None else _Diagnosed.from_json_dict(doc)
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
@@ -302,14 +276,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     for selector in list(args.exclude) + prefer:
         parse_selector(selector)  # fail fast, naming the bad selector
 
-    cost_model = None
-    if args.cost_model is not None:
-        try:
-            cost_model = CostModel.from_json(Path(args.cost_model).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"--cost-model {args.cost_model}: {exc}") from None
-
-    groups, diagnosed = (None, None) if args.blocks is None else _read_blocks(args.blocks)
+    cost_model = None if args.cost_model is None else load(args.cost_model, "--cost-model", CostModel.from_json_dict)
+    groups, diagnosed = (None, None) if args.blocks is None else load(args.blocks, "--blocks", _partition_document)
     config = RunConfig(
         budget_ratio=args.budget_ratio,
         time_budget=args.time_budget,
@@ -398,20 +366,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_document(path: str, flag: str, parse):
-    """`parse` of the JSON document at `path`; malformed content is one ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse(json.load(fh))
-        except KeyError as exc:
-            raise ValueError(f"{flag} {path}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{flag} {path}: {exc}") from None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    problem = _read_document(args.problem, "--problem", problem_from_json_dict)
-    solution = _read_document(args.plan, "--plan", solution_from_plan_dict)
+    problem = load(args.problem, "--problem", problem_from_json_dict)
+    solution = load(args.plan, "--plan", solution_from_plan_dict)
     report = verify(problem, solution)
     _write_output(json.dumps(report.to_json_dict(), sort_keys=True, indent=2), None)
     if report.ok:
@@ -448,7 +405,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         ValueError,
         KeyError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)

@@ -21,6 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .documents import json_bool, json_int, json_ints, json_number, json_object, json_str, read
+
 VALID_BITS = (32, 16, 8)
 
 #: Families enumerated by default: AdamW, Adam, SGD, SGD+momentum, SGDW,
@@ -100,24 +102,11 @@ class Configuration:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Configuration":
-        """A configuration from its JSON object.
-
-        ValueError unless it is an object whose four flags are JSON booleans
-        and whose `bits` is an integer (`json_int`); KeyError names a missing
-        key.
-        """
-        if not isinstance(d, dict):
-            raise ValueError(f"configuration must be an object, got {type(d).__name__}")
-        flags = {key: d[key] for key in ("adaptive", "momentum", "decoupled_decay", "factorized")}
-        for key, value in flags.items():
-            if not isinstance(value, bool):
-                raise ValueError(f"configuration '{key}' must be true or false, got {value!r}")
-        try:
-            bits = json_int(d["bits"])
-        except ValueError as exc:
-            raise ValueError(f"configuration 'bits': {exc}") from None
-        return cls(**flags, state_bits=bits)
+    def from_json_dict(cls, d: object) -> "Configuration":
+        """A configuration from its JSON object: four boolean flags and an
+        integer `bits`; ValueError naming the key otherwise."""
+        flags = {key: read(d, key, json_bool) for key in ("adaptive", "momentum", "decoupled_decay", "factorized")}
+        return cls(**flags, state_bits=read(d, "bits", json_int))
 
     @classmethod
     def from_family(cls, family: str, bits: int = 32) -> "Configuration":
@@ -143,33 +132,6 @@ class Configuration:
 
 ADAMW16 = Configuration(adaptive=True, momentum=True, decoupled_decay=True, factorized=False, state_bits=16)
 ADAMW32 = Configuration(adaptive=True, momentum=True, decoupled_decay=True, factorized=False, state_bits=32)
-
-
-def json_ints(values: object) -> np.ndarray:
-    """A JSON list of integers as a 1-D int64 array, decoded by numpy.
-
-    Raises ValueError unless every element is an integer in the int64
-    range: a float such as 2.5 (or 2.0), a string such as "7", a boolean,
-    null or a nested list are rejected, never truncated or parsed.
-    """
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"expected a list of integers, got {type(values).__name__}")
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"{bad!r} is not an integer")
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("expected integers in the 64-bit range") from None
-
-
-def json_int(value: object) -> int:
-    """One JSON integer under the `json_ints` rule."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    if not -(2**63) <= value < 2**63:
-        raise ValueError("expected integers in the 64-bit range")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,25 +387,24 @@ class CostModel:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "CostModel":
-        if not isinstance(d, dict) or not isinstance(d.get("ratios"), dict):
-            raise ValueError("cost model must be an object with a 'ratios' object")
-        table: dict[tuple[str, int], float] = {}
-        for key, ratio in d["ratios"].items():
-            fam, _, bits = key.partition(":")
-            try:
-                value = float(ratio)
-            except (TypeError, ValueError):
-                raise ValueError(f"ratio for {key!r} is not a number: {json.dumps(ratio)}") from None
-            table[(fam, int(bits))] = value
-        return cls(ratio_table=table, source=str(d.get("source", "static_table")))
+    def from_json_dict(cls, d: object) -> "CostModel":
+        """The model `to_json_dict` writes: `ratios` maps "family:bits" keys,
+        bits one of `VALID_BITS`, to numbers; ValueError naming the key otherwise."""
+        return cls(ratio_table=read(d, "ratios", _ratio_table), source=read(d, "source", json_str, "static_table"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CostModel":
-        return cls.from_json_dict(json.loads(text))
+
+def _ratio_table(ratios: object) -> dict[tuple[str, int], float]:
+    bits_of = {str(b): b for b in VALID_BITS}
+    table = {}
+    for key in json_object(ratios):
+        family, _, bits = key.partition(":")
+        if not family or bits not in bits_of:
+            raise ValueError(f"key {key!r} is not family:bits with bits in {VALID_BITS}")
+        table[(family, bits_of[bits])] = read(ratios, key, json_number)
+    return table
 
 
 @functools.lru_cache(maxsize=32)

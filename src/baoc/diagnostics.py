@@ -20,13 +20,12 @@ cells alone: no metric builds the block's dense matrix.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config_space import VALID_BITS
+from .documents import BadValue, json_number, json_object, naming, read
 from .trace import BlockSpec
 
 #: Numerical-stability constant for metric formulas.
@@ -180,47 +179,38 @@ class RawMetrics:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RawMetrics":
-        """Read a `to_json_dict` row strictly; the row's ``block_id`` is not read.
+        """Read a `to_json_dict` row by the rules of `baoc.documents`; the row's
+        ``block_id`` is not read.
 
-        The five metrics and every ``Q`` value must be finite JSON numbers (a
-        boolean or a string such as "0.5" is rejected, not parsed), ``Q`` an
-        object keyed by bit-widths of `VALID_BITS` written as integers, and
-        ``steps`` an integer of at least 1. A missing key raises KeyError;
-        any other malformed value a ValueError naming the key. Floats written
-        by `to_json_dict` read back bit-identical.
+        The five metrics and every ``Q`` value are finite JSON numbers, ``Q``
+        an object keyed by bit-widths of `VALID_BITS` written as integers, and
+        ``steps`` an integer of at least 1. A missing key or a malformed value
+        raises a ValueError naming the key. Floats written by `to_json_dict`
+        read back bit-identical.
         """
-        q = d["Q"]
-        if not isinstance(q, dict):
-            raise ValueError(f"'Q' must be an object, got {json.dumps(q)}")
+        q = read(d, "Q", json_object)
         bit_keys = {str(b): b for b in VALID_BITS}
         precision = {}
         for key, value in q.items():
             if key not in bit_keys:
                 raise ValueError(f"'Q' key {key!r} is not a bit-width in {VALID_BITS}")
-            precision[bit_keys[key]] = _finite(value, f"Q[{key!r}]")
-        steps = d["steps"]
-        if type(steps) is not int or steps < 1:
-            raise ValueError(f"'steps' must be an integer >= 1, got {json.dumps(steps)}")
+            with naming(f"Q[{key!r}]"):
+                precision[bit_keys[key]] = json_number(value)
         return cls(
-            anisotropy=_finite(d["A"], "'A'"),
-            direction_stability=_finite(d["rho_bar"], "'rho_bar'"),
-            snr=_finite(d["snr"], "'snr'"),
-            distortion=_finite(d["C"], "'C'"),
-            structure_residual=_finite(d["F"], "'F'"),
+            anisotropy=read(d, "A", json_number),
+            direction_stability=read(d, "rho_bar", json_number),
+            snr=read(d, "snr", json_number),
+            distortion=read(d, "C", json_number),
+            structure_residual=read(d, "F", json_number),
             precision_cosine=precision,
-            steps=steps,
+            steps=read(d, "steps", _step_count),
         )
 
 
-def _finite(value: object, what: str) -> float:
-    """`value` as a float if it is a finite JSON number; ValueError naming `what` otherwise."""
-    if type(value) in (int, float):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ValueError(f"{what} must be a finite number, got {json.dumps(value)}")
+def _step_count(value: object) -> int:
+    if type(value) is int and value >= 1:
+        return value
+    raise BadValue("an integer >= 1", value)
 
 
 class DiagnosticsState:

@@ -21,14 +21,14 @@ every output block does too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape, json_int
+from .config_space import BlockShape
+from .documents import json_int, json_str, load, read, read_list
 from .risk import RiskSignals
 
 UPPER_QUARTILE = "upper_quartile"
@@ -191,27 +191,16 @@ def load_model_description(path: str | Path) -> list[StructuralUnit]:
     Schema: {"units": [{"id", "name", "dims", "kind"?, "layer"?, "position"?}]}.
     Units are returned in file order, which must follow the forward structure;
     the optional keys are accepted and ignored. `id` and `dims` must hold
-    integers; a malformed value or a missing key raises ValueError naming
-    the file and the unit.
+    integers and `name` a string; a malformed value or a missing key raises
+    ValueError naming the file and the unit.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    entries = raw.get("units") if isinstance(raw, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError(f"model description {path}: expected an object with a 'units' list")
-    out = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("dims"), list):
-            raise ValueError(f"model description {path}: units[{i}] is not an object with a 'dims' list")
-        try:
-            out.append(
-                StructuralUnit(id=json_int(entry["id"]), name=str(entry["name"]), shape=BlockShape.from_json(entry["dims"]))
-            )
-        except KeyError as exc:
-            raise ValueError(f"model description {path}: units[{i}] has no {exc} key") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"model description {path}: units[{i}]: {exc}") from None
-    return out
+    return load(path, "model description", lambda d: read_list(d, "units", _unit))
+
+
+def _unit(entry: object) -> StructuralUnit:
+    return StructuralUnit(
+        id=read(entry, "id", json_int), name=read(entry, "name", json_str), shape=read(entry, "dims", BlockShape.from_json)
+    )
 
 
 def block_name(member_names: Sequence[str]) -> str:

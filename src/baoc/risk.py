@@ -11,7 +11,6 @@ on top.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 
 from .config_space import VALID_BITS, Configuration, GridColumns, aggressiveness
 from .diagnostics import EPS, RawMetrics
+from .documents import json_number, json_object, json_str, load, naming, read, read_list
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,10 +65,11 @@ class Anchors:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Anchors":
-        known = ("A_low", "A_high", "rho_low", "rho_high", "eta_low", "eta_high", "global_scale")
+    def from_json_dict(cls, d: object) -> "Anchors":
+        """Anchors from a JSON object; a key it lacks keeps its default."""
         defaults = cls()
-        return cls(**{k: _json_float(d, k, getattr(defaults, k)) for k in known})
+        known = ("A_low", "A_high", "rho_low", "rho_high", "eta_low", "eta_high", "global_scale")
+        return cls(**{k: read(d, k, json_number, getattr(defaults, k)) for k in known})
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,40 +279,20 @@ def expand_selectors(
     return frozenset(c for c in candidates if any(selector_matches(p, c) for p in parsed))
 
 
-def _json_float(doc: dict, key: str, default: float) -> float:
-    """`doc[key]`, or `default` when absent, as a float; ValueError naming the key otherwise."""
-    value = doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"'{key}' must be a number, got {json.dumps(value)}") from None
-
-
 def load_risk_config(path: str | Path) -> tuple[Anchors, RiskWeights, list[str]]:
     """Read anchors, weights, and preference selectors from one JSON file.
 
     Schema: {"anchors": {...}, "weights": {"w_A": ..., ...},
     "lambda_pref": ..., "prefer": ["family[:bits]", ...]}; every key optional.
+    A malformed value raises a ValueError naming the file and the key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"risk config {path}: expected an object")
-    for key, kind, what in (
-        ("anchors", dict, "an object"),
-        ("weights", dict, "an object"),
-        ("prefer", list, "a list"),
-    ):
-        if not isinstance(raw.get(key, kind()), kind):
-            raise ValueError(f"risk config {path}: '{key}' must be {what}")
-    w = raw.get("weights", {})
-    try:
-        anchors = Anchors.from_json_dict(raw.get("anchors", {}))
-        weights = RiskWeights(
-            **{k: _json_float(w, k, 1.0) for k in ("w_A", "w_M", "w_C", "w_F", "w_Q")},
-            lambda_pref=_json_float(raw, "lambda_pref", 0.0),
-        )
-    except ValueError as exc:
-        raise ValueError(f"risk config {path}: {exc}") from None
-    prefer = [str(s) for s in raw.get("prefer", [])]
-    return anchors, weights, prefer
+    return load(path, "risk config", _risk_settings)
+
+
+def _risk_settings(d: dict) -> tuple[Anchors, RiskWeights, list[str]]:
+    anchors = read(d, "anchors", Anchors.from_json_dict, Anchors())
+    w = read(d, "weights", json_object, {})
+    with naming("'weights'"):
+        terms = {k: read(w, k, json_number, 1.0) for k in ("w_A", "w_M", "w_C", "w_F", "w_Q")}
+    weights = RiskWeights(**terms, lambda_pref=read(d, "lambda_pref", json_number, 0.0))
+    return anchors, weights, read_list(d, "prefer", json_str, [])

@@ -11,15 +11,15 @@ counter-based generator key.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape, json_int
-from .trace import BlockSpec, StepRecord, derive_seed
+from .config_space import BlockShape
+from .documents import json_int, json_number, json_object, json_str, load, naming, read, read_list
+from .trace import BlockSpec, StepRecord, derive_seed, json_sampling_ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,48 +107,36 @@ def generate_stream(
 def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], float | None]:
     """Read the simulate input file.
 
-    Schema: {"sampling_ratio"?: s, "blocks": [{"id", "name", "dims", "kind"?,
-    "profile": {...}}]}. Returns the raw block definitions (with parsed
+    Schema: {"sampling_ratio"?: s, "blocks": [{"id", "name"?, "dims", "kind"?,
+    "profile"?: {...}}]}. Returns the raw block definitions (with parsed
     StreamProfile under "profile") and the optional sampling ratio. `id`,
-    `dims` and the profile `seed` must hold integers; a malformed value or a
-    missing key raises ValueError naming the file and the entry.
+    `dims` and the profile `seed` must hold integers and the other profile
+    knobs numbers; a malformed value or a missing key raises ValueError
+    naming the file and the entry.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    entries = raw.get("blocks") if isinstance(raw, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError(f"profile file {path}: expected an object with a 'blocks' list")
-    defs = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("dims"), list):
-            raise ValueError(f"profile file {path}: blocks[{i}] is not an object with a 'dims' list")
-        if not isinstance(entry.get("profile", {}), dict):
-            raise ValueError(f"profile file {path}: blocks[{i}].profile is not an object")
-        p = dict(entry.get("profile", {}))
-        p.setdefault("seed", default_seed)
-        try:
-            block_id = json_int(entry["id"])
-            defs.append(
-                {
-                    "id": block_id,
-                    "name": str(entry.get("name", f"block{block_id}")),
-                    "dims": list(BlockShape.from_json(entry["dims"]).dims),
-                    "kind": str(entry.get("kind", "other")),
-                    "profile": StreamProfile(
-                        drift_strength=float(p.get("drift_strength", 0.0)),
-                        drift_persistence=float(p.get("drift_persistence", 0.0)),
-                        noise_scale_spread=float(p.get("noise_scale_spread", 0.0)),
-                        rank1_mix=float(p.get("rank1_mix", 0.0)),
-                        seed=json_int(p["seed"]),
-                    ),
-                }
-            )
-        except KeyError as exc:
-            raise ValueError(f"profile file {path}: blocks[{i}] has no {exc} key") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"profile file {path}: blocks[{i}]: {exc}") from None
-    ratio = raw.get("sampling_ratio")
-    try:
-        return defs, (float(ratio) if ratio is not None else None)
-    except (TypeError, ValueError):
-        raise ValueError(f"profile file {path}: sampling_ratio {ratio!r} is not a number") from None
+    return load(path, "profile file", lambda d: _block_definitions(d, default_seed))
+
+
+def _block_definitions(d: dict, default_seed: int) -> tuple[list[dict], float | None]:
+    blocks = read_list(d, "blocks", lambda entry: _block_definition(entry, default_seed))
+    return blocks, read(d, "sampling_ratio", json_sampling_ratio, None)
+
+
+def _block_definition(entry: object, default_seed: int) -> dict:
+    block_id = read(entry, "id", json_int)
+    p = read(entry, "profile", json_object, {})
+    with naming("'profile'"):
+        profile = StreamProfile(
+            drift_strength=read(p, "drift_strength", json_number, 0.0),
+            drift_persistence=read(p, "drift_persistence", json_number, 0.0),
+            noise_scale_spread=read(p, "noise_scale_spread", json_number, 0.0),
+            rank1_mix=read(p, "rank1_mix", json_number, 0.0),
+            seed=read(p, "seed", json_int, default_seed),
+        )
+    return {
+        "id": block_id,
+        "name": read(entry, "name", json_str, f"block{block_id}"),
+        "dims": list(read(entry, "dims", BlockShape.from_json).dims),
+        "kind": read(entry, "kind", json_str, "other"),
+        "profile": profile,
+    }

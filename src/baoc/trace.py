@@ -36,7 +36,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config_space import BlockShape, json_int, json_ints
+from .config_space import BlockShape
+from .documents import BadValue, json_int, json_ints, json_number, json_str, naming, read
 
 TRACE_VERSION = 3
 
@@ -132,18 +133,17 @@ class BlockSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockSpec":
-        """A spec from its header entry; ValueError unless id, dims and indices are integers."""
-        block_id = json_int(d["id"])
-        try:
+        """A spec from its header entry; ValueError unless id, dims and indices
+        are integers and the name and kind strings."""
+        block_id = read(d, "id", json_int)
+        with naming(f"block {block_id}: dims"):
             shape = BlockShape.from_json(d["dims"])
-        except ValueError as exc:
-            raise ValueError(f"block {block_id}: dims: {exc}") from None
         return cls(
             id=block_id,
-            name=str(d["name"]),
+            name=read(d, "name", json_str),
             shape=shape,
             sample_indices=d["sample_indices"],
-            module_kind=str(d.get("kind", "other")),
+            module_kind=read(d, "kind", json_str, "other"),
         )
 
 
@@ -284,6 +284,14 @@ def write_trace(
             _emit(fh)
 
 
+def json_sampling_ratio(value: object) -> float:
+    """A sampling ratio read from a JSON document: a number in (0, 1]."""
+    ratio = json_number(value)
+    if 0 < ratio <= 1:
+        return ratio
+    raise BadValue("a number in (0, 1]", value)
+
+
 def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]:
     """Parse the header eagerly and return a lazy stream of step records.
 
@@ -310,19 +318,21 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
     version = header.get("version")
     if type(version) is not int or not 1 <= version <= TRACE_VERSION:
         raise TraceParseError(f"unsupported trace version {version!r}")
-    ratio = header.get("sampling_ratio")
+    try:
+        ratio = read(header, "sampling_ratio", json_sampling_ratio)
+    except ValueError as exc:
+        raise TraceParseError(f"malformed header: {exc}") from None
     try:
         specs = [BlockSpec.from_json_dict(b) for b in header["blocks"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceParseError(f"malformed header block entry: {exc}") from None
-    if isinstance(ratio, (int, float)) and 0 < ratio <= 1:
-        for spec in specs:
-            expected = sample_count(spec.shape.param_count, float(ratio))
-            if spec.sample_size != expected:
-                raise TraceParseError(
-                    f"header block {spec.id}: {spec.sample_size} sample indices, "
-                    f"but sampling_ratio {ratio} implies {expected}"
-                )
+    for spec in specs:
+        expected = sample_count(spec.shape.param_count, ratio)
+        if spec.sample_size != expected:
+            raise TraceParseError(
+                f"header block {spec.id}: {spec.sample_size} sample indices, "
+                f"but sampling_ratio {ratio} implies {expected}"
+            )
     specs_by_id = {s.id: s for s in specs}
     references = version >= 3
 

@@ -315,21 +315,21 @@ MALFORMED_VALUES = [
     ("partition", "--model-desc",
      {"units": [{"id": 0, "name": "a", "dims": [1000, 1000]}, {"id": 1, "name": "b", "dims": [16, 16]}]},
      "unit 0 has dims [1000, 1000], but the trace's block 0 has dims [16, 16]"),
-    ("allocate", "--risk-config", {"lambda_pref": [1]}, "'lambda_pref' must be a number, got [1]"),
-    ("allocate", "--risk-config", {"anchors": {"A_low": {}}}, "'A_low' must be a number"),
-    ("allocate", "--risk-config", {"weights": {"w_A": "heavy"}}, "'w_A' must be a number"),
-    ("allocate", "--cost-model", {"ratios": {"adamw:16": [1]}}, "ratio for 'adamw:16' is not a number: [1]"),
+    ("allocate", "--risk-config", {"lambda_pref": [1]}, "'lambda_pref' must be a finite number, got [1]"),
+    ("allocate", "--risk-config", {"anchors": {"A_low": {}}}, "'anchors': 'A_low' must be a finite number, got {}"),
+    ("allocate", "--risk-config", {"weights": {"w_A": "heavy"}}, "'weights': 'w_A' must be a finite number, got \"heavy\""),
+    ("allocate", "--cost-model", {"ratios": {"adamw:16": [1]}}, "'ratios': 'adamw:16' must be a finite number, got [1]"),
     ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [2.5], "profile": {}}]}, "2.5 is not an integer"),
     ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"drift_strength": [1]}}]}, "blocks[0]"),
-    ("partition", "--model-desc", {"units": [{"id": 0.7, "name": "a", "dims": [16, 16]}]}, "units[0]: 0.7 is not an integer"),
-    ("partition", "--model-desc", {"units": [{"id": "1", "name": "a", "dims": [16, 16]}]}, "units[0]: '1' is not an integer"),
-    ("partition", "--model-desc", {"units": [{"id": 0, "dims": [16, 16]}]}, "units[0] has no 'name' key"),
-    ("simulate", "--profile", {"blocks": [{"id": 0.7, "dims": [4], "profile": {}}]}, "blocks[0]: 0.7 is not an integer"),
-    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"seed": "3"}}]}, "blocks[0]: '3' is not an integer"),
-    ("simulate", "--profile", {"blocks": [{"dims": [4], "profile": {}}]}, "blocks[0] has no 'id' key"),
-    ("allocate", "--blocks", {"blocks": [{"unit_ids": [[0]]}, {"unit_ids": [1]}]}, "blocks[0].unit_ids: [0] is not an integer"),
-    ("allocate", "--blocks", {"blocks": [{"unit_ids": [0]}, {"unit_ids": [True]}]}, "blocks[1].unit_ids: True is not an integer"),
-    ("allocate", "--blocks", {"blocks": [{"unit_ids": [0, 1.0]}]}, "blocks[0].unit_ids: 1.0 is not an integer"),
+    ("partition", "--model-desc", {"units": [{"id": 0.7, "name": "a", "dims": [16, 16]}]}, "units[0]: 'id' must be a 64-bit integer, got 0.7"),
+    ("partition", "--model-desc", {"units": [{"id": "1", "name": "a", "dims": [16, 16]}]}, "units[0]: 'id' must be a 64-bit integer, got \"1\""),
+    ("partition", "--model-desc", {"units": [{"id": 0, "dims": [16, 16]}]}, "units[0]: missing key 'name'"),
+    ("simulate", "--profile", {"blocks": [{"id": 0.7, "dims": [4], "profile": {}}]}, "blocks[0]: 'id' must be a 64-bit integer, got 0.7"),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"seed": "3"}}]}, "blocks[0]: 'profile': 'seed' must be a 64-bit integer, got \"3\""),
+    ("simulate", "--profile", {"blocks": [{"dims": [4], "profile": {}}]}, "blocks[0]: missing key 'id'"),
+    ("allocate", "--blocks", {"blocks": [{"unit_ids": [[0]]}, {"unit_ids": [1]}]}, "blocks[0]: 'unit_ids': [0] is not an integer"),
+    ("allocate", "--blocks", {"blocks": [{"unit_ids": [0]}, {"unit_ids": [True]}]}, "blocks[1]: 'unit_ids': True is not an integer"),
+    ("allocate", "--blocks", {"blocks": [{"unit_ids": [0, 1.0]}]}, "blocks[0]: 'unit_ids': 1.0 is not an integer"),
     ("allocate", "--blocks", _handed_off(A=True), "metrics[0]: 'A' must be a finite number, got true"),
     ("allocate", "--blocks", _handed_off(A="0.5"), "metrics[0]: 'A' must be a finite number, got \"0.5\""),
     ("allocate", "--blocks", _handed_off(snr=math.nan), "metrics[0]: 'snr' must be a finite number, got NaN"),
@@ -338,14 +338,29 @@ MALFORMED_VALUES = [
     ("allocate", "--blocks", _handed_off(steps=0), "metrics[0]: 'steps' must be an integer >= 1, got 0"),
     ("allocate", "--blocks", _handed_off(steps=2.0), "metrics[0]: 'steps' must be an integer >= 1, got 2.0"),
     ("allocate", "--blocks", _handed_off(F=None), "metrics[0]: 'F' must be a finite number, got null"),
-    ("allocate", "--blocks", _handed_off(block_id="0"), "metrics[0]: 'block_id' must be an integer, got \"0\""),
+    ("allocate", "--blocks", _handed_off(block_id="0"), "metrics[0]: 'block_id' must be a 64-bit integer, got \"0\""),
     ("allocate", "--blocks", _handed_off(block_id=1), "metrics[1]: duplicate block_id 1"),
-    ("allocate", "--blocks", _handed_off(steps=...), "metrics[0] has no 'steps' key"),
-    ("allocate", "--blocks", _handed_off(metrics=5), "'metrics' must be a list, got int"),
-    ("allocate", "--blocks", _handed_off(metrics=[5]), "metrics[0] must be an object, got int"),
+    ("allocate", "--blocks", _handed_off(steps=...), "metrics[0]: missing key 'steps'"),
+    ("allocate", "--blocks", _handed_off(metrics=5), "'metrics' must be a list, got 5"),
+    ("allocate", "--blocks", _handed_off(metrics=[5]), "metrics[0] must be an object, got 5"),
     ("allocate", "--blocks", _handed_off(trace_sha256=5), "'trace_sha256' must be a string, got 5"),
     ("allocate", "--blocks", _handed_off(warmup_steps="all"), "'warmup_steps' must be an integer or null, got \"all\""),
     ("allocate", "--blocks", _handed_off(warmup_steps=...), "'metrics' comes without 'warmup_steps'"),
+    ("allocate", "--cost-model", {"ratios": {"adamw:16": 1.0, "sgd:32": "0.5"}},
+     "'ratios': 'sgd:32' must be a finite number, got \"0.5\""),
+    ("allocate", "--cost-model", {"ratios": {"adamw:16": True}}, "'ratios': 'adamw:16' must be a finite number, got true"),
+    ("allocate", "--cost-model", {"ratios": {"adamw:16": 1.0, "adamw:x": 1.0}},
+     "'ratios': key 'adamw:x' is not family:bits with bits in (32, 16, 8)"),
+    ("allocate", "--risk-config", {"weights": {"w_A": "2"}}, "'weights': 'w_A' must be a finite number, got \"2\""),
+    ("allocate", "--risk-config", {"lambda_pref": "0.1"}, "'lambda_pref' must be a finite number, got \"0.1\""),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"drift_strength": "0.3"}}]},
+     "blocks[0]: 'profile': 'drift_strength' must be a finite number, got \"0.3\""),
+    ("simulate", "--profile", {"blocks": [{"id": 0, "dims": [4], "profile": {"rank1_mix": True}}]},
+     "blocks[0]: 'profile': 'rank1_mix' must be a finite number, got true"),
+    ("simulate", "--profile", {"sampling_ratio": "0.5", "blocks": [{"id": 0, "dims": [4]}]},
+     "'sampling_ratio' must be a finite number, got \"0.5\""),
+    ("simulate", "--profile", {"sampling_ratio": 1.5, "blocks": [{"id": 0, "dims": [4]}]},
+     "'sampling_ratio' must be a number in (0, 1], got 1.5"),
 ]
 
 
@@ -359,6 +374,35 @@ def test_malformed_value_in_input_document_is_one_error_line(command, flag, doc,
     assert dispatch(argv) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0] and reason in err[0]
+
+
+@pytest.mark.parametrize(
+    "command,flag,label",
+    [
+        ("simulate", "--profile", "profile file"),
+        ("partition", "--model-desc", "model description"),
+        ("allocate", "--risk-config", "risk config"),
+        ("allocate", "--cost-model", "--cost-model"),
+        ("allocate", "--blocks", "--blocks"),
+        ("verify", "--problem", "--problem"),
+        ("verify", "--plan", "--plan"),
+    ],
+)
+def test_non_json_input_document_names_its_file(command, flag, label, trace_path, tmp_path, capsys):
+    bad = tmp_path / "empty.json"
+    bad.write_text("")
+    if command == "verify":
+        docs = {"--plan": tmp_path / "plan.json", "--problem": tmp_path / "problem.json"}
+        assert dispatch(["allocate", "--trace", str(trace_path), "--out", str(docs["--plan"]),
+                         "--dump-problem", str(docs["--problem"]), "--quiet"]) == EXIT_OK
+        docs[flag] = bad
+        argv = ["verify", "--problem", str(docs["--problem"]), "--plan", str(docs["--plan"])]
+    else:
+        argv = [command, flag, str(bad)] + ([] if command == "simulate" else ["--trace", str(trace_path)])
+    capsys.readouterr()
+    assert dispatch(argv + ["--quiet"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {label} {bad}: ")
 
 
 class TestVerifyCommand:
@@ -390,16 +434,23 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "flag, path, value, message",
         [
-            ("--problem", ["blocks"], 5, "'blocks' must be a list, got int"),
-            ("--problem", ["blocks", 0], 7, "blocks[0] must be an object, got int"),
-            ("--problem", ["blocks", 0, "candidates"], {}, "blocks[0]: 'candidates' must be a list, got dict"),
-            ("--problem", ["blocks", 0, "candidates", 1, "phi"], None, "blocks[0]: candidates[1]: 'phi': "),
-            ("--problem", ["blocks", 0, "dims_list"], 3, "blocks[0]: 'dims_list' must be a list, got int"),
-            ("--problem", ["B_mem"], "100", "'B_mem': '100' is not an integer"),
+            ("--problem", ["blocks"], 5, "'blocks' must be a list, got 5"),
+            ("--problem", ["blocks", 0], 7, "blocks[0] must be an object, got 7"),
+            ("--problem", ["blocks", 0, "candidates"], {}, "blocks[0]: 'candidates' must be a list, got {}"),
+            ("--problem", ["blocks", 0, "candidates", 1, "phi"], None, "blocks[0]: candidates[1]: 'phi' must be a finite number, got null"),
+            ("--problem", ["blocks", 0, "dims_list"], 3, "blocks[0]: 'dims_list' must be a list, got 3"),
+            ("--problem", ["B_mem"], "100", "'B_mem' must be a 64-bit integer, got \"100\""),
             ("--plan", ["blocks", 1, "config", "adaptive"], "false",
-             "blocks[1]: 'config': configuration 'adaptive' must be true or false, got 'false'"),
-            ("--plan", ["blocks", 0, "config", "bits"], "16", "blocks[0]: 'config': configuration 'bits': '16' is not an integer"),
-            ("--plan", ["total_mem"], 2.5, "'total_mem': 2.5 is not an integer"),
+             "blocks[1]: 'config': 'adaptive' must be true or false, got \"false\""),
+            ("--plan", ["blocks", 0, "config", "bits"], "16", "blocks[0]: 'config': 'bits' must be a 64-bit integer, got \"16\""),
+            ("--plan", ["total_mem"], 2.5, "'total_mem' must be a 64-bit integer, got 2.5"),
+            ("--problem", ["blocks", 0, "candidates", 0, "phi"], "0.5",
+             "blocks[0]: candidates[0]: 'phi' must be a finite number, got \"0.5\""),
+            ("--problem", ["blocks", 1, "candidates", 2, "time_ratio"], True,
+             "blocks[1]: candidates[2]: 'time_ratio' must be a finite number, got true"),
+            ("--problem", ["B_time"], "1.3", "'B_time' must be a finite number or Infinity, got \"1.3\""),
+            ("--plan", ["objective"], "1.5", "'objective' must be a finite number, got \"1.5\""),
+            ("--plan", ["mean_time_ratio"], True, "'mean_time_ratio' must be a finite number, got true"),
         ],
     )
     def test_malformed_document_names_the_key(self, flag, path, value, message, trace_path, tmp_path, capsys):
@@ -417,6 +468,16 @@ class TestVerifyCommand:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag} {paths[flag]}: {message}")
+
+    def test_infinite_time_budget_reads_back(self, trace_path, tmp_path, capsys):
+        # json writes an infinite budget as Infinity; the strict number rule admits it for B_time only.
+        plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"
+        assert dispatch(["allocate", "--trace", str(trace_path), "--time-budget", "inf", "--out", str(plan_path),
+                         "--dump-problem", str(problem_path), "--quiet"]) == EXIT_OK
+        assert json.loads(problem_path.read_text())["B_time"] == math.inf
+        capsys.readouterr()
+        assert dispatch(["verify", "--problem", str(problem_path), "--plan", str(plan_path), "--quiet"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_duplicate_block_ids_are_one_error_line(self, trace_path, tmp_path, capsys):
         plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"
@@ -444,7 +505,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
-        assert err == [f"error: --problem {problem_path}: time budget must be a number, got NaN"]
+        assert err == [f"error: --problem {problem_path}: 'B_time' must be a finite number or Infinity, got NaN"]
 
     def test_partial_plan_over_memory_exits_two(self, trace_path, tmp_path, capsys):
         plan_path, problem_path = tmp_path / "plan.json", tmp_path / "problem.json"

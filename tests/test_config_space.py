@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,7 +82,7 @@ class TestConfiguration:
             Configuration.from_json_dict(None)
         doc = ADAMW16.to_json_dict()
         del doc["bits"]
-        with pytest.raises(KeyError, match="bits"):
+        with pytest.raises(ValueError, match="missing key 'bits'"):
             Configuration.from_json_dict(doc)
 
 
@@ -333,7 +335,7 @@ class TestCostModel:
 
     def test_json_round_trip(self):
         cm = CostModel.static_default()
-        again = CostModel.from_json(cm.to_json())
+        again = CostModel.from_json_dict(json.loads(cm.to_json()))
         assert again.ratio_table == cm.ratio_table
         assert again.source == cm.source
 

@@ -427,5 +427,5 @@ class TestSnapshot:
         with pytest.raises(ValueError) as err:
             RawMetrics.from_json_dict(row | {key: value})
         assert str(err.value).startswith(message)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
             RawMetrics.from_json_dict({k: v for k, v in row.items() if k != key})

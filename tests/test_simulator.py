@@ -138,5 +138,5 @@ class TestProfilesFile:
     def test_bad_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[]")
-        with pytest.raises(ValueError, match="blocks"):
+        with pytest.raises(ValueError, match=r"must be an object, got \[\]"):
             load_profiles(path)

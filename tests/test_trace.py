@@ -256,6 +256,17 @@ class TestParseErrors:
         with pytest.raises(TraceParseError, match="sampling_ratio"):
             read_trace(path)
 
+    @pytest.mark.parametrize("ratio", ["0.5", True, None, -3, 1.5, ...])
+    def test_sampling_ratio_is_a_number_in_the_unit_interval(self, tmp_path, ratio):
+        header = json.loads(self._header())
+        if ratio is ...:
+            del header["sampling_ratio"]
+        else:
+            header["sampling_ratio"] = ratio
+        path = self._write(tmp_path, [json.dumps(header)])
+        with pytest.raises(TraceParseError, match="malformed header: .*'sampling_ratio'"):
+            read_trace(path)
+
     def test_malformed_record_json(self, tmp_path):
         path = self._write(tmp_path, [self._header(), "{broken"])
         _, stream = read_trace(path)
@@ -498,11 +509,12 @@ class TestStrictHeaderIntegers:
         with pytest.raises(TraceParseError, match=r"malformed header block entry: block 0: .*" + re.escape(reason)):
             read_trace(path)
 
-    @pytest.mark.parametrize("block_id, reason", [(0.7, "0.7"), (0.0, "0.0"), ("0", "'0'"), (True, "True"), ([0], "[0]")])
-    def test_non_integer_id_is_rejected(self, tmp_path, block_id, reason):
-        with pytest.raises(ValueError, match=re.escape(f"{reason} is not an integer")):
+    @pytest.mark.parametrize("block_id, shown", [(0.7, "0.7"), (0.0, "0.0"), ("0", '"0"'), (True, "true"), ([0], "[0]")])
+    def test_non_integer_id_is_rejected(self, tmp_path, block_id, shown):
+        reason = f"'id' must be a 64-bit integer, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(reason)):
             BlockSpec.from_json_dict(self._entry(id=block_id))
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"version": 3, "sampling_ratio": 0.2, "blocks": [self._entry(id=block_id)]}) + "\n")
-        with pytest.raises(TraceParseError, match=re.escape(f"malformed header block entry: {reason} is not an integer")):
+        with pytest.raises(TraceParseError, match=re.escape(f"malformed header block entry: {reason}")):
             read_trace(path)
