@@ -22,12 +22,12 @@ to dominate in (memory, time, objective) (Nemhauser & Ullmann, 1969), and
 prunes by the LP relaxation of the memory-budgeted multiple-choice knapsack
 with a Lagrangian price on the time budget (Sinha & Zoltners, 1979). Its cutoff
 is the phi of a feasible incumbent, that LP's solution rounded down and
-repaired to fit, so one pass usually proves the optimum. Before each pass,
-reduced-cost fixing (Dyer, Kayal & Walker, 1984) drops every candidate
-whose Lagrangian bound, with its block fixed to it, exceeds the cutoff. It
-proves optimality or infeasibility on any instance, with no recursion. Both
-return the lexicographically smallest assignment among those within the
-slack of the optimum.
+repaired to fit, so one pass proves the optimum; without an incumbent the
+pass has no cutoff. Before the pass, reduced-cost fixing (Dyer, Kayal &
+Walker, 1984) drops every candidate whose Lagrangian bound, with its block
+fixed to it, exceeds the cutoff. It proves optimality or infeasibility on
+any instance, with no recursion. Both return the lexicographically
+smallest assignment among those within the slack of the optimum.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ OBJECTIVE_SLACK = 1e-9
 TIME_SLACK = 1e-12
 # Evaluations of the root bound while searching for the best time price.
 _PRICE_STEPS = 64
-# When no incumbent is found, solve_exact's first cutoff lies this fraction of
-# |root bound| + 1 above the root bound; each failed round multiplies the
-# distance by _GROW. Measured on 12- to 600-block problems: the states kept
-# grow steeply with the cutoff.
-_FLOOR = 4e-3
-_GROW = 4.0
 # The bound and dominance passes skip a DP front of at most this many
 # states: on fronts this small their numpy calls cost more than the states
 # they remove. solve_exact alone on the 459 `sweep` seed-0 problems, three
@@ -241,7 +235,7 @@ class AllocationSolution:
     objective: float
     total_mem: int
     mean_time_ratio: float
-    # solve_exact: DP states kept, summed over cutoff rounds; solve_bruteforce:
+    # solve_exact: DP states kept in its one round; solve_bruteforce:
     # assignments enumerated.
     nodes_explored: int = 0
     infeasible_reason: str | None = None
@@ -769,9 +763,9 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     over the blocks' convex hulls, with the time row priced by the root
     Lagrangian multiplier; the larger of that and the unpriced bound is used.
 
-    Each pass starts with reduced-cost fixing. At each LP table's time price
-    and its root memory price, the Lagrangian bound with block i fixed to
-    candidate j is the root bound plus j's reduced cost above block i's
+    The one pass starts with reduced-cost fixing. At each LP table's time
+    price and its root memory price, the Lagrangian bound with block i fixed
+    to candidate j is the root bound plus j's reduced cost above block i's
     least; j is dropped when that exceeds the pass's limit, U plus the slack,
     for either table. Every assignment through a dropped candidate has phi
     above the limit, so the optimum and the tie rule's answer stay. The
@@ -785,15 +779,16 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     price bracket, rounded down, repaired greedily until the time row holds,
     then moved greedily to lower phi while both budgets hold.
     Every prefix of the optimum has phi plus bound at most the optimum <= U,
-    so one round keeps a leaf, and it keeps every leaf within OBJECTIVE_SLACK
-    of the optimum. When no rounding can be repaired, U starts just above
-    the root bound and grows until a round ends with a leaf whose phi is
-    <= U. Every pruned state bounds above U, so a leaf at or below U is
-    optimal. Ties break as in `solve_bruteforce`: among feasible assignments
-    within OBJECTIVE_SLACK of the optimum, the lexicographically smallest
-    (block order, then candidate index). Totals are summed in block order,
-    as the oracle sums them. `nodes_explored` counts the DP states kept,
-    the ones carried unpruned included, summed over the cutoff rounds.
+    so the round keeps a leaf, and it keeps every leaf within OBJECTIVE_SLACK
+    of the optimum; a round at U that keeps no leaf cannot happen. When no
+    rounding can be repaired, U is infinite: fixing and the bound keep
+    everything and dominance alone prunes, so the round keeps a leaf
+    exactly when the problem is feasible. Ties break as in
+    `solve_bruteforce`: among feasible assignments within OBJECTIVE_SLACK of
+    the optimum, the lexicographically smallest (block order, then
+    candidate index). Totals are summed in block order, as the oracle sums
+    them. `nodes_explored` counts the DP states kept in the round, the ones
+    carried unpruned included.
     """
     n = len(problem.blocks)
     dp = _ParetoDP(problem)
@@ -812,26 +807,18 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     if root > ceiling + 1e-9 * max(scale, abs(ceiling)):
         return _infeasible("no assignment satisfies both budgets")
 
-    nodes = 0
-    delta = _FLOOR * (1.0 + abs(root))
     incumbent = dp.incumbent()
-    cutoff = incumbent[0] if incumbent is not None else root + delta
-    while True:
-        if cutoff >= ceiling:
-            cutoff = math.inf
-        tol = 1e-9 * max(scale, abs(cutoff)) if math.isfinite(cutoff) else 0.0
-        leaves, kept = dp.run(cutoff + OBJECTIVE_SLACK + tol)
-        nodes += kept
-        if leaves is not None:
-            phis, back = leaves
-            best = float(phis.min())
-            if best <= cutoff:
-                leaf = int(np.flatnonzero(phis <= best + OBJECTIVE_SLACK)[0])
-                return _solution(problem, dp.choice(back, leaf), nodes=nodes)
-        if cutoff == math.inf:
-            return _infeasible("no assignment satisfies both budgets", nodes=nodes)
-        delta = max(delta, cutoff - root) * _GROW
-        cutoff = root + delta
+    limit = math.inf
+    if incumbent is not None:
+        limit = incumbent[0] + OBJECTIVE_SLACK + 1e-9 * max(scale, abs(incumbent[0]))
+    leaves, nodes = dp.run(limit)
+    if leaves is None:
+        if incumbent is not None:
+            raise RuntimeError("unreachable: the round at the incumbent's cutoff kept no leaf")
+        return _infeasible("no assignment satisfies both budgets", nodes=nodes)
+    phis, back = leaves
+    leaf = int(np.flatnonzero(phis <= phis.min() + OBJECTIVE_SLACK)[0])
+    return _solution(problem, dp.choice(back, leaf), nodes=nodes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -273,7 +273,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         if args.lambda_pref < 0:
             raise UsageError(f"--lambda-pref must be non-negative, got {args.lambda_pref}")
         weights = dataclasses.replace(weights, lambda_pref=args.lambda_pref)
-    for selector in list(args.exclude) + prefer:
+    for selector in list(args.exclude) + list(args.prefer):
         parse_selector(selector)  # fail fast, naming the bad selector
 
     cost_model = None if args.cost_model is None else load(args.cost_model, "--cost-model", CostModel.from_json_dict)

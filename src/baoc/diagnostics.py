@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_space import VALID_BITS
-from .documents import BadValue, json_number, json_object, naming, read
+from .documents import BadValue, json_fraction, json_number, json_object, naming, read
 from .trace import BlockSpec
 
 #: Numerical-stability constant for metric formulas.
@@ -182,11 +182,13 @@ class RawMetrics:
         """Read a `to_json_dict` row by the rules of `baoc.documents`; the row's
         ``block_id`` is not read.
 
-        The five metrics and every ``Q`` value are finite JSON numbers, ``Q``
-        an object keyed by bit-widths of `VALID_BITS` written as integers, and
-        ``steps`` an integer of at least 1. A missing key or a malformed value
-        raises a ValueError naming the key. Floats written by `to_json_dict`
-        read back bit-identical.
+        The five metrics and every ``Q`` value are finite JSON numbers in the
+        ranges `snapshot` writes: A, snr, C and F at least 0 and each ``Q`` in
+        (0, 1]; ``rho_bar`` is left unchecked, as a cosine EMA can round just
+        past 1. ``Q`` is an object keyed by bit-widths of `VALID_BITS` written
+        as integers, and ``steps`` an integer of at least 1. A missing key or
+        a malformed value raises a ValueError naming the key. Floats written
+        by `to_json_dict` read back bit-identical.
         """
         q = read(d, "Q", json_object)
         bit_keys = {str(b): b for b in VALID_BITS}
@@ -195,16 +197,23 @@ class RawMetrics:
             if key not in bit_keys:
                 raise ValueError(f"'Q' key {key!r} is not a bit-width in {VALID_BITS}")
             with naming(f"Q[{key!r}]"):
-                precision[bit_keys[key]] = json_number(value)
+                precision[bit_keys[key]] = json_fraction(value)
         return cls(
-            anisotropy=read(d, "A", json_number),
+            anisotropy=read(d, "A", _non_negative),
             direction_stability=read(d, "rho_bar", json_number),
-            snr=read(d, "snr", json_number),
-            distortion=read(d, "C", json_number),
-            structure_residual=read(d, "F", json_number),
+            snr=read(d, "snr", _non_negative),
+            distortion=read(d, "C", _non_negative),
+            structure_residual=read(d, "F", _non_negative),
             precision_cosine=precision,
             steps=read(d, "steps", _step_count),
         )
+
+
+def _non_negative(value: object) -> float:
+    number = json_number(value)
+    if number >= 0:
+        return number
+    raise BadValue("a number >= 0", value)
 
 
 def _step_count(value: object) -> int:

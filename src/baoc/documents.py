@@ -57,6 +57,14 @@ def json_number_or_inf(value: object) -> float:
     raise BadValue("a finite number or Infinity", value)
 
 
+def json_fraction(value: object) -> float:
+    """A finite number in (0, 1], such as a sampling ratio or a precision cosine."""
+    number = json_number(value)
+    if 0 < number <= 1:
+        return number
+    raise BadValue("a number in (0, 1]", value)
+
+
 def json_int(value: object) -> int:
     """A JSON integer in the 64-bit range; a float such as 2.0, a string or a bool is rejected."""
     if type(value) is int and -(2**63) <= value < 2**63:

@@ -284,7 +284,8 @@ def load_risk_config(path: str | Path) -> tuple[Anchors, RiskWeights, list[str]]
 
     Schema: {"anchors": {...}, "weights": {"w_A": ..., ...},
     "lambda_pref": ..., "prefer": ["family[:bits]", ...]}; every key optional.
-    A malformed value raises a ValueError naming the file and the key.
+    A malformed value, a bad selector included, raises a ValueError naming
+    the file and the key.
     """
     return load(path, "risk config", _risk_settings)
 
@@ -295,4 +296,11 @@ def _risk_settings(d: dict) -> tuple[Anchors, RiskWeights, list[str]]:
     with naming("'weights'"):
         terms = {k: read(w, k, json_number, 1.0) for k in ("w_A", "w_M", "w_C", "w_F", "w_Q")}
     weights = RiskWeights(**terms, lambda_pref=read(d, "lambda_pref", json_number, 0.0))
-    return anchors, weights, read_list(d, "prefer", json_str, [])
+    return anchors, weights, read_list(d, "prefer", _selector, [])
+
+
+def _selector(value: object) -> str:
+    """A "family[:bits]" string that `parse_selector` accepts."""
+    text = json_str(value)
+    parse_selector(text)
+    return text

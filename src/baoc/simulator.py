@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config_space import BlockShape
-from .documents import json_int, json_number, json_object, json_str, load, naming, read, read_list
-from .trace import BlockSpec, StepRecord, derive_seed, json_sampling_ratio
+from .documents import json_fraction, json_int, json_number, json_object, json_str, load, naming, read, read_list
+from .trace import BlockSpec, StepRecord, derive_seed
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +119,7 @@ def load_profiles(path: str | Path, default_seed: int = 0) -> tuple[list[dict], 
 
 def _block_definitions(d: dict, default_seed: int) -> tuple[list[dict], float | None]:
     blocks = read_list(d, "blocks", lambda entry: _block_definition(entry, default_seed))
-    return blocks, read(d, "sampling_ratio", json_sampling_ratio, None)
+    return blocks, read(d, "sampling_ratio", json_fraction, None)
 
 
 def _block_definition(entry: object, default_seed: int) -> dict:

@@ -37,7 +37,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config_space import BlockShape
-from .documents import BadValue, json_int, json_ints, json_number, json_str, naming, read
+from .documents import json_fraction, json_int, json_ints, json_str, naming, read
 
 TRACE_VERSION = 3
 
@@ -284,14 +284,6 @@ def write_trace(
             _emit(fh)
 
 
-def json_sampling_ratio(value: object) -> float:
-    """A sampling ratio read from a JSON document: a number in (0, 1]."""
-    ratio = json_number(value)
-    if 0 < ratio <= 1:
-        return ratio
-    raise BadValue("a number in (0, 1]", value)
-
-
 def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]:
     """Parse the header eagerly and return a lazy stream of step records.
 
@@ -319,7 +311,7 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
     if type(version) is not int or not 1 <= version <= TRACE_VERSION:
         raise TraceParseError(f"unsupported trace version {version!r}")
     try:
-        ratio = read(header, "sampling_ratio", json_sampling_ratio)
+        ratio = read(header, "sampling_ratio", json_fraction)
     except ValueError as exc:
         raise TraceParseError(f"malformed header: {exc}") from None
     try:

@@ -525,7 +525,24 @@ class TestIncumbent:
         assert incumbent_of(prob)[0] is None
         sol = assert_same_as_bruteforce(prob)
         assert sol.assignment == {0: X, 1: Z}
-        assert dp_rounds[0] < 0.5  # the first cutoff comes from the root bound
+        assert dp_rounds == [math.inf]  # one round, pruned by dominance alone
+
+    def test_a_round_at_the_incumbent_without_a_leaf_is_a_bug(self, monkeypatch):
+        prob = _solver_problem(np.random.default_rng(0), 12, 0.5, 1.0)
+        assert incumbent_of(prob)[0] is not None
+        monkeypatch.setattr(allocator._ParetoDP, "run", lambda self, limit: (None, 0))
+        with pytest.raises(RuntimeError, match="unreachable"):
+            solve_exact(prob)
+
+    # Without an incumbent the DP round is unbounded, so the benchmark's
+    # solves stay bounded only while its problems have one.
+    def test_every_sweep_shaped_problem_has_an_incumbent(self):
+        assert all(incumbent_of(prob)[0] is not None for prob in _sweep_draws(0, 459))
+
+    @pytest.mark.parametrize("mem_ratio,time_budget", itertools.product([0.3, 0.5], [1.0, 0.9]))
+    def test_three_hundred_solver_blocks_have_an_incumbent(self, mem_ratio, time_budget):
+        prob = _solver_problem(np.random.default_rng(0), 300, mem_ratio, time_budget)
+        assert incumbent_of(prob)[0] is not None
 
 
 def _draw(seed, index):
@@ -619,24 +636,13 @@ class TestReducedCostFixing:
             assert assert_same_as_bruteforce(prob).is_optimal
             assert len(dp_rounds) == 1
 
-    def test_rounds_without_an_incumbent(self, monkeypatch):
-        # Draw 560 of the seed-987654321 suite has no incumbent, so the
-        # cutoff starts at root + delta and grows; early rounds end without
-        # a leaf, one of them with each block down to a single column.
+    def test_rounds_without_an_incumbent(self, dp_rounds):
+        # Draw 560 of the seed-987654321 suite has no incumbent, so its one
+        # round is unbounded: fixing keeps every column and dominance alone prunes.
         prob = _draw(987654321, 560)
         assert incumbent_of(prob)[0] is None
-        rounds = []
-        run = allocator._ParetoDP.run
-
-        def recorded(self, limit):
-            leaves, kept = run(self, limit)
-            rounds.append(((self.valid & (self.column_bound <= limit)).sum(axis=1).tolist(), leaves is not None))
-            return leaves, kept
-
-        monkeypatch.setattr(allocator._ParetoDP, "run", recorded)
-        assert_same_as_bruteforce(prob)
-        assert len(rounds) > 1 and rounds[-1][1]
-        assert ([1, 1], False) in rounds
+        assert assert_same_as_bruteforce(prob).is_optimal
+        assert dp_rounds == [math.inf]
 
     def test_a_block_without_columns_ends_the_round(self):
         # Just below the least bound some block reaches, that block keeps no column.

@@ -361,6 +361,16 @@ MALFORMED_VALUES = [
      "'sampling_ratio' must be a finite number, got \"0.5\""),
     ("simulate", "--profile", {"sampling_ratio": 1.5, "blocks": [{"id": 0, "dims": [4]}]},
      "'sampling_ratio' must be a number in (0, 1], got 1.5"),
+    ("allocate", "--risk-config", {"prefer": [""]}, "prefer[0]: empty family in selector ''"),
+    ("allocate", "--risk-config", {"prefer": ["adamw:13"]}, "prefer[0]: bit-width in selector 'adamw:13' must be 8, 16, or 32"),
+    ("allocate", "--blocks", _handed_off(A=-5), "metrics[0]: 'A' must be a number >= 0, got -5"),
+    ("allocate", "--blocks", _handed_off(snr=-1), "metrics[0]: 'snr' must be a number >= 0, got -1"),
+    ("allocate", "--blocks", _handed_off(C=-1), "metrics[0]: 'C' must be a number >= 0, got -1"),
+    ("allocate", "--blocks", _handed_off(F=-3), "metrics[0]: 'F' must be a number >= 0, got -3"),
+    ("allocate", "--blocks", _handed_off(Q={"32": 1.0, "8": -1}), "metrics[0]: Q['8'] must be a number in (0, 1], got -1"),
+    ("allocate", "--blocks", _handed_off(Q={"32": 1.5}), "metrics[0]: Q['32'] must be a number in (0, 1], got 1.5"),
+    ("allocate", "--blocks", _handed_off(metrics=[_METRICS_ROW, dict(_METRICS_ROW, block_id=1, Q={"16": 0.0})]),
+     "metrics[1]: Q['16'] must be a number in (0, 1], got 0.0"),
 ]
 
 
