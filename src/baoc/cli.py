@@ -25,6 +25,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .allocator import (
     AllocationBuildError,
@@ -33,7 +35,7 @@ from .allocator import (
     solution_from_plan_dict,
     verify,
 )
-from .config_space import DEFAULT_POLICY, BlockShape, CostModel, measure_cost_model
+from .config_space import DEFAULT_POLICY, BlockShape, CostModel, measure_cost_model, policy_columns
 from .diagnostics import RawMetrics
 from .documents import BadValue, json_int, json_ints, json_list, json_str, load, naming, read, read_list
 from .partitioner import (
@@ -262,6 +264,14 @@ def _partition_document(doc: dict) -> tuple[list[list[int]], _Diagnosed | None]:
     return groups, None if doc.get("metrics") is None else _Diagnosed.from_json_dict(doc)
 
 
+def _grid_cost_model(doc: dict) -> CostModel:
+    """A cost model with a ratio for every configuration of the default policy grid."""
+    model = CostModel.from_json_dict(doc)
+    grid = policy_columns(DEFAULT_POLICY)
+    model.ratio_row(grid, np.ones(len(grid.configs), dtype=bool))
+    return model
+
+
 def _cmd_allocate(args: argparse.Namespace) -> int:
     _positive(args.budget_ratio, "--budget-ratio")
     _positive(args.time_budget, "--time-budget")
@@ -276,7 +286,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     for selector in list(args.exclude) + list(args.prefer):
         parse_selector(selector)  # fail fast, naming the bad selector
 
-    cost_model = None if args.cost_model is None else load(args.cost_model, "--cost-model", CostModel.from_json_dict)
+    cost_model = None if args.cost_model is None else load(args.cost_model, "--cost-model", _grid_cost_model)
     groups, diagnosed = (None, None) if args.blocks is None else load(args.blocks, "--blocks", _partition_document)
     config = RunConfig(
         budget_ratio=args.budget_ratio,

@@ -369,11 +369,12 @@ class CostModel:
             raise KeyError(f"cost model has no ratio for {key[0]}:{key[1]}") from None
 
     def ratio_row(self, grid: GridColumns, used: np.ndarray) -> np.ndarray:
-        """`ratio` of each grid configuration that `used` marks, else 0.0."""
+        """`ratio` of each grid configuration that `used` marks, else 0.0;
+        ValueError naming the first marked configuration without a ratio."""
         try:
             return np.array([self.ratio_table[key] if u else 0.0 for key, u in zip(grid.keys, used.tolist())])
         except KeyError as exc:
-            raise KeyError("cost model has no ratio for {}:{}".format(*exc.args[0])) from None
+            raise ValueError("no ratio for {}:{}".format(*exc.args[0])) from None
 
     @classmethod
     def static_default(cls, policy: CandidatePolicy = DEFAULT_POLICY) -> "CostModel":

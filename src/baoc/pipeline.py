@@ -9,8 +9,9 @@ configuration.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -156,9 +157,86 @@ def render_plan(problem: AllocationProblem, solution: AllocationSolution) -> dic
     return plan_to_json_dict(problem, solution)
 
 
+def _json_leaf(value: object) -> str:
+    """`value` as `json.dumps` writes a bool, float (numpy float64 included),
+    int, str or None: strings ASCII-escaped, non-finite floats as Infinity,
+    -Infinity and NaN."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"plan value of type {type(value).__name__} is not a JSON leaf")
+
+
+def _schema_error(d: object, keys: frozenset[str], what: str) -> ValueError:
+    """The error for `d`, which is not an object with exactly `keys`."""
+    if not isinstance(d, dict):
+        return ValueError(f"{what} is not an object")
+    extra = sorted(map(repr, d.keys() - keys))
+    if extra:
+        return ValueError(f"{what} has key {extra[0]}, which the plan schema lacks")
+    return ValueError(f"{what} lacks key {sorted(keys - d.keys())[0]!r}")
+
+
 def plan_bytes(plan: dict) -> bytes:
-    """Canonical plan serialization; identical inputs give identical bytes."""
-    return (json.dumps(plan, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """The plan document of `plan_to_json_dict` as UTF-8 bytes: exactly
+    `json.dumps(plan, sort_keys=True, indent=2) + "\n"`, written field by
+    field in sorted key order without json's pure-Python indenting encoder.
+
+    A plan, block row or block config whose keys differ from the schema
+    raises ValueError naming the key, so a new field cannot be dropped
+    silently.
+    """
+    plan_keys = frozenset(("B_mem", "B_time", "blocks", "mean_time_ratio", "objective", "status", "total_mem"))
+    if not isinstance(plan, dict) or plan.keys() != plan_keys:
+        raise _schema_error(plan, plan_keys, "plan")
+    row_keys = frozenset(("config", "id", "mem_bytes", "name", "phi", "time_ratio"))
+    config_keys = frozenset(("adaptive", "bits", "decoupled_decay", "factorized", "momentum"))
+    rows = []
+    for i, row in enumerate(plan["blocks"]):
+        if not isinstance(row, dict) or row.keys() != row_keys:
+            raise _schema_error(row, row_keys, f"plan block {i}")
+        config = row["config"]
+        if not isinstance(config, dict) or config.keys() != config_keys:
+            raise _schema_error(config, config_keys, f"plan block {i} config")
+        rows.append(
+            f"    {{\n"
+            f'      "config": {{\n'
+            f'        "adaptive": {_json_leaf(config["adaptive"])},\n'
+            f'        "bits": {_json_leaf(config["bits"])},\n'
+            f'        "decoupled_decay": {_json_leaf(config["decoupled_decay"])},\n'
+            f'        "factorized": {_json_leaf(config["factorized"])},\n'
+            f'        "momentum": {_json_leaf(config["momentum"])}\n'
+            f"      }},\n"
+            f'      "id": {_json_leaf(row["id"])},\n'
+            f'      "mem_bytes": {_json_leaf(row["mem_bytes"])},\n'
+            f'      "name": {_json_leaf(row["name"])},\n'
+            f'      "phi": {_json_leaf(row["phi"])},\n'
+            f'      "time_ratio": {_json_leaf(row["time_ratio"])}\n'
+            f"    }}"
+        )
+    blocks = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return (
+        f"{{\n"
+        f'  "B_mem": {_json_leaf(plan["B_mem"])},\n'
+        f'  "B_time": {_json_leaf(plan["B_time"])},\n'
+        f'  "blocks": {blocks},\n'
+        f'  "mean_time_ratio": {_json_leaf(plan["mean_time_ratio"])},\n'
+        f'  "objective": {_json_leaf(plan["objective"])},\n'
+        f'  "status": {_json_leaf(plan["status"])},\n'
+        f'  "total_mem": {_json_leaf(plan["total_mem"])}\n'
+        f"}}\n"
+    ).encode("utf-8")
 
 
 def run_allocation(

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from baoc.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, dispatch
+from baoc.config_space import CostModel
 from baoc.diagnostics import DiagnosticsState
 
 PROFILES = {
@@ -252,7 +253,14 @@ class TestAllocate:
         code = dispatch(["allocate", "--trace", str(trace_path), "--cost-model", str(model), "--quiet"])
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "no ratio for" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: --cost-model {model}: no ratio for ")
+        assert "'" not in err[0]
+        bench = CostModel.static_default().to_json_dict()
+        del bench["ratios"]["adafactor:16"]
+        model.write_text(json.dumps(bench))
+        code = dispatch(["allocate", "--trace", str(trace_path), "--cost-model", str(model), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: --cost-model {model}: no ratio for adafactor:16"]
 
     @pytest.mark.parametrize("flag", ["--lambda-pref", "--gamma"])
     def test_negative_weight_flag_is_one_error_line(self, flag, trace_path, capsys):

@@ -1,13 +1,14 @@
 import base64
 import gc
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from baoc.allocator import solve_bruteforce
-from baoc.config_space import ADAMW16, CandidatePolicy
+from baoc.allocator import build_problem, plan_to_json_dict, solution_from_plan_dict, solve_bruteforce, solve_exact
+from baoc.config_space import ADAMW16, CandidatePolicy, Configuration
 from baoc.pipeline import (
     AllocationInfeasibleError,
     RunConfig,
@@ -153,6 +154,89 @@ class TestRunAllocation:
             RunConfig(budget_ratio=0.0)
         with pytest.raises(ValueError):
             RunConfig(warmup_steps=1)
+
+
+def json_plan_bytes(plan):
+    return (json.dumps(plan, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def _solved_plans():
+    """One plan per feasible (memory, time) budget pair on the three-block trace."""
+    specs, records = three_block_trace(steps=40)
+    metrics = collect_metrics(specs, records)
+    plans = []
+    for ratio in (0.2, 0.3, 0.5, 0.75, 1.0, 2.0):
+        for time_budget in (0.9, 1.0, 1.3, math.inf):
+            problem = build_problem(specs, metrics, budget_ratio=ratio, time_budget=time_budget)
+            solution = solve_exact(problem)
+            if solution.is_optimal:
+                plans.append(plan_to_json_dict(problem, solution))
+    return plans
+
+
+def _assert_written_as_json(plan):
+    data = plan_bytes(plan)
+    assert data == json_plan_bytes(plan)
+    solution = solution_from_plan_dict(json.loads(data))
+    assert solution.assignment == {row["id"]: Configuration.from_json_dict(row["config"]) for row in plan["blocks"]}
+    assert (solution.objective, solution.total_mem) == (plan["objective"], plan["total_mem"])
+
+
+class TestPlanBytes:
+    def test_solved_plans_match_json_dumps(self):
+        plans = _solved_plans()
+        assert len(plans) >= 12
+        assert any(plan["B_time"] == math.inf for plan in plans)
+        for plan in plans:
+            _assert_written_as_json(plan)
+
+    @pytest.mark.parametrize(
+        "name",
+        ['quote"d', "back\\slash", "new\nline", "bell\x07 and nul\x00", "caf\u00e9", "clef \U0001d11e"],
+        ids=["quote", "backslash", "newline", "control", "e-acute", "outside-bmp"],
+    )
+    def test_block_names_are_escaped_as_json_escapes_them(self, name):
+        plan = _solved_plans()[0]
+        for row in plan["blocks"]:
+            row["name"] = f"{name}{row['id']}"
+        _assert_written_as_json(plan)
+        if name.startswith("clef"):
+            assert b"\\ud834\\udd1e" in plan_bytes(plan)
+
+    def test_leaves_of_other_float_types(self):
+        plan = _solved_plans()[0]
+        plan["B_time"] = math.inf
+        plan["objective"] = 1.0
+        plan["blocks"][0]["phi"] = np.float64(0.1) + np.float64(0.2)
+        plan["blocks"][1]["time_ratio"] = 2.0
+        data = plan_bytes(plan)
+        assert b'"B_time": Infinity' in data and b'"objective": 1.0' in data
+        assert b'"phi": 0.30000000000000004' in data
+        _assert_written_as_json(plan)
+
+    def test_non_finite_values_and_no_blocks(self):
+        plan = _solved_plans()[0]
+        plan.update(blocks=[], B_time=-math.inf, mean_time_ratio=math.nan)
+        assert plan_bytes(plan) == json_plan_bytes(plan)
+
+    def test_a_top_level_key_outside_the_schema_is_an_error(self):
+        plan = _solved_plans()[0]
+        plan["solver"] = "dp"
+        with pytest.raises(ValueError, match="plan has key 'solver'"):
+            plan_bytes(plan)
+        del plan["solver"], plan["status"]
+        with pytest.raises(ValueError, match="plan lacks key 'status'"):
+            plan_bytes(plan)
+
+    def test_a_row_key_outside_the_schema_is_an_error(self):
+        plan = _solved_plans()[0]
+        plan["blocks"][1]["shape"] = [4, 4]
+        with pytest.raises(ValueError, match="plan block 1 has key 'shape'"):
+            plan_bytes(plan)
+        del plan["blocks"][1]["shape"]
+        plan["blocks"][1]["config"]["lr"] = 0.1
+        with pytest.raises(ValueError, match="plan block 1 config has key 'lr'"):
+            plan_bytes(plan)
 
 
 class TestGrouping:
