@@ -56,6 +56,12 @@ OBJECTIVE_SLACK = 1e-9
 TIME_SLACK = 1e-12
 # Evaluations of the root bound while searching for the best time price.
 _PRICE_STEPS = 64
+# The price search stops once the root bound is within this much phi of its
+# maximum. It is absolute: a relative stop lets the bound fall short by an
+# amount that grows with N, and the DP pays for every bit of it. At N = 723
+# (memory 0.5, time 0.9) a stop at 1e-3 * |root| left the root 0.055 low and
+# the solve kept 13.6 M states against 5.7 M.
+_PRICE_GAP = 1e-3
 # The bound and dominance passes skip a DP front of at most this many
 # states: on fronts this small their numpy calls cost more than the states
 # they remove. solve_exact alone on the 459 `sweep` seed-0 problems, three
@@ -343,7 +349,10 @@ class _PricedHulls:
     every block at its minimum-memory point (`base_*`, column `start`) and
     then buys hull increments in order of cost per byte (`d_*`, sorted by
     slope, the increments of every block merged; `block` names the owner of
-    each and `to` the column it moves that block to).
+    each and `to` the column it moves that block to). With the problem's
+    `spare_mem`, the LP buys the first `taken` increments in full and the
+    fraction `frac` of the next one; `mu` is the memory price, minus that
+    increment's slope (0 when every increment fits).
     """
 
     lam: float
@@ -355,10 +364,16 @@ class _PricedHulls:
     d_mem: np.ndarray
     d_cost: np.ndarray
     d_ratio: np.ndarray
+    spare_mem: float
+    taken: int
+    frac: float
+    mu: float
 
     @classmethod
-    def build(cls, mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, lam: float) -> "_PricedHulls":
-        """Lower convex hulls of all blocks at once, by vectorized gift wrapping.
+    def build(cls, mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, lam: float, spare_mem: float) -> "_PricedHulls":
+        """Lower convex hulls of all blocks at once, by vectorized gift wrapping,
+        and the root LP's cut at `spare_mem`, the budget left after every
+        block's minimum-memory point.
 
         `mem`, `phi` and `ratio` are (blocks, columns) arrays; padding columns
         hold infinite memory and phi.
@@ -383,6 +398,13 @@ class _PricedHulls:
         d_mem = mem[block, to] - mem[block, frm]
         d_cost = cost[block, to] - cost[block, frm]
         order = np.argsort(d_cost / d_mem, kind="stable")
+        d_mem, d_cost = d_mem[order], d_cost[order]
+        cum_mem = np.cumsum(d_mem)
+        taken = int(np.searchsorted(cum_mem, spare_mem, side="right"))
+        frac, mu = 0.0, 0.0
+        if taken < d_mem.size:
+            frac = float((spare_mem - (cum_mem[taken - 1] if taken else 0.0)) / d_mem[taken])
+            mu = -float(d_cost[taken] / d_mem[taken])
         return cls(
             lam=lam,
             base_cost=np.concatenate((np.cumsum(cost[rows, start][::-1])[::-1], [0.0])),
@@ -390,65 +412,56 @@ class _PricedHulls:
             start=start,
             block=block[order],
             to=to[order],
-            d_mem=d_mem[order],
-            d_cost=d_cost[order],
+            d_mem=d_mem,
+            d_cost=d_cost,
             d_ratio=(ratio[block, to] - ratio[block, frm])[order],
+            spare_mem=spare_mem,
+            taken=taken,
+            frac=frac,
+            mu=mu,
         )
 
-    def root(self, spare_mem: float, time_cap: float) -> tuple[float, float]:
+    def root(self, time_cap: float) -> tuple[float, float]:
         """Lagrangian bound over all blocks and its slope in `lam`.
 
-        `spare_mem` is the budget left after every block's minimum-memory
-        point. The slope is the LP solution's summed ratio minus `time_cap`.
+        The slope is the LP solution's summed ratio minus `time_cap`.
         """
-        cum_mem, taken = self._taken(spare_mem)
+        taken = self.taken
         cost = float(self.base_cost[0]) + float(self.d_cost[:taken].sum())
         ratio = self.base_ratio + float(self.d_ratio[:taken].sum())
-        if taken < self.d_mem.size:
-            frac = (spare_mem - (cum_mem[taken - 1] if taken else 0.0)) / self.d_mem[taken]
-            cost += frac * float(self.d_cost[taken])
-            ratio += frac * float(self.d_ratio[taken])
+        if self.frac:
+            cost += self.frac * float(self.d_cost[taken])
+            ratio += self.frac * float(self.d_ratio[taken])
         return (cost - self.lam * time_cap if self.lam else cost), ratio - time_cap
 
-    def column_bounds(
-        self, mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, spare_mem: float, time_cap: float
-    ) -> np.ndarray:
+    def column_bounds(self, mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, time_cap: float) -> np.ndarray:
         """Lagrangian bound with each block fixed to each column, as a (blocks, columns) array.
 
-        The prices are `lam` on time and mu on memory, minus the slope of the
-        increment the root LP buys in part (0 when every increment fits).
-        With red = phi + lam * ratio + mu * (memory beyond the block's
-        minimum), the bound at the root is L = sum of each block's least red
-        - mu * `spare_mem` - lam * `time_cap`, which is `root`'s; fixing block
-        i to column j adds red[i, j] minus block i's least red. Memory counts
-        from each block's minimum, so mu never multiplies a large byte total.
-        `mem` is the int64 table with padding 0; padding has infinite phi.
+        The prices are `lam` on time and `mu` on memory. With red = phi +
+        lam * ratio + mu * (memory beyond the block's minimum), the bound at
+        the root is L = sum of each block's least red - mu * `spare_mem` -
+        lam * `time_cap`, which is `root`'s; fixing block i to column j adds
+        red[i, j] minus block i's least red. Memory counts from each block's
+        minimum, so mu never multiplies a large byte total. `mem` is the
+        int64 table with padding 0; padding has infinite phi.
         """
-        _, taken = self._taken(spare_mem)
-        mu = -float(self.d_cost[taken] / self.d_mem[taken]) if taken < self.d_mem.size else 0.0
         rows = np.arange(mem.shape[0])
-        red = phi + mu * (mem - mem[rows, self.start][:, None])
+        red = phi + self.mu * (mem - mem[rows, self.start][:, None])
         if self.lam:  # time_cap may be inf, and 0 * inf is nan
             red += self.lam * ratio
         least = red.min(axis=1)
-        root = float(least.sum()) - mu * spare_mem - (self.lam * time_cap if self.lam else 0.0)
+        root = float(least.sum()) - self.mu * self.spare_mem - (self.lam * time_cap if self.lam else 0.0)
         return root + (red - least[:, None])
 
-    def _taken(self, spare_mem: float) -> tuple[np.ndarray, int]:
-        """Cumulative increment memory, and how many increments fit in full."""
-        cum_mem = np.cumsum(self.d_mem)
-        return cum_mem, int(np.searchsorted(cum_mem, spare_mem, side="right"))
-
-    def rounded(self, spare_mem: float) -> np.ndarray:
+    def rounded(self) -> np.ndarray:
         """Column per block of the root LP solution rounded down.
 
         Each block takes the hull point its fully bought increments reach;
         the one block bought in part stays at its lower point, so the LP's
         memory row still holds.
         """
-        _, taken = self._taken(spare_mem)
         last = np.full(self.start.size, -1)
-        np.maximum.at(last, self.block[:taken], np.arange(taken))  # a block's increments come in hull order
+        np.maximum.at(last, self.block[: self.taken], np.arange(self.taken))  # a block's increments come in hull order
         cols = self.start.copy()
         cols[last >= 0] = self.to[last[last >= 0]]
         return cols
@@ -474,39 +487,57 @@ class _PricedHulls:
 def _best_price(
     mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, spare_mem: float, time_cap: float, at_zero: tuple[float, float]
 ) -> tuple[_PricedHulls, float, list[_PricedHulls]]:
-    """The time price that maximizes the root bound: its table, the bound,
-    and the tables at the two ends of the final price bracket.
+    """A time price whose root bound is within `_PRICE_GAP` of the largest:
+    its table, that bound, and the tables at the two ends of the final price
+    bracket.
 
     The bound is concave and piecewise linear in the price, with slope
     (LP summed ratio - time_cap); `at_zero` is (bound, slope) at price 0,
-    where the slope is positive. The price grows fourfold until the slope
-    turns non-positive. Then the tangent lines at the bracket's two ends are
-    intersected: either the bound reaches the intersection, which makes it
-    the maximum, or the new point replaces the end whose slope sign it shares.
-    The maximum sits on a kink, where the LP has two solutions; the bracket's
-    ends hold one each (the price-0 end has no table here).
+    where the slope is positive.
+
+    - Start at an eighth of ptp(phi) / ptp(ratio), the price at which the
+      whole spread of ratios is worth the whole spread of phi. That price
+      itself overshoots: over 242 `sweep`-shaped problems the maximum sits
+      at 0.001-0.46 of it, with median 0.11.
+    - While the slope stays positive, go where the line through the last
+      two slopes reaches 0, at 2 to 16 times the current price.
+    - Once a point with a non-positive slope brackets the maximum, go where
+      the tangent lines at the bracket's two ends meet (Kelley, 1960); the
+      point there replaces the end whose slope sign it shares.
+    - The height where those tangents meet bounds the maximum from above.
+      Stop once it is within `_PRICE_GAP` of the best bound found.
+
+    Any price gives a valid Lagrangian lower bound, and the DP keeps every
+    assignment whose phi plus bound is within its limit. So where the search
+    stops changes how much the DP prunes, never its answer or the tie
+    rule's. The maximum sits on a kink, where the LP has two solutions; the
+    bracket's ends hold one each (the price-0 end has no table here), and
+    `_ParetoDP.incumbent` rounds both.
     """
     finite = np.isfinite(phi)
-    lam = max(float(np.ptp(phi[finite])), 1e-12) / max(float(np.ptp(ratio[finite])), 1e-12)
+    lam = max(float(np.ptp(phi[finite])), 1e-12) / max(float(np.ptp(ratio[finite])), 1e-12) / 8.0
     lo, hi = (0.0, *at_zero, None), None
-    best_table, best = None, -math.inf
+    best_table, best, top = None, -math.inf, math.inf
     for _ in range(_PRICE_STEPS):
-        table = _PricedHulls.build(mem, phi, ratio, lam)
-        g, s = table.root(spare_mem, time_cap)
+        table = _PricedHulls.build(mem, phi, ratio, lam, spare_mem)
+        g, s = table.root(time_cap)
         if g > best:
             best_table, best = table, g
-        if hi is not None and g >= lo[1] + lo[2] * (lam - lo[0]) - 1e-12 * max(1.0, abs(g)):
+        if best >= top - _PRICE_GAP:
             break
-        if s > 0:
-            lo = (lam, g, s, table)
-        else:
+        if s <= 0:
             hi = (lam, g, s, table)
-        if hi is None:
-            lam *= 4.0
+        elif hi is None:
+            l0, s0 = lo[0], lo[2]
+            zero = lam + s * (lam - l0) / (s0 - s) if s0 > s else math.inf
+            lo, lam = (lam, g, s, table), min(max(zero, 2.0 * lam), 16.0 * lam)
             continue
+        else:
+            lo = (lam, g, s, table)
         (l0, g0, s0, _), (l1, g1, s1, _) = lo, hi
         lam = (g1 - s1 * l1 - g0 + s0 * l0) / (s0 - s1)
-        if not l0 < lam < l1:
+        top = g0 + s0 * (lam - l0)
+        if not l0 < lam < l1 or best >= top - _PRICE_GAP:
             break
     ends = [end[3] for end in (lo, hi) if end is not None and end[3] is not None]
     return best_table, best, ends
@@ -598,12 +629,12 @@ class _ParetoDP:
         self.column_bound = np.zeros_like(self.pad_phi)  # the tables' largest bound with a block fixed to a column
 
     def root_bound(self) -> float:
-        """Build the LP tables (price 0, and the best time price when the
-        time row binds the LP), fill `column_bound` from them and return the
+        """Build the LP tables (price 0, and `_best_price`'s when the time
+        row binds the LP), fill `column_bound` from them and return the
         larger root bound. The column bounds take the time cap with the
         margin, as the states' bounds do."""
-        table = _PricedHulls.build(self.pad_mem, self.pad_phi, self.pad_ratio, 0.0)
-        root, slope = table.root(self.spare_mem, self.time_cap)
+        table = _PricedHulls.build(self.pad_mem, self.pad_phi, self.pad_ratio, 0.0, self.spare_mem)
+        root, slope = table.root(self.time_cap)
         self.tables, self.bracket = [table], []
         if math.isfinite(self.time_cap) and slope > 0:
             table, priced, self.bracket = _best_price(
@@ -613,7 +644,7 @@ class _ParetoDP:
             root = max(root, priced)
         cap = self.time_cap + self.margin
         self.column_bound = np.max(
-            [t.column_bounds(self.mem_table, self.pad_phi, self.pad_ratio, self.spare_mem, cap) for t in self.tables],
+            [t.column_bounds(self.mem_table, self.pad_phi, self.pad_ratio, cap) for t in self.tables],
             axis=0,
         )
         return root
@@ -629,7 +660,7 @@ class _ParetoDP:
         best = None
         tried: list[np.ndarray] = []
         for table in self.tables + self.bracket:
-            start = table.rounded(self.spare_mem)
+            start = table.rounded()
             if any(np.array_equal(start, other) for other in tried):
                 continue
             tried.append(start)
@@ -760,8 +791,11 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     even at their minimum, (b) its phi plus an LP lower bound on the
     undecided blocks exceeds the cutoff U, or (c) another state dominates it
     (see `_undominated`). The bound is the LP relaxation of the memory row
-    over the blocks' convex hulls, with the time row priced by the root
-    Lagrangian multiplier; the larger of that and the unpriced bound is used.
+    over the blocks' convex hulls, with the time row priced by a Lagrangian
+    multiplier; the larger of that and the unpriced bound is used. The
+    multiplier's root bound is within `_PRICE_GAP` of the best one
+    (`_best_price`); any multiplier gives a valid bound, so one short of the
+    best only prunes less.
 
     The one pass starts with reduced-cost fixing. At each LP table's time
     price and its root memory price, the Lagrangian bound with block i fixed

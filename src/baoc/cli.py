@@ -370,6 +370,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         shape = BlockShape(dims)
     except ValueError:
         raise UsageError(f"--dims must look like 256x256, got {args.dims!r}") from None
+    # `allocate --cost-model` needs a ratio for every configuration of the
+    # policy grid, and the factorized kernels only run on such a shape.
+    if not shape.supports_factorized:
+        raise UsageError(f"--dims needs two trailing axes longer than 1 to time factorized updates, got {args.dims!r}")
     _log(args, f"timing update kernels on shape {dims} ({args.reps} reps each)")
     model = measure_cost_model(shape, repetitions=args.reps)
     _write_output(model.to_json(), args.out)

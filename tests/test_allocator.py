@@ -404,8 +404,19 @@ def incumbent_of(prob):
     LP solution broke the time row."""
     dp = allocator._ParetoDP(prob)
     dp.root_bound()
-    broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded(dp.spare_mem)].sum() / dp.n > dp.mean_cap for t in dp.tables)
+    broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded()].sum() / dp.n > dp.mean_cap for t in dp.tables)
     return dp.incumbent(), broken
+
+
+def _bracket_problem():
+    """Two blocks whose priced root LP has its maximum on a kink: block 0's
+    increment (X to Y) and block 1's (X to Z) tie at the best time price."""
+    blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+    cands = (
+        (Candidate(X, 1.0, 0, 2.0), Candidate(Y, 0.0, 100, 2.0)),
+        (Candidate(X, 0.0, 0, 2.0), Candidate(Z, 1.0, 100, 0.5)),
+    )
+    return AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.25)
 
 
 @pytest.fixture
@@ -487,12 +498,7 @@ class TestIncumbent:
         # at the best price buys block 0's increment, which breaks the time
         # row and cannot be repaired; the bracket's upper end buys block 1's,
         # which rounds to the optimum (X, Z).
-        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
-        cands = (
-            (Candidate(X, 1.0, 0, 2.0), Candidate(Y, 0.0, 100, 2.0)),
-            (Candidate(X, 0.0, 0, 2.0), Candidate(Z, 1.0, 100, 0.5)),
-        )
-        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=100, time_budget=1.25)
+        prob = _bracket_problem()
         (value, cols), _ = incumbent_of(prob)
         assert allocator._solution(prob, cols, nodes=0).assignment == {0: X, 1: Z}
         assert value == 2.0
@@ -582,6 +588,19 @@ def _sweep_draws(seed, count):
     ]
 
 
+def _highs_rows(prob):
+    """The problem over its usable cells for HiGHS: phi, the one-per-block
+    equality rows, and the memory and mean time-ratio rows with their caps.
+    Memory is scaled by the budget, so HiGHS's tolerances act on a row of
+    order 1; time is capped as `_ParetoDP` caps it."""
+    n = len(prob.blocks)
+    rows, cols = np.nonzero(prob.usable_mask)
+    one_each = np.zeros((n, rows.size))
+    one_each[rows, np.arange(rows.size)] = 1.0
+    budget_rows = np.vstack((prob.mem[rows, cols] / prob.mem_budget, prob.ratio[rows, cols] / n))
+    return prob.phi[rows, cols], one_each, budget_rows, np.array([1.0, prob.time_budget + allocator.TIME_SLACK])
+
+
 class TestReducedCostFixing:
     """`_ParetoDP.run` drops the columns whose Lagrangian bound exceeds its limit."""
 
@@ -604,8 +623,8 @@ class TestReducedCostFixing:
         dp = allocator._ParetoDP(prob)
         dp.root_bound()
         for table in dp.tables:
-            bounds = table.column_bounds(dp.mem_table, dp.pad_phi, dp.pad_ratio, dp.spare_mem, dp.time_cap)
-            root = table.root(dp.spare_mem, dp.time_cap)[0]
+            bounds = table.column_bounds(dp.mem_table, dp.pad_phi, dp.pad_ratio, dp.time_cap)
+            root = table.root(dp.time_cap)[0]
             scale = max(1.0, table.lam * abs(dp.time_cap)) if table.lam else 1.0
             assert np.abs(bounds.min(axis=1) - root).max() <= 1e-9 * scale
 
@@ -659,28 +678,72 @@ class TestReducedCostFixing:
         # row binds the root LP; at 0.5 it also moves the optimum.
         from scipy.optimize import Bounds, LinearConstraint, milp
 
-        n = 300
-        prob = _solver_problem(np.random.default_rng(0), n, mem_ratio, 0.9)
+        prob = _solver_problem(np.random.default_rng(0), 300, mem_ratio, 0.9)
         sol = solve_exact(prob)
         assert sol.is_optimal and verify(prob, sol).ok
 
-        rows, cols = np.nonzero(prob.usable_mask)
-        one_each = np.zeros((n, rows.size))
-        one_each[rows, np.arange(rows.size)] = 1.0
+        c, one_each, budget_rows, caps = _highs_rows(prob)
         res = milp(
-            c=prob.phi[rows, cols],
-            constraints=[
-                LinearConstraint(one_each, 1, 1),
-                # Scaled by the budget, so HiGHS's tolerances act on a row of order 1.
-                LinearConstraint(prob.mem[rows, cols][None, :] / prob.mem_budget, -np.inf, 1.0),
-                LinearConstraint(prob.ratio[rows, cols][None, :] / n, -np.inf, 0.9 + allocator.TIME_SLACK),
-            ],
-            integrality=np.ones(rows.size),
+            c=c,
+            constraints=[LinearConstraint(one_each, 1, 1), LinearConstraint(budget_rows, -np.inf, caps)],
+            integrality=np.ones(c.size),
             bounds=Bounds(0, 1),
             options={"mip_rel_gap": 0.0},
         )
         assert res.status == 0
         assert abs(sol.objective - float(res.fun)) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def priced_sweep_draws():
+    """The `_sweep_draws(0, 459)` problems whose time row binds the price-0 LP,
+    so that `_best_price` searches for a time price."""
+    priced = []
+    for prob in _sweep_draws(0, 459):
+        dp = allocator._ParetoDP(prob)
+        dp.root_bound()
+        if len(dp.tables) > 1:
+            priced.append(prob)
+    return priced
+
+
+class TestRootPrice:
+    """`_best_price` ends near the LP optimum after few hull builds."""
+
+    @staticmethod
+    def _lp_optimum(prob):
+        """HiGHS's optimum of the LP relaxation with both budget rows."""
+        from scipy.optimize import linprog
+
+        c, one_each, budget_rows, caps = _highs_rows(prob)
+        res = linprog(c, A_ub=budget_rows, b_ub=caps, A_eq=one_each, b_eq=np.ones(len(one_each)), bounds=(0, 1),
+                      method="highs")
+        assert res.status == 0
+        return float(res.fun)
+
+    def test_root_bound_against_highs(self, priced_sweep_draws):
+        assert len(priced_sweep_draws) > 100
+        for prob in priced_sweep_draws + [_bracket_problem()]:
+            dp = allocator._ParetoDP(prob)
+            root = dp.root_bound()
+            lp = self._lp_optimum(prob)
+            assert root <= lp + 1e-9 * max(1.0, abs(lp))  # weak duality; above it the DP would prune the optimum
+            assert root >= lp - allocator._PRICE_GAP
+
+    def test_priced_problems_take_few_hull_builds(self, priced_sweep_draws, monkeypatch):
+        lams = []
+        build = allocator._PricedHulls.build.__func__
+
+        def counted(cls, mem, phi, ratio, lam, *rest):
+            lams.append(lam)
+            return build(cls, mem, phi, ratio, lam, *rest)
+
+        monkeypatch.setattr(allocator._PricedHulls, "build", classmethod(counted))
+        for prob in priced_sweep_draws:
+            allocator._ParetoDP(prob).root_bound()
+        assert lams.count(0.0) == len(priced_sweep_draws)
+        # 4.55 on these draws; starting at ptp(phi) / ptp(ratio) and growing fourfold took 6.78.
+        assert (len(lams) - lams.count(0.0)) / len(priced_sweep_draws) <= 4.6
 
 
 class TestSmallFrontGate:

@@ -775,6 +775,16 @@ class TestBench:
         assert dispatch(["bench", "--dims", "banana"]) == EXIT_INPUT_ERROR
         assert "--dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ["256", "256x1", "1x256"])
+    def test_dims_that_cannot_factorize(self, dims, tmp_path, capsys):
+        # Such a model would lack the factorized ratios `allocate --cost-model` needs.
+        out = tmp_path / "cost.json"
+        assert dispatch(["bench", "--dims", dims, "--reps", "1", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --dims needs two trailing axes longer than 1 to time factorized updates, got {dims!r}"
+        ]
+        assert not out.exists()
+
     def test_zero_reps(self, capsys):
         assert dispatch(["bench", "--reps", "0"]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
