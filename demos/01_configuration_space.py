@@ -8,9 +8,11 @@ import numpy as np
 from baoc import (
     ADAMW16,
     BlockShape,
-    CandidatePolicy,
     CostModel,
+    ProblemBlock,
+    RiskSignals,
     aggressiveness,
+    build_problem,
     enumerate_candidates,
     state_bytes,
 )
@@ -26,8 +28,12 @@ print("== Candidate grid ==")
 print(f"matrix block {matrix.dims}: {len(enumerate_candidates(matrix))} candidates")
 print(f"vector block {vector.dims}: {len(enumerate_candidates(vector))} candidates "
       "(factorized entries need two non-degenerate axes)")
-no8 = CandidatePolicy(bits=(32, 16))
-print(f"matrix block without 8-bit states: {len(enumerate_candidates(matrix, no8))} candidates")
+# `exclude` selectors (`baoc allocate --exclude FAMILY[:BITS]`) narrow the
+# grid; without 8-bit states the diagnostics need no 8-bit precision signal.
+no8 = [f"{family}:8" for family in ("adamw", "adam", "sgdm", "sgdwm", "adafactor")]
+signals = RiskSignals(geometry=0.5, momentum=0.5, distortion=0.5, structure=0.5, precision={32: 0.0, 16: 0.01})
+problem = build_problem([ProblemBlock(0, "matrix", (matrix,))], {}, signals={0: signals}, exclude=no8)
+print(f"matrix block without 8-bit states: {len(problem.configs[0])} candidates")
 
 # State memory is exactly the persistent optimizer-owned buffers: one tensor
 # per kept moment, or row+column vectors when factorized, at bits/8 bytes per

@@ -28,7 +28,6 @@ from .config_space import (
     ADAMW16,
     ADAMW32,
     BlockShape,
-    CandidatePolicy,
     Configuration,
     CostModel,
     InvalidConfigurationError,

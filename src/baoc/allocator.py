@@ -10,7 +10,7 @@ An `AllocationProblem` holds the candidates as one padded (blocks x columns)
 table: each block's configuration tuple names its columns, and float64 phi,
 int64 state bytes and float64 time ratio arrays hold their costs, with a
 mask of the columns a solution may use. `build_problem` fills the table in
-array passes over blocks x the policy grid; the solvers, `verify` and the
+array passes over blocks x the candidate grid; the solvers, `verify` and the
 plan document read it directly. `Candidate` objects are a view, built only
 when `AllocationProblem.candidates` is read.
 
@@ -39,15 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config_space import (
-    BlockShape,
-    CandidatePolicy,
-    Configuration,
-    CostModel,
-    DEFAULT_POLICY,
-    policy_columns,
-    state_bytes_table,
-)
+from .config_space import GRID, BlockShape, Configuration, CostModel, state_bytes_table
 from .diagnostics import RawMetrics
 from .documents import json_int, json_number, json_number_or_inf, json_str, read, read_list
 from .risk import Anchors, RiskSignals, RiskWeights, expand_selectors, phi_table, signals_from_metrics
@@ -484,8 +476,20 @@ class _PricedHulls:
         return value
 
 
+def _rounding(lam: float, time_cap: float, value: float) -> float:
+    """How far a root bound at time price `lam` may pass `value` by rounding alone."""
+    scale = max(1.0, lam * abs(time_cap)) if lam else 1.0  # of the bound's terms; time_cap may be inf at price 0
+    return 1e-9 * max(scale, abs(value))
+
+
 def _best_price(
-    mem: np.ndarray, phi: np.ndarray, ratio: np.ndarray, spare_mem: float, time_cap: float, at_zero: tuple[float, float]
+    mem: np.ndarray,
+    phi: np.ndarray,
+    ratio: np.ndarray,
+    spare_mem: float,
+    time_cap: float,
+    at_zero: tuple[float, float],
+    ceiling: float,
 ) -> tuple[_PricedHulls, float, list[_PricedHulls]]:
     """A time price whose root bound is within `_PRICE_GAP` of the largest:
     its table, that bound, and the tables at the two ends of the final price
@@ -506,6 +510,11 @@ def _best_price(
       point there replaces the end whose slope sign it shares.
     - The height where those tangents meet bounds the maximum from above.
       Stop once it is within `_PRICE_GAP` of the best bound found.
+    - Stop as soon as the best bound passes `ceiling`, the sum of each
+      block's largest usable phi, by more than `_rounding`: no assignment
+      fits the budgets then, and `solve_exact` says so from that bound.
+      On such a problem the slope never turns and the bound grows without
+      limit, so without this stop the search takes every step.
 
     Any price gives a valid Lagrangian lower bound, and the DP keeps every
     assignment whose phi plus bound is within its limit. So where the search
@@ -523,7 +532,7 @@ def _best_price(
         g, s = table.root(time_cap)
         if g > best:
             best_table, best = table, g
-        if best >= top - _PRICE_GAP:
+        if best >= top - _PRICE_GAP or best > ceiling + _rounding(best_table.lam, time_cap, ceiling):
             break
         if s <= 0:
             hi = (lam, g, s, table)
@@ -615,6 +624,8 @@ class _ParetoDP:
         self.pad_phi = np.where(valid, problem.phi, np.inf)
         self.pad_ratio = np.where(valid, problem.ratio, 0.0)
         self.pad_mem = np.where(valid, problem.mem, np.inf)
+        # No assignment has more phi than each block's largest, summed.
+        self.ceiling = float(sum(np.where(valid, problem.phi, -np.inf).max(axis=1).tolist()))
 
         def suffix_sums(values: np.ndarray) -> np.ndarray:
             return np.concatenate((np.cumsum(values[::-1])[::-1], np.zeros(1, values.dtype)))
@@ -638,7 +649,7 @@ class _ParetoDP:
         self.tables, self.bracket = [table], []
         if math.isfinite(self.time_cap) and slope > 0:
             table, priced, self.bracket = _best_price(
-                self.pad_mem, self.pad_phi, self.pad_ratio, self.spare_mem, self.time_cap, (root, slope)
+                self.pad_mem, self.pad_phi, self.pad_ratio, self.spare_mem, self.time_cap, (root, slope), self.ceiling
             )
             self.tables.append(table)
             root = max(root, priced)
@@ -836,15 +847,13 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
         )
     root = dp.root_bound()
     lam = max(t.lam for t in dp.tables)
-    scale = max(1.0, lam * abs(dp.time_cap)) if lam else 1.0  # of a bound's terms, for its rounding tolerance
-    ceiling = float(sum(np.where(dp.valid, dp.pad_phi, -np.inf).max(axis=1).tolist()))
-    if root > ceiling + 1e-9 * max(scale, abs(ceiling)):
+    if root > dp.ceiling + _rounding(lam, dp.time_cap, dp.ceiling):
         return _infeasible("no assignment satisfies both budgets")
 
     incumbent = dp.incumbent()
     limit = math.inf
     if incumbent is not None:
-        limit = incumbent[0] + OBJECTIVE_SLACK + 1e-9 * max(scale, abs(incumbent[0]))
+        limit = incumbent[0] + OBJECTIVE_SLACK + _rounding(lam, dp.time_cap, incumbent[0])
     leaves, nodes = dp.run(limit)
     if leaves is None:
         if incumbent is not None:
@@ -972,7 +981,6 @@ def build_problem(
     budget_ratio: float = 0.5,
     time_budget: float = 1.3,
     gamma: float = 0.1,
-    policy: CandidatePolicy = DEFAULT_POLICY,
     exclude: Iterable[str] = (),
     prefer: Iterable[str] = (),
     signals: Mapping[int, RiskSignals] | None = None,
@@ -982,10 +990,11 @@ def build_problem(
     The memory budget is `budget_ratio` times the AdamW16 state bytes of the
     whole block list, rounded to integer bytes. `exclude`/`prefer` take
     family[:bits] selectors; excluded configurations are removed from the
-    candidate lists and recorded per block. `signals` may be passed directly
-    to bypass metric normalization (block id -> RiskSignals).
+    candidate lists and recorded per block, and are the one way to narrow
+    the grid. `signals` may be passed directly to bypass metric
+    normalization (block id -> RiskSignals).
 
-    The table is filled in array passes over blocks x policy grid (phi,
+    The table is filled in array passes over blocks x candidate grid (phi,
     state bytes, ratio) and then gathered into each block's columns: the
     unexcluded grid, without the factorized configurations when one of the
     block's shapes cannot factorize.
@@ -994,20 +1003,19 @@ def build_problem(
         raise AllocationBuildError("need at least one block")
     if not 0 < budget_ratio < math.inf:
         raise AllocationBuildError(f"budget ratio must be positive and finite, got {budget_ratio}")
-    cost_model = cost_model or CostModel.static_default(policy)
+    cost_model = cost_model or CostModel.static_default()
 
     descriptors = [  # ProblemBlock or trace.BlockSpec
         b if isinstance(b, ProblemBlock) else ProblemBlock(id=b.id, name=b.name, shapes=(b.shape,)) for b in blocks
     ]
 
-    # Selectors are matched once, on the policy grid; each block's grid is a
-    # subset of it, and phi never sees a preferred configuration outside it.
-    grid = policy_columns(policy)
-    banned = expand_selectors(exclude, grid.configs)
-    keep = np.array([c not in banned for c in grid.configs], dtype=bool)
+    # Selectors are matched once, on the candidate grid; each block's grid is
+    # a subset of it, and phi never sees a preferred configuration outside it.
+    banned = expand_selectors(exclude, GRID.configs)
+    keep = np.array([c not in banned for c in GRID.configs], dtype=bool)
     prefer = tuple(prefer)
     if prefer:
-        weights = replace(weights, pref_set=weights.pref_set | expand_selectors(prefer, grid.configs))
+        weights = replace(weights, pref_set=weights.pref_set | expand_selectors(prefer, GRID.configs))
 
     block_signals, params, whole, factors = [], [], [], []
     for d in descriptors:
@@ -1033,8 +1041,8 @@ def build_problem(
     mem_budget = int(round(budget_ratio * (4 * total)))  # AdamW16: two 2-byte tensors per parameter
 
     # The grid columns a block takes, keyed by whether it factorizes.
-    cols = {f: np.flatnonzero(keep & (f | ~grid.factorized)) for f in set(whole)}
-    configs = {f: tuple(grid.configs[j] for j in c.tolist()) for f, c in cols.items()}
+    cols = {f: np.flatnonzero(keep & (f | ~GRID.factorized)) for f in set(whole)}
+    configs = {f: tuple(GRID.configs[j] for j in c.tolist()) for f, c in cols.items()}
     excluded = {True: banned, False: frozenset(c for c in banned if not c.factorized)}
     width = max(c.size for c in cols.values())
     factorizes = np.array(whole, dtype=bool).reshape(-1, 1)
@@ -1042,11 +1050,11 @@ def build_problem(
     for f, c in cols.items():
         index[factorizes[:, 0] == f, : c.size] = c
     valid = np.arange(width) < np.array([cols[f].size for f in whole]).reshape(-1, 1)
-    used = keep & (factorizes | ~grid.factorized)
+    used = keep & (factorizes | ~GRID.factorized)
     rows = np.arange(len(whole)).reshape(-1, 1)
-    phi = phi_table(grid, block_signals, weights, gamma, used)[rows, index]
-    mem = state_bytes_table(grid, np.array(params, dtype=np.int64), np.array(factors, dtype=np.int64))[rows, index]
-    ratio = cost_model.ratio_row(grid, used.any(axis=0))[index]
+    phi = phi_table(block_signals, weights, gamma, used)[rows, index]
+    mem = state_bytes_table(np.array(params, dtype=np.int64), np.array(factors, dtype=np.int64))[rows, index]
+    ratio = cost_model.ratio_row(used.any(axis=0))[index]
     return AllocationProblem(
         blocks=tuple(descriptors),
         configs=tuple(configs[f] for f in whole),

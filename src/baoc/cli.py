@@ -11,7 +11,7 @@ for the whole trace); and `metrics`, one `diagnose` row per traced unit.
 `allocate --blocks B --trace T` reuses those metrics, reading only T's
 header, when T's sha256 matches, its --warmup-steps equals the stamped
 window, and the rows cover every unit in T's header with exactly the
-precision bits the candidates need. Otherwise it diagnoses T itself, and
+precision bits of the candidate grid. Otherwise it diagnoses T itself, and
 its log says why the document's metrics were not used.
 """
 
@@ -35,7 +35,7 @@ from .allocator import (
     solution_from_plan_dict,
     verify,
 )
-from .config_space import DEFAULT_POLICY, BlockShape, CostModel, measure_cost_model, policy_columns
+from .config_space import GRID, VALID_BITS, BlockShape, CostModel, measure_cost_model
 from .diagnostics import RawMetrics
 from .documents import BadValue, json_int, json_ints, json_list, json_str, load, naming, read, read_list
 from .partitioner import (
@@ -45,7 +45,7 @@ from .partitioner import (
     partition,
     partition_to_json_dict,
 )
-from .pipeline import AllocationInfeasibleError, RunConfig, collect_metrics, metric_bits, plan_bytes, run_allocation
+from .pipeline import AllocationInfeasibleError, RunConfig, collect_metrics, plan_bytes, run_allocation
 from .risk import Anchors, RiskWeights, load_risk_config, parse_selector, signals_from_metrics
 from .simulator import generate_stream, load_profiles
 from .trace import BlockSpec, TraceParseError, read_trace, write_trace
@@ -231,7 +231,7 @@ class _Diagnosed:
                 raise ValueError(f"'metrics' comes without '{key}'")
         return cls(read(doc, "trace_sha256", json_str), read(doc, "warmup_steps", _window_steps), metrics)
 
-    def mismatch(self, trace: str, warmup_steps: int | None, specs: list[BlockSpec], bits: tuple[int, ...]) -> str:
+    def mismatch(self, trace: str, warmup_steps: int | None, specs: list[BlockSpec]) -> str:
         """Why these metrics are not the ones `allocate` would diagnose; "" when they are."""
         if self.warmup_steps != warmup_steps:
             return f"they cover {_window(self.warmup_steps)}, --warmup-steps asks for {_window(warmup_steps)}"
@@ -242,9 +242,9 @@ class _Diagnosed:
         if set(self.metrics) != ids:
             missing, extra = sorted(ids - set(self.metrics)), sorted(set(self.metrics) - ids)
             return f"the rows lack units {missing} and add units {extra}"
-        wrong = [i for i in sorted(ids) if set(self.metrics[i].precision_cosine) != set(bits)]
+        wrong = [i for i in sorted(ids) if set(self.metrics[i].precision_cosine) != set(VALID_BITS)]
         if wrong:
-            return f"the rows of units {wrong} do not carry exactly the bits {list(bits)}"
+            return f"the rows of units {wrong} do not carry exactly the bits {list(VALID_BITS)}"
         return ""
 
 
@@ -265,10 +265,9 @@ def _partition_document(doc: dict) -> tuple[list[list[int]], _Diagnosed | None]:
 
 
 def _grid_cost_model(doc: dict) -> CostModel:
-    """A cost model with a ratio for every configuration of the default policy grid."""
+    """A cost model with a ratio for every configuration of the candidate grid."""
     model = CostModel.from_json_dict(doc)
-    grid = policy_columns(DEFAULT_POLICY)
-    model.ratio_row(grid, np.ones(len(grid.configs), dtype=bool))
+    model.ratio_row(np.ones(len(GRID.configs), dtype=bool))
     return model
 
 
@@ -302,7 +301,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     specs, records = read_trace(args.trace)
     metrics, reason = None, ""
     if diagnosed is not None:
-        reason = diagnosed.mismatch(args.trace, config.warmup_steps, specs, metric_bits(config.policy))
+        reason = diagnosed.mismatch(args.trace, config.warmup_steps, specs)
         metrics = None if reason else diagnosed.metrics
     result = run_allocation(config, (specs, records), groups=groups, metrics=metrics)
     if metrics is not None:
@@ -347,7 +346,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 f"but the trace's block {unit.id} has dims {list(traced[unit.id].dims)}"
             )
     digest = _file_sha256(args.trace)
-    metrics = collect_metrics(specs, records, bits=metric_bits(DEFAULT_POLICY), max_steps=args.warmup_steps)
+    metrics = collect_metrics(specs, records, max_steps=args.warmup_steps)
     signals = {u.id: signals_from_metrics(metrics[u.id], anchors) for u in units}
     params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
     tau = compute_tau(units, signals, params)
@@ -371,7 +370,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"--dims must look like 256x256, got {args.dims!r}") from None
     # `allocate --cost-model` needs a ratio for every configuration of the
-    # policy grid, and the factorized kernels only run on such a shape.
+    # candidate grid, and the factorized kernels only run on such a shape.
     if not shape.supports_factorized:
         raise UsageError(f"--dims needs two trailing axes longer than 1 to time factorized updates, got {args.dims!r}")
     _log(args, f"timing update kernels on shape {dims} ({args.reps} reps each)")

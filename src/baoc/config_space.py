@@ -10,7 +10,6 @@ one-step update-time ratios normalized to AdamW16.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import statistics
@@ -25,10 +24,8 @@ from .documents import json_bool, json_int, json_ints, json_number, json_object,
 
 VALID_BITS = (32, 16, 8)
 
-#: Families enumerated by default: AdamW, Adam, SGD, SGD+momentum, SGDW,
+#: The families of the candidate grid: AdamW, Adam, SGD, SGD+momentum, SGDW,
 #: SGDW+momentum, Adafactor. Stateless families carry no bit-width axis.
-DEFAULT_FAMILIES = ("adamw", "adam", "sgd", "sgdm", "sgdw", "sgdwm", "adafactor")
-
 _FAMILY_FLAGS = {
     # family -> (adaptive, momentum, decoupled_decay, factorized)
     "adamw": (True, True, True, False),
@@ -169,45 +166,10 @@ class BlockShape:
         return math.prod(self.dims[:-2]) * (self.dims[-2] + self.dims[-1])
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePolicy:
-    """Which families and bit-widths enter the candidate grid."""
-
-    families: tuple[str, ...] = DEFAULT_FAMILIES
-    bits: tuple[int, ...] = VALID_BITS
-
-    def __post_init__(self) -> None:
-        # Lists are stored as tuples, so a policy is hashable and keys the grid cache.
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "bits", tuple(self.bits))
-        unknown = [f for f in self.families if f not in _FAMILY_FLAGS]
-        if unknown:
-            raise InvalidConfigurationError(f"unknown families {unknown}")
-        bad = [b for b in self.bits if b not in VALID_BITS]
-        if bad:
-            raise InvalidConfigurationError(f"unsupported bit-widths {bad}")
-
-
-DEFAULT_POLICY = CandidatePolicy()
-
-
-@functools.lru_cache(maxsize=32)
-def policy_grid(policy: CandidatePolicy) -> tuple[Configuration, ...]:
-    """Every configuration `policy` admits, in conservative-first canonical order;
-    built once per policy. Stateless families collapse the bit-width axis into
-    one 32-bit entry; shapes that cannot factorize drop the factorized entries.
-    """
-    out: set[Configuration] = set()
-    for fam in policy.families:
-        a, m, d, f = _FAMILY_FLAGS[fam]
-        out.update(Configuration(a, m, d, f, bits) for bits in ((32,) if not a and not m else policy.bits))
-    return tuple(sorted(out, key=Configuration.sort_key))
-
-
 @dataclass(frozen=True, eq=False)
 class GridColumns:
-    """A policy grid with each configuration attribute as a read-only array,
-    one entry per configuration in grid order."""
+    """The candidate grid with each configuration attribute as a read-only
+    array, one entry per configuration in grid order."""
 
     configs: tuple[Configuration, ...]
     keys: tuple[tuple[str, int], ...]  # (family, state bits), as `CostModel` keys its ratios
@@ -221,38 +183,12 @@ class GridColumns:
     aggressiveness: np.ndarray  # float64, `aggressiveness` of each configuration
 
 
-@functools.lru_cache(maxsize=32)
-def policy_columns(policy: CandidatePolicy) -> GridColumns:
-    """`policy_grid(policy)` with its attribute arrays; built once per policy."""
-    grid = policy_grid(policy)
-
-    def column(values: list, dtype) -> np.ndarray:
-        out = np.array(values, dtype=dtype)
-        out.flags.writeable = False
-        return out
-
-    return GridColumns(
-        configs=grid,
-        keys=tuple((c.family, c.state_bits) for c in grid),
-        adaptive=column([c.adaptive for c in grid], bool),
-        momentum=column([c.momentum for c in grid], bool),
-        decoupled_decay=column([c.decoupled_decay for c in grid], bool),
-        factorized=column([c.factorized for c in grid], bool),
-        stateless=column([c.stateless for c in grid], bool),
-        bits=column([c.state_bits for c in grid], np.int64),
-        bits_at=column([VALID_BITS.index(c.state_bits) for c in grid], np.int64),
-        aggressiveness=column([aggressiveness(c) for c in grid], np.float64),
-    )
+def enumerate_candidates(block_shape: BlockShape) -> list[Configuration]:
+    """The candidate grid for one block, in canonical order (see `enumerate_candidates_multi`)."""
+    return enumerate_candidates_multi((block_shape,))
 
 
-def enumerate_candidates(block_shape: BlockShape, policy: CandidatePolicy = DEFAULT_POLICY) -> list[Configuration]:
-    """The policy grid for one block, in canonical order (see `enumerate_candidates_multi`)."""
-    return enumerate_candidates_multi((block_shape,), policy)
-
-
-def enumerate_candidates_multi(
-    shapes: Sequence[BlockShape], policy: CandidatePolicy = DEFAULT_POLICY
-) -> list[Configuration]:
+def enumerate_candidates_multi(shapes: Sequence[BlockShape]) -> list[Configuration]:
     """Candidates valid for every tensor of a block, as a new list in canonical order.
 
     Factorized entries need two non-degenerate trailing axes, so they are
@@ -260,10 +196,9 @@ def enumerate_candidates_multi(
     """
     if not shapes:
         raise ValueError("need at least one shape")
-    grid = policy_grid(policy)
     if all(s.supports_factorized for s in shapes):
-        return list(grid)
-    return [c for c in grid if not c.factorized]
+        return list(GRID.configs)
+    return [c for c in GRID.configs if not c.factorized]
 
 
 def state_bytes(config: Configuration, block_shape: BlockShape) -> int:
@@ -291,7 +226,7 @@ def state_bytes(config: Configuration, block_shape: BlockShape) -> int:
     return elements * (config.state_bits // 8)
 
 
-def state_bytes_table(grid: GridColumns, params: np.ndarray, factors: np.ndarray) -> np.ndarray:
+def state_bytes_table(params: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """`state_bytes` summed over each block's shapes, for every grid configuration.
 
     `params` holds each block's summed parameter count and `factors` its
@@ -300,9 +235,9 @@ def state_bytes_table(grid: GridColumns, params: np.ndarray, factors: np.ndarray
     only for blocks whose every shape supports factorization. The caller
     keeps the products within int64.
     """
-    second = np.where(grid.factorized, factors[:, None], params[:, None])
-    elements = grid.momentum * params[:, None] + grid.adaptive * second
-    return elements * np.where(grid.stateless, 0, grid.bits // 8)
+    second = np.where(GRID.factorized, factors[:, None], params[:, None])
+    elements = GRID.momentum * params[:, None] + GRID.adaptive * second
+    return elements * np.where(GRID.stateless, 0, GRID.bits // 8)
 
 
 def aggressiveness(config: Configuration) -> float:
@@ -319,6 +254,38 @@ def aggressiveness(config: Configuration) -> float:
         + 32.0 / config.state_bits
         - 1.0
     )
+
+
+def _grid_columns() -> GridColumns:
+    """Every family at every bit-width, in conservative-first canonical order.
+    Stateless families collapse the bit-width axis into one 32-bit entry."""
+    configs = sorted(
+        {Configuration.from_family(family, bits) for family in _FAMILY_FLAGS for bits in VALID_BITS},
+        key=Configuration.sort_key,
+    )
+
+    def column(values: list, dtype) -> np.ndarray:
+        out = np.array(values, dtype=dtype)
+        out.flags.writeable = False
+        return out
+
+    return GridColumns(
+        configs=tuple(configs),
+        keys=tuple((c.family, c.state_bits) for c in configs),
+        adaptive=column([c.adaptive for c in configs], bool),
+        momentum=column([c.momentum for c in configs], bool),
+        decoupled_decay=column([c.decoupled_decay for c in configs], bool),
+        factorized=column([c.factorized for c in configs], bool),
+        stateless=column([c.stateless for c in configs], bool),
+        bits=column([c.state_bits for c in configs], np.int64),
+        bits_at=column([VALID_BITS.index(c.state_bits) for c in configs], np.int64),
+        aggressiveness=column([aggressiveness(c) for c in configs], np.float64),
+    )
+
+
+#: The one candidate grid: 17 configurations, 14 without the factorized ones.
+#: `exclude` selectors narrow it.
+GRID = _grid_columns()
 
 
 # Placeholder ratios used until `bench` measures the host. Keyed by mechanism
@@ -368,18 +335,18 @@ class CostModel:
         except KeyError:
             raise KeyError(f"cost model has no ratio for {key[0]}:{key[1]}") from None
 
-    def ratio_row(self, grid: GridColumns, used: np.ndarray) -> np.ndarray:
+    def ratio_row(self, used: np.ndarray) -> np.ndarray:
         """`ratio` of each grid configuration that `used` marks, else 0.0;
         ValueError naming the first marked configuration without a ratio."""
         try:
-            return np.array([self.ratio_table[key] if u else 0.0 for key, u in zip(grid.keys, used.tolist())])
+            return np.array([self.ratio_table[key] if u else 0.0 for key, u in zip(GRID.keys, used.tolist())])
         except KeyError as exc:
             raise ValueError("no ratio for {}:{}".format(*exc.args[0])) from None
 
-    @classmethod
-    def static_default(cls, policy: CandidatePolicy = DEFAULT_POLICY) -> "CostModel":
-        """The placeholder table over the policy grid; built once per policy and shared."""
-        return _static_cost_model(cls, policy)
+    @staticmethod
+    def static_default() -> "CostModel":
+        """The placeholder table over the candidate grid; one shared, read-only model."""
+        return _STATIC_COST_MODEL
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,11 +375,10 @@ def _ratio_table(ratios: object) -> dict[tuple[str, int], float]:
     return table
 
 
-@functools.lru_cache(maxsize=32)
-def _static_cost_model(cls: type, policy: CandidatePolicy) -> CostModel:
-    table = {(cfg.family, cfg.state_bits): _static_ratio(cfg) for cfg in policy_grid(policy)}
-    table[("adamw", 16)] = 1.0
-    return cls(ratio_table=types.MappingProxyType(table), source="static_table")  # shared, so read-only
+_STATIC_COST_MODEL = CostModel(  # shared, so read-only
+    ratio_table=types.MappingProxyType({key: _static_ratio(cfg) for key, cfg in zip(GRID.keys, GRID.configs)}),
+    source="static_table",
+)
 
 
 def _one_step_kernel(config: Configuration, shape: tuple[int, ...], buffers: dict) -> None:
@@ -507,15 +473,10 @@ def measure_update_ratio(config: Configuration, block_shape: BlockShape, repetit
     return measured / baseline
 
 
-def measure_cost_model(
-    block_shape: BlockShape,
-    repetitions: int = 25,
-    policy: CandidatePolicy = DEFAULT_POLICY,
-) -> CostModel:
-    """Build a measured CostModel over the policy grid on a reference shape."""
+def measure_cost_model(block_shape: BlockShape, repetitions: int = 25) -> CostModel:
+    """Build a measured CostModel over the candidate grid on a reference shape."""
     table = {
         (cfg.family, cfg.state_bits): measure_update_ratio(cfg, block_shape, repetitions)
-        for cfg in enumerate_candidates(block_shape, policy)
+        for cfg in enumerate_candidates(block_shape)
     }
-    table[("adamw", 16)] = 1.0
     return CostModel(ratio_table=table, source="measured")

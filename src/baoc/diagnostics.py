@@ -313,14 +313,15 @@ class DiagnosticsState:
         self.prev_grad = g
         self.step_count += 1
 
-    def snapshot(self, bits: tuple[int, ...] = (32, 16, 8)) -> RawMetrics:
-        """Read the raw metrics off the current EMA values."""
+    def snapshot(self) -> RawMetrics:
+        """Read the raw metrics off the current EMA values, with a precision
+        cosine for each of `VALID_BITS`."""
         if self.step_count == 0:
             raise ValueError(f"block {self.spec.id}: no updates folded in yet")
         residual = 0.0
         if self._grid_shape is not None:
             residual = _cell_structure_residual(self._cell_row, self._cell_col, self._cell_sq, self._grid_shape)
-        q = {b: precision_similarity(self.exp_avg, self.exp_avg_sq, b) for b in sorted(set(bits), reverse=True)}
+        q = {b: precision_similarity(self.exp_avg, self.exp_avg_sq, b) for b in VALID_BITS}
         return RawMetrics(
             anisotropy=anisotropy(self.exp_avg_sq),
             direction_stability=self.direction_stability,

@@ -25,7 +25,7 @@ from .allocator import (
     plan_to_json_dict,
     solve_exact,
 )
-from .config_space import CandidatePolicy, CostModel, DEFAULT_POLICY
+from .config_space import CostModel
 from .diagnostics import DEFAULT_BETAS, DiagnosticsState, RawMetrics
 from .partitioner import block_name
 from .risk import Anchors, RiskSignals, RiskWeights, signals_from_metrics
@@ -51,7 +51,6 @@ class RunConfig:
     anchors: Anchors = Anchors()
     weights: RiskWeights = RiskWeights()
     warmup_steps: int | None = None
-    policy: CandidatePolicy = DEFAULT_POLICY
     cost_model: CostModel | None = None
     exclude: tuple[str, ...] = ()
     prefer: tuple[str, ...] = ()
@@ -70,19 +69,14 @@ class RunResult:
     plan: dict
 
 
-def metric_bits(policy: CandidatePolicy) -> tuple[int, ...]:
-    """Bit-widths whose precision cosines a policy's candidates read, 32 included, descending."""
-    return tuple(sorted(set(policy.bits) | {32}, reverse=True))
-
-
 def collect_metrics(
     specs: Sequence[BlockSpec],
     records: Iterable[StepRecord],
-    bits: tuple[int, ...] = (32, 16, 8),
     betas: tuple[float, float, float] = DEFAULT_BETAS,
     max_steps: int | None = None,
 ) -> dict[int, RawMetrics]:
-    """Stream records through per-block diagnostics; snapshot at the end."""
+    """Stream records through per-block diagnostics; snapshot at the end,
+    with a precision cosine for every bit-width of the candidate grid."""
     states = {s.id: DiagnosticsState(s, betas=betas) for s in specs}
     consumed = 0
     for record in records:
@@ -96,7 +90,7 @@ def collect_metrics(
             break
     if consumed == 0:
         raise ValueError("empty trace: no step records to diagnose")
-    return {block_id: state.snapshot(bits) for block_id, state in states.items()}
+    return {block_id: state.snapshot() for block_id, state in states.items()}
 
 
 def _merged_signals(
@@ -248,9 +242,9 @@ def run_allocation(
     """Warmup-trace consumption, diagnostics, allocation, plan rendering.
 
     `metrics`, when given, are every traced unit's raw metrics, diagnosed
-    over `config.warmup_steps` with `metric_bits(config.policy)`: the trace
-    records are then never read, and the plan is the one diagnosing them
-    here would give.
+    over `config.warmup_steps` by `collect_metrics`: the trace records are
+    then never read, and the plan is the one diagnosing them here would give.
+    `config.exclude` is the one way to narrow the candidate grid.
 
     Raises AllocationInfeasibleError when the budgets admit no assignment;
     when the memory budget is below the cheapest assignment's memory, the
@@ -265,7 +259,7 @@ def run_allocation(
         raise ValueError("trace declares no blocks")
 
     if metrics is None:
-        metrics = collect_metrics(specs, records, bits=metric_bits(config.policy), max_steps=config.warmup_steps)
+        metrics = collect_metrics(specs, records, max_steps=config.warmup_steps)
     signals = {s.id: signals_from_metrics(metrics[s.id], config.anchors) for s in specs}
 
     if groups is not None:
@@ -282,7 +276,6 @@ def run_allocation(
         budget_ratio=config.budget_ratio,
         time_budget=config.time_budget,
         gamma=config.gamma,
-        policy=config.policy,
         exclude=config.exclude,
         prefer=config.prefer,
         signals=block_signals,

@@ -10,7 +10,6 @@ on top.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config_space import VALID_BITS, Configuration, GridColumns, aggressiveness
+from .config_space import GRID, VALID_BITS, Configuration, aggressiveness
 from .diagnostics import EPS, RawMetrics
 from .documents import json_number, json_object, json_str, load, naming, read, read_list
 
@@ -200,21 +199,17 @@ def phi(
     return risk(config, signals, weights) + gamma * aggressiveness(config)
 
 
-@functools.lru_cache(maxsize=32)
-def _term_layout(grid: GridColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of `risk`'s five terms (A, M, C, F, Q) counts in the grid,
-    and which signal it reads: a (5, configurations) mask and a (5,
-    configurations) index into (geometry, momentum, distortion, structure,
-    precision at each of VALID_BITS)."""
-    mask = np.stack((~grid.adaptive, ~grid.momentum, ~grid.decoupled_decay, grid.factorized, ~grid.stateless))
-    source = np.repeat(np.arange(5).reshape(5, 1), grid.bits.size, axis=1)
-    source[4] += grid.bits_at
-    mask.flags.writeable = source.flags.writeable = False
-    return mask, source
+# Where each of `risk`'s five terms (A, M, C, F, Q) counts in the grid, and
+# which signal it reads: a (5, configurations) mask and a (5, configurations)
+# index into (geometry, momentum, distortion, structure, precision at each of
+# VALID_BITS).
+_TERM_MASK = np.stack((~GRID.adaptive, ~GRID.momentum, ~GRID.decoupled_decay, GRID.factorized, ~GRID.stateless))
+_TERM_SOURCE = np.repeat(np.arange(5).reshape(5, 1), GRID.bits.size, axis=1)
+_TERM_SOURCE[4] += GRID.bits_at
+_TERM_MASK.flags.writeable = _TERM_SOURCE.flags.writeable = False
 
 
 def phi_table(
-    grid: GridColumns,
     signals: Sequence[RiskSignals],
     weights: RiskWeights = RiskWeights(),
     gamma: float = 0.1,
@@ -230,20 +225,19 @@ def phi_table(
     meaningful then.
     """
     rows = [(s.geometry, s.momentum, s.distortion, s.structure, *map(s.precision.get, VALID_BITS)) for s in signals]
-    mask, source = _term_layout(grid)
     if any(None in row for row in rows):
-        live = mask[4] & (np.ones((len(rows), 1), dtype=bool) if used is None else used)
+        live = _TERM_MASK[4] & (np.ones((len(rows), 1), dtype=bool) if used is None else used)
         for i, j in np.argwhere(live).tolist():
-            if rows[i][source[4, j]] is None:
-                raise KeyError(f"no precision signal for {grid.bits[j]}-bit states")
+            if rows[i][_TERM_SOURCE[4, j]] is None:
+                raise KeyError(f"no precision signal for {GRID.bits[j]}-bit states")
     raw = np.array(rows, dtype=np.float64).reshape(len(rows), 4 + len(VALID_BITS))  # None reads as NaN
     scale = np.array([weights.w_A, weights.w_M, weights.w_C, weights.w_F, weights.w_Q]).reshape(5, 1)
-    terms = np.where(mask, scale * raw[:, source], 0.0)  # (blocks, terms, configurations)
+    terms = np.where(_TERM_MASK, scale * raw[:, _TERM_SOURCE], 0.0)  # (blocks, terms, configurations)
     value = 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + terms[:, 4]
     if weights.pref_set:
-        preferred = np.array([c in weights.pref_set for c in grid.configs], dtype=bool)
+        preferred = np.array([c in weights.pref_set for c in GRID.configs], dtype=bool)
         value = value - np.where(preferred, weights.lambda_pref, 0.0)
-    return value + gamma * grid.aggressiveness
+    return value + gamma * GRID.aggressiveness
 
 
 def parse_selector(text: str) -> tuple[str, int | None]:

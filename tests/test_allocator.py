@@ -26,11 +26,9 @@ from baoc.allocator import (
 from baoc.config_space import (
     ADAMW16,
     BlockShape,
-    CandidatePolicy,
     Configuration,
     CostModel,
     enumerate_candidates_multi,
-    policy_grid,
     state_bytes,
 )
 from baoc.pipeline import plan_bytes
@@ -307,13 +305,7 @@ class TestParetoDP:
         elif kind == "time":
             prob = _table_instance(rng, 4, 5, 1.0, 0.3)
         else:
-            # The cheapest memory runs slow and the fastest ratio needs memory.
-            a, b = Configuration.from_family("adamw", 32), Configuration.from_family("sgd")
-            row = (Candidate(a, 0.1, 0, 2.0), Candidate(b, 0.1, 100, 0.5))
-            prob = AllocationProblem.from_candidates(
-                blocks=tuple(ProblemBlock(i, f"b{i}") for i in range(3)),
-                candidates=(row,) * 3, mem_budget=150, time_budget=1.0,
-            )
+            prob = _time_row_unmet()
         sol = assert_same_as_bruteforce(prob)
         assert sol.status == "infeasible"
         if kind != "joint":
@@ -406,6 +398,16 @@ def incumbent_of(prob):
     dp.root_bound()
     broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded()].sum() / dp.n > dp.mean_cap for t in dp.tables)
     return dp.incumbent(), broken
+
+
+def _time_row_unmet():
+    """Three blocks whose cheapest memory runs slow and whose fastest ratio
+    needs memory: each budget alone can be met, both together cannot."""
+    a, b = Configuration.from_family("adamw", 32), Configuration.from_family("sgd")
+    row = (Candidate(a, 0.1, 0, 2.0), Candidate(b, 0.1, 100, 0.5))
+    return AllocationProblem.from_candidates(
+        blocks=tuple(ProblemBlock(i, f"b{i}") for i in range(3)), candidates=(row,) * 3, mem_budget=150, time_budget=1.0
+    )
 
 
 def _bracket_problem():
@@ -745,6 +747,22 @@ class TestRootPrice:
         # 4.55 on these draws; starting at ptp(phi) / ptp(ratio) and growing fourfold took 6.78.
         assert (len(lams) - lams.count(0.0)) / len(priced_sweep_draws) <= 4.6
 
+    def test_an_infeasible_problem_takes_few_hull_builds(self, monkeypatch):
+        # Under the memory budget the LP's time row is never met, so the bound
+        # grows with the price without end. The search stops once the bound
+        # passes the largest phi (7 builds here); it took all 64 steps before.
+        builds = []
+        build = allocator._PricedHulls.build.__func__
+
+        def counted(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(allocator._PricedHulls, "build", classmethod(counted))
+        sol = solve_exact(_time_row_unmet())
+        assert sol.status == "infeasible" and sol.infeasible_reason == "no assignment satisfies both budgets"
+        assert len(builds) <= 10
+
 
 class TestSmallFrontGate:
     """Fronts of at most `_SMALL_FRONT` states skip the bound and dominance passes."""
@@ -955,6 +973,12 @@ SHAPE_SETS = (
     (BlockShape((1, 100)), BlockShape((5, 1, 100))),
 )
 SELECTORS = ("adamw:8", "adam", "sgd", "sgdm:16", "adafactor", "adafactor:32", "sgdwm:8")
+# Narrowings of the grid to its 16- and 8-bit states and to Adafactor and SGD.
+NARROWINGS = (
+    (),
+    ("adamw:32", "adam:32", "sgdm:32", "sgdwm:32", "adafactor:32"),
+    ("adamw", "adam", "sgdm", "sgdw", "sgdwm"),
+)
 block_signals = st.builds(
     RiskSignals,
     *[st.floats(0.0, 2.0)] * 4,
@@ -973,27 +997,27 @@ class TestProblemTable:
         prefer=st.lists(st.sampled_from(SELECTORS), max_size=2),
         lambda_pref=st.floats(0.0, 1.0),
         gamma=st.floats(0.0, 0.5),
-        policy=st.sampled_from([CandidatePolicy(), CandidatePolicy(bits=(16, 8)), CandidatePolicy(families=("adafactor", "sgd"))]),
+        narrowing=st.sampled_from(NARROWINGS),
     )
-    def test_cells_equal_the_scalar_definitions(self, shape_sets, signals, exclude, prefer, lambda_pref, gamma, policy):
+    def test_cells_equal_the_scalar_definitions(self, shape_sets, signals, exclude, prefer, lambda_pref, gamma, narrowing):
         blocks = [ProblemBlock(10 + i, f"b{i}", shapes) for i, shapes in enumerate(shape_sets)]
         by_id = {b.id: s for b, s in zip(blocks, signals)}
         weights = RiskWeights(lambda_pref=lambda_pref)
         try:
-            prob = build_problem(blocks, {}, signals=by_id, weights=weights, gamma=gamma, policy=policy,
-                                 exclude=exclude, prefer=prefer)
+            prob = build_problem(blocks, {}, signals=by_id, weights=weights, gamma=gamma,
+                                 exclude=exclude + list(narrowing), prefer=prefer)
         except AllocationBuildError as exc:
             assert "all candidates excluded" in str(exc)
             return
-        preferred = RiskWeights(lambda_pref=lambda_pref, pref_set=expand_selectors(prefer, policy_grid(policy)))
+        preferred = RiskWeights(lambda_pref=lambda_pref, pref_set=expand_selectors(prefer, GRID))
         for i, block in enumerate(blocks):
-            grid = enumerate_candidates_multi(block.shapes, policy)
+            grid = enumerate_candidates_multi(block.shapes)
             assert prob.configs[i] == tuple(c for c in grid if c not in prob.excluded[i])
             assert all(c in grid for c in prob.excluded[i])
             for j, cfg in enumerate(prob.configs[i]):
                 assert int(prob.mem[i, j]) == sum(state_bytes(cfg, s) for s in block.shapes)
                 assert prob.phi[i, j] == phi(cfg, by_id[block.id], preferred, gamma)
-                assert prob.ratio[i, j] == CostModel.static_default(policy).ratio(cfg)
+                assert prob.ratio[i, j] == CostModel.static_default().ratio(cfg)
             assert prob.usable_mask[i].sum() == len(prob.configs[i])
         assert prob.mem_budget == round(0.5 * sum(state_bytes(ADAMW16, s) for b in blocks for s in b.shapes))
 

@@ -5,23 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baoc.allocator import ProblemBlock, build_problem
 from baoc.config_space import (
     ADAMW16,
     ADAMW32,
+    GRID,
+    VALID_BITS,
     BlockShape,
-    CandidatePolicy,
     Configuration,
     CostModel,
-    DEFAULT_POLICY,
     InvalidConfigurationError,
     aggressiveness,
     enumerate_candidates,
     enumerate_candidates_multi,
     measure_update_ratio,
-    policy_columns,
     state_bytes,
     state_bytes_table,
 )
+from baoc.diagnostics import RawMetrics
+from baoc.risk import RiskSignals
 
 MATRIX = BlockShape((64, 64))
 VECTOR = BlockShape((100,))
@@ -86,14 +88,18 @@ class TestConfiguration:
             Configuration.from_json_dict(doc)
 
 
-def reference_candidates(shapes, policy):
-    """One grid per shape, intersected across shapes, in canonical order."""
+FAMILIES = ("adamw", "adam", "sgd", "sgdm", "sgdw", "sgdwm", "adafactor")
+
+
+def reference_candidates(shapes, families=FAMILIES, bit_widths=VALID_BITS):
+    """One grid per shape of `families` at `bit_widths` (stateless ones at 32
+    bits), intersected across shapes, in canonical order."""
 
     def one(shape):
         out = set()
-        for fam in policy.families:
+        for fam in families:
             stateless = Configuration.from_family(fam).stateless
-            for bits in (32,) if stateless else policy.bits:
+            for bits in (32,) if stateless else bit_widths:
                 cfg = Configuration.from_family(fam, bits)
                 if shape.supports_factorized or not cfg.factorized:
                     out.add(cfg)
@@ -119,12 +125,24 @@ SHAPE_SETS = [
     (BlockShape((1, 100)), BlockShape((100, 1))),
 ]
 
+# Candidate policies: the families and bit-widths each keeps, and the
+# `exclude` selectors that narrow the grid to exactly those.
 POLICIES = [
-    DEFAULT_POLICY,
-    CandidatePolicy(bits=(32, 16)),
-    CandidatePolicy(families=("adamw", "sgdwm"), bits=(16,)),
-    CandidatePolicy(families=["sgd", "adafactor", "adamw", "sgdm"], bits=[8, 32]),
+    (FAMILIES, VALID_BITS, ()),
+    (FAMILIES, (32, 16), ("adamw:8", "adam:8", "sgdm:8", "sgdwm:8", "adafactor:8")),
+    (
+        ("adamw", "sgdwm"),
+        (16,),
+        ("adam", "sgd", "sgdm", "sgdw", "adafactor", "adamw:32", "adamw:8", "sgdwm:32", "sgdwm:8"),
+    ),
+    (["sgd", "adafactor", "adamw", "sgdm"], [8, 32], ["adam", "sgdw", "sgdwm", "adafactor:16", "adamw:16", "sgdm:16"]),
 ]
+SIGNALS = RiskSignals(0.5, 0.25, 0.2, 0.7, {32: 0.0, 16: 0.01, 8: 0.4})
+
+
+def narrowed(shapes, exclude):
+    """The one-block problem `build_problem` gives for `shapes` under `exclude`."""
+    return build_problem([ProblemBlock(0, "b", tuple(shapes))], {}, signals={0: SIGNALS}, exclude=exclude)
 
 
 class TestEnumerate:
@@ -139,10 +157,16 @@ class TestEnumerate:
         expected = {k for k in EXPECTED_MATRIX_GRID if k[0] != "adafactor"}
         assert {(c.family, c.state_bits) for c in cands} == expected
 
-    def test_no_8bit_policy_is_12(self):
-        cands = enumerate_candidates(MATRIX, CandidatePolicy(bits=(32, 16)))
+    def test_excluding_8bit_is_12(self):
+        # Metrics diagnosed without 8-bit states: no "8" entry in Q.
+        metrics = RawMetrics(1.0, 0.5, 0.5, 0.1, 0.2, {32: 1.0, 16: 0.99}, steps=10)
+        block = ProblemBlock(0, "m", (MATRIX,))
+        with pytest.raises(KeyError, match="8-bit"):
+            build_problem([block], {0: metrics})
+        no8 = [f"{fam}:8" for fam in FAMILIES]
+        cands = build_problem([block], {0: metrics}, exclude=no8).configs[0]
         assert len(cands) == 12
-        assert all(c.state_bits != 8 or c.stateless for c in cands)
+        assert list(cands) == reference_candidates((MATRIX,), FAMILIES, (32, 16))
 
     def test_no_factorized_for_degenerate_axes(self):
         for dims in ((100,), (1, 100), (100, 1), (5, 1, 100)):
@@ -163,19 +187,16 @@ class TestEnumerate:
     @pytest.mark.parametrize("policy", POLICIES, ids=["default", "no8", "adamw-sgdwm-16", "lists"])
     @pytest.mark.parametrize("shapes", SHAPE_SETS, ids=lambda shapes: "+".join("x".join(map(str, s.dims)) for s in shapes))
     def test_same_list_as_per_shape_intersection(self, shapes, policy):
-        expected = reference_candidates(shapes, policy)
-        assert enumerate_candidates_multi(shapes, policy) == expected
+        expected = reference_candidates(shapes)
+        assert enumerate_candidates_multi(shapes) == expected
         if len(shapes) == 1:
-            assert enumerate_candidates(shapes[0], policy) == expected
-
-    def test_list_policy_matches_tuple_policy(self):
-        listed = CandidatePolicy(families=["adamw", "sgdwm"], bits=[16])
-        tupled = CandidatePolicy(families=("adamw", "sgdwm"), bits=(16,))
-        assert listed == tupled and hash(listed) == hash(tupled)
-        assert enumerate_candidates(MATRIX, listed) == enumerate_candidates(MATRIX, tupled)
+            assert enumerate_candidates(shapes[0]) == expected
+        families, bits, exclude = policy
+        prob = narrowed(shapes, exclude)
+        assert list(prob.configs[0]) == reference_candidates(shapes, families, bits)
 
     def test_returned_list_is_fresh(self):
-        expected = reference_candidates((MATRIX,), DEFAULT_POLICY)
+        expected = reference_candidates((MATRIX,))
         for shapes in ((MATRIX,), (MATRIX, VECTOR)):
             first = enumerate_candidates_multi(shapes)
             first.clear()
@@ -242,26 +263,26 @@ class TestStateBytesTable:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("shapes", SHAPE_SETS)
     def test_equals_summed_state_bytes(self, shapes, policy):
-        grid = policy_columns(policy)
         whole = all(s.supports_factorized for s in shapes)
         params = np.array([sum(s.param_count for s in shapes)], dtype=np.int64)
         factors = np.array([sum(s.factor_length for s in shapes) if whole else 0], dtype=np.int64)
-        table = state_bytes_table(grid, params, factors)
+        table = state_bytes_table(params, factors)
         assert table.dtype == np.int64
-        for j, cfg in enumerate(grid.configs):
+        for j, cfg in enumerate(GRID.configs):
             if whole or not cfg.factorized:
                 assert int(table[0, j]) == sum(state_bytes(cfg, s) for s in shapes)
+        prob = narrowed(shapes, policy[2])
+        for j, cfg in enumerate(prob.configs[0]):
+            assert int(prob.mem[0, j]) == sum(state_bytes(cfg, s) for s in shapes)
 
     def test_grid_columns_match_the_configurations(self):
-        grid = policy_columns(DEFAULT_POLICY)
-        assert policy_columns(DEFAULT_POLICY) is grid
-        for j, cfg in enumerate(grid.configs):
-            assert (grid.adaptive[j], grid.momentum[j], grid.decoupled_decay[j], grid.factorized[j]) == (
+        for j, cfg in enumerate(GRID.configs):
+            assert (GRID.adaptive[j], GRID.momentum[j], GRID.decoupled_decay[j], GRID.factorized[j]) == (
                 cfg.adaptive, cfg.momentum, cfg.decoupled_decay, cfg.factorized,
             )
-            assert grid.stateless[j] == cfg.stateless and grid.bits[j] == cfg.state_bits
-            assert grid.aggressiveness[j] == aggressiveness(cfg)
-            assert grid.keys[j] == (cfg.family, cfg.state_bits)
+            assert GRID.stateless[j] == cfg.stateless and GRID.bits[j] == cfg.state_bits
+            assert GRID.aggressiveness[j] == aggressiveness(cfg)
+            assert GRID.keys[j] == (cfg.family, cfg.state_bits)
 
 
 class TestStoreState:
@@ -321,10 +342,6 @@ class TestCostModel:
             expected |= {("sgdm", bits): 0.7, ("sgdwm", bits): 0.7, ("adafactor", bits): 1.2}
             expected |= {(fam, bits): {32: 1.05, 16: 1.0, 8: 1.1}[bits] for fam in ("adamw", "adam")}
         assert CostModel.static_default().ratio_table == expected
-
-    def test_static_default_keeps_the_policy_grid_and_the_baseline(self):
-        cm = CostModel.static_default(CandidatePolicy(families=["adam", "sgd", "adafactor"], bits=[32]))
-        assert cm.ratio_table == {("adam", 32): 1.05, ("sgd", 32): 0.4, ("adafactor", 32): 1.2, ("adamw", 16): 1.0}
 
     def test_static_default_is_shared_and_read_only(self):
         cm = CostModel.static_default()

@@ -320,14 +320,14 @@ class TestStateUpdate:
 
 
 class TestSnapshot:
-    def test_q32_is_one_and_only_requested_bits(self):
+    def test_q32_is_one_and_every_grid_bit(self):
         state = DiagnosticsState(_spec(dims=(10,)))
         rng = np.random.default_rng(4)
         for _ in range(3):
             state.update(rng.standard_normal(10))
-        metrics = state.snapshot(bits=(32, 16))
+        metrics = state.snapshot()
         assert metrics.precision_cosine[32] == 1.0
-        assert set(metrics.precision_cosine) == {32, 16}
+        assert list(metrics.precision_cosine) == [32, 16, 8]
 
     def test_no_params_means_zero_distortion(self):
         state = DiagnosticsState(_spec(dims=(5,)))

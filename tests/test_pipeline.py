@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from baoc.allocator import build_problem, plan_to_json_dict, solution_from_plan_dict, solve_bruteforce, solve_exact
-from baoc.config_space import ADAMW16, CandidatePolicy, Configuration
+from baoc.config_space import ADAMW16, Configuration
 from baoc.pipeline import (
     AllocationInfeasibleError,
     RunConfig,
     RunResult,
     collect_metrics,
     group_blocks,
-    metric_bits,
     plan_bytes,
     run_allocation,
 )
@@ -77,9 +76,9 @@ class TestRunAllocation:
             1: StreamProfile(noise_scale_spread=0.27, drift_strength=3.0, drift_persistence=0.5, seed=seed + 1000),
         }
         records = generate_stream(specs, profiles, 300)
-        config = RunConfig(
+        config = RunConfig(  # only AdamW and SGDW+momentum at 16 bits stay
             budget_ratio=0.75,
-            policy=CandidatePolicy(families=("adamw", "sgdwm"), bits=(16,)),
+            exclude=("adam", "sgd", "sgdm", "sgdw", "adafactor", "adamw:32", "adamw:8", "sgdwm:32", "sgdwm:8"),
         )
         result = run_allocation(config, (specs, records))
         assert result.solution.assignment[0].adaptive
@@ -89,7 +88,7 @@ class TestRunAllocation:
 
     def test_infeasible_reports_minimum_budget(self):
         specs, records = three_block_trace()
-        config = RunConfig(budget_ratio=0.1, policy=CandidatePolicy(families=("adamw", "adam")))
+        config = RunConfig(budget_ratio=0.1, exclude=("sgd", "sgdm", "sgdw", "sgdwm", "adafactor"))
         with pytest.raises(AllocationInfeasibleError) as err:
             run_allocation(config, (specs, records))
         min_mem = sum(s.shape.param_count * 2 for s in specs)  # adamw8 everywhere
@@ -98,7 +97,7 @@ class TestRunAllocation:
 
     def test_infeasible_states_the_minimum_once(self):
         specs, records = three_block_trace()
-        config = RunConfig(budget_ratio=0.1, policy=CandidatePolicy(families=("adamw", "adam")))
+        config = RunConfig(budget_ratio=0.1, exclude=("sgd", "sgdm", "sgdw", "sgdwm", "adafactor"))
         with pytest.raises(AllocationInfeasibleError) as err:
             run_allocation(config, (specs, records))
         baseline = sum(s.shape.param_count * 4 for s in specs)  # adamw16 everywhere
@@ -138,7 +137,7 @@ class TestRunAllocation:
     def test_given_metrics_replace_the_records(self):
         specs, records = three_block_trace()
         config = RunConfig(budget_ratio=0.5, warmup_steps=40)
-        metrics = collect_metrics(specs, records, bits=metric_bits(config.policy), max_steps=40)
+        metrics = collect_metrics(specs, records, max_steps=40)
         specs, records = three_block_trace()
 
         def unread():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baoc.config_space import ADAMW32, CandidatePolicy, Configuration, DEFAULT_POLICY, aggressiveness, policy_columns
+from baoc.config_space import ADAMW32, GRID, Configuration
 from baoc.diagnostics import EPS, RawMetrics
 from baoc.risk import (
     Anchors,
@@ -185,28 +185,26 @@ class TestPhiTable:
         lambda_pref=st.floats(0.0, 2.0),
         preferred=st.sets(st.integers(0, 16)),
         gamma=st.floats(-1.0, 1.0),
-        policy=st.sampled_from([DEFAULT_POLICY, CandidatePolicy(bits=(16, 8)), CandidatePolicy(families=("sgd", "adafactor"))]),
     )
-    def test_bit_identical_to_scalar_phi(self, rows, scale, lambda_pref, preferred, gamma, policy):
-        grid = policy_columns(policy)
+    def test_bit_identical_to_scalar_phi(self, rows, scale, lambda_pref, preferred, gamma):
+        # Every cell of the grid, so every cell an `exclude` narrowing keeps.
         signals = [RiskSignals(g, m, c, f, {32: q32, 16: q16, 8: q8}) for g, m, c, f, q32, q16, q8 in rows]
         weights = RiskWeights(
             *scale,
-            pref_set=frozenset(grid.configs[k % len(grid.configs)] for k in preferred),
+            pref_set=frozenset(GRID.configs[k % len(GRID.configs)] for k in preferred),
             lambda_pref=lambda_pref,
         )
-        table = phi_table(grid, signals, weights, gamma)
-        expected = np.array([[phi(c, s, weights, gamma) for c in grid.configs] for s in signals])
+        table = phi_table(signals, weights, gamma)
+        expected = np.array([[phi(c, s, weights, gamma) for c in GRID.configs] for s in signals])
         assert table.tobytes() == expected.tobytes()  # signed zeros too
 
     def test_missing_precision_only_where_used(self):
-        grid = policy_columns(DEFAULT_POLICY)
         no8 = RiskSignals(0.1, 0.2, 0.3, 0.4, {32: 0.0, 16: 0.01})
         with pytest.raises(KeyError, match="8-bit"):
-            phi_table(grid, [SIGNALS, no8])
-        used = np.broadcast_to(grid.bits != 8, (2, grid.bits.size)) | grid.stateless
-        table = phi_table(grid, [SIGNALS, no8], used=used)
-        for j, cfg in enumerate(grid.configs):
+            phi_table([SIGNALS, no8])
+        used = np.broadcast_to(GRID.bits != 8, (2, GRID.bits.size)) | GRID.stateless
+        table = phi_table([SIGNALS, no8], used=used)
+        for j, cfg in enumerate(GRID.configs):
             if used[1, j]:
                 assert table[1, j] == phi(cfg, no8)
 
