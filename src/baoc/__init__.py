@@ -62,4 +62,13 @@ from .risk import (
     structure_signal,
 )
 from .simulator import StreamProfile, generate_stream
-from .trace import BlockSpec, StepRecord, TraceParseError, read_trace, sample_coordinates, write_trace
+from .trace import (
+    TRACE_VERSION,
+    BlockSpec,
+    StepRecord,
+    TraceParseError,
+    derive_seed,
+    read_trace,
+    sample_coordinates,
+    write_trace,
+)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_space import VALID_BITS
-from .documents import BadValue, json_fraction, json_number, json_object, naming, read
+from .documents import BadValue, json_count, json_fraction, json_number, json_object, naming, read
 from .trace import BlockSpec
 
 #: Numerical-stability constant for metric formulas.
@@ -205,7 +205,7 @@ class RawMetrics:
             distortion=read(d, "C", _non_negative),
             structure_residual=read(d, "F", _non_negative),
             precision_cosine=precision,
-            steps=read(d, "steps", _step_count),
+            steps=read(d, "steps", json_count),
         )
 
 
@@ -214,12 +214,6 @@ def _non_negative(value: object) -> float:
     if number >= 0:
         return number
     raise BadValue("a number >= 0", value)
-
-
-def _step_count(value: object) -> int:
-    if type(value) is int and value >= 1:
-        return value
-    raise BadValue("an integer >= 1", value)
 
 
 class DiagnosticsState:
@@ -248,7 +242,7 @@ class DiagnosticsState:
         self._grid_shape: tuple[int, int] | None = None
         if len(spec.shape.dims) >= 2:
             rows_full, cols_full = spec.shape.dims[-2], spec.shape.dims[-1]
-            within = np.asarray(spec.sample_indices, dtype=np.int64) % (rows_full * cols_full)
+            within = spec.sample_indices % (rows_full * cols_full)
             rows, row_rank = np.unique(within // cols_full, return_inverse=True)
             cols, col_rank = np.unique(within % cols_full, return_inverse=True)
             if len(rows) >= 2 and len(cols) >= 2:

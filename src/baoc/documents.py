@@ -72,18 +72,28 @@ def json_int(value: object) -> int:
     raise BadValue("a 64-bit integer", value)
 
 
+def json_count(value: object) -> int:
+    """A JSON integer >= 1 in the 64-bit range, such as a number of steps or samples."""
+    if type(value) is int and 1 <= value < 2**63:
+        return value
+    raise BadValue("an integer >= 1", value)
+
+
 def json_ints(values: object) -> np.ndarray:
-    """A JSON list of integers in the 64-bit range as a 1-D int64 array; the
-    error names the first element that is not an integer."""
+    """A JSON list of integers in the 64-bit range as a read-only 1-D int64
+    array, which a reader can keep as it is; the error names the first
+    element that is not an integer."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"expected a list of integers, got {type(values).__name__}")
     if not set(map(type, values)) <= {int}:
         bad = next(v for v in values if type(v) is not int)
         raise ValueError(f"{bad!r} is not an integer")
     try:
-        return np.array(values, dtype=np.int64)
+        array = np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError("expected integers in the 64-bit range") from None
+    array.flags.writeable = False
+    return array
 
 
 def json_bool(value: object) -> bool:

@@ -60,7 +60,7 @@ def _noise_scales(spec: BlockSpec, profile: StreamProfile, rng: np.random.Genera
         rows_full, cols_full = dims[-2], dims[-1]
         a = np.exp(rng.uniform(-1.0, 1.0, size=rows_full))
         b = np.exp(rng.uniform(-1.0, 1.0, size=cols_full))
-        within = np.asarray(spec.sample_indices, dtype=np.int64) % (rows_full * cols_full)
+        within = spec.sample_indices % (rows_full * cols_full)
         pattern = a[within // cols_full] * b[within % cols_full]
         pattern = pattern / pattern.mean()
         variance = sigma**2 * ((1.0 - profile.rank1_mix) + profile.rank1_mix * pattern)

@@ -1,10 +1,30 @@
 """Sampled gradient/parameter traces: sampling, schema, JSONL round-trip.
 
 A trace is JSON-Lines: the first line is a header object
-``{"version": 3, "sampling_ratio": s, "blocks": [...]}`` and every further
+``{"version": 4, "sampling_ratio": s, "blocks": [...]}`` and every further
 line is one step record ``{"step": t, "grads": {...}, "params": {...}?}``
 whose ``grads``/``params`` objects map a block id to that block's sampled
 vector. A record without ``params`` has no parameter sample at that step.
+
+Each header block entry holds the block's ``id``, ``name``, ``dims`` and
+``kind`` and its sampled flat coordinates, in one of two forms:
+
+- ``sample_seed``, ``sample_size`` and ``sample_sha256`` (version 4): the
+  coordinates are the ones `sample_coordinates` draws. That is
+  ``sample_size`` distinct indices, uniform without replacement, from a
+  Philox generator keyed by ``derive_seed(sample_seed, id)``, sorted
+  ascending; ``sample_size`` is ``ceil(sampling_ratio * param_count)``.
+  ``sample_sha256`` is the sha256 of the indices as little-endian int64.
+  A spec made by `BlockSpec.create` (so every trace ``baoc simulate``
+  writes) takes this form, a few dozen bytes however many coordinates.
+- ``sample_indices``: the indices as a list of integers, for a spec built
+  from explicit indices and for traces written by other tools.
+
+The reader draws a seeded entry's indices again and compares their digest.
+NumPy keeps the Philox bit stream stable across releases (NEP 19), but not
+what `Generator.choice` makes of it. So a NumPy whose draw differs fails
+with an error naming the block instead of diagnosing other coordinates
+than the ones traced.
 
 A vector is written as the base64 text of its little-endian float64 bytes,
 so a file stays ASCII JSON (it can go to a text stream and be split into
@@ -20,14 +40,20 @@ there. A parameter sample that stays the same over a run is so written once;
 a trace in which every vector changes (parameters that an optimizer moves at
 each step) gets the version-2 records.
 
-Version 2 is the same layout without references; version 1 writes each
-vector as a JSON array of decimal numbers. Both are still read by the same
-loop.
+Version 4 adds the seeded block entry; its records are version 3's.
+Version 2 is the version-3 layout without references; version 1 writes
+each vector as a JSON array of decimal numbers. Versions 1-3 list every
+entry's ``sample_indices``. All four are read by the same loop, which tells
+an entry's form by its keys.
+
+The reader takes the file as bytes and decodes each line as UTF-8 itself,
+so a line that is not UTF-8 is an error naming the header or the record.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -37,9 +63,10 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config_space import BlockShape
-from .documents import json_fraction, json_int, json_ints, json_str, naming, read
+from .documents import BadValue, json_count, json_fraction, json_int, json_ints, json_str, naming, read
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
+_SEEDED_KEYS = ("sample_seed", "sample_size", "sample_sha256")
 
 
 class TraceParseError(ValueError):
@@ -55,40 +82,79 @@ def sample_count(param_count: int, ratio: float) -> int:
     return max(1, math.ceil(ratio * param_count))
 
 
-def sample_coordinates(param_count: int, ratio: float, seed: int | np.random.SeedSequence) -> list[int]:
+def _draw(param_count: int, size: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """`size` distinct flat indices below `param_count`, sorted ascending, as a
+    read-only int64 array."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(seq))
+    idx = rng.choice(param_count, size=size, replace=False).astype(np.int64, copy=False)
+    idx.sort()
+    idx.flags.writeable = False
+    return idx
+
+
+def sample_coordinates(param_count: int, ratio: float, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Draw ceil(ratio * param_count) distinct flat indices, sorted ascending.
 
     Uniform without replacement from a counter-based generator, so the result
-    is a pure function of (param_count, ratio, seed).
+    is a pure function of (param_count, ratio, seed). It is a read-only int64
+    array.
     """
     if param_count < 1:
         raise ValueError("param_count must be >= 1")
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"sampling ratio must be in (0, 1], got {ratio}")
-    k = sample_count(param_count, ratio)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seq))
-    idx = rng.choice(param_count, size=k, replace=False)
-    return sorted(int(i) for i in idx)
+    return _draw(param_count, sample_count(param_count, ratio), seed)
 
 
-@dataclass(frozen=True, slots=True)
+def indices_sha256(indices: np.ndarray) -> str:
+    """The ``sample_sha256`` of a seeded header entry: sha256 of the indices as little-endian int64."""
+    return hashlib.sha256(np.ascontiguousarray(indices, dtype="<i8")).hexdigest()
+
+
+def _index_array(values: object) -> np.ndarray:
+    """Sample indices as one read-only 1-D int64 array; a read-only int64
+    array is kept as it is, a list or tuple is read by `json_ints`."""
+    if not isinstance(values, np.ndarray):
+        return json_ints(values)
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        raise ValueError(f"expected a 1-D integer array, got a {values.ndim}-D {values.dtype} array")
+    if values.dtype == np.int64 and not values.flags.writeable:
+        return values
+    idx = values.astype(np.int64)
+    idx.flags.writeable = False
+    return idx
+
+
+def _seed_value(value: object) -> int:
+    if type(value) is int and 0 <= value < 2**63:
+        return value
+    raise BadValue("an integer >= 0", value)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class BlockSpec:
     """One traced parameter block and its fixed sampled coordinate set.
 
-    `sample_indices` may be given as any list or tuple of integers; it is
-    stored as a tuple of Python ints.
+    `sample_indices` may be given as a list, tuple or array of integers; it
+    is held as one read-only int64 array, which the diagnostics and the
+    simulator use as it is. `sample_seed` is the run seed the indices were
+    drawn from, which `create` sets: a spec that has one writes the seed and
+    a digest in its header entry instead of the indices (see the module
+    docstring). Specs compare equal when their id, name, shape, kind and
+    indices are, in whichever form the indices were written.
     """
 
     id: int
     name: str
     shape: BlockShape
-    sample_indices: tuple[int, ...]
+    sample_indices: np.ndarray
     module_kind: str = "other"
+    sample_seed: int | None = None
 
     def __post_init__(self) -> None:
         try:
-            idx = json_ints(self.sample_indices)
+            idx = _index_array(self.sample_indices)
         except ValueError as exc:
             raise ValueError(f"block {self.id}: sample indices: {exc}") from None
         if not len(idx):
@@ -99,10 +165,17 @@ class BlockSpec:
             raise ValueError(
                 f"block {self.id}: sample indices must lie in [0, {self.shape.param_count})"
             )
-        # Specs compare with ==, so a list from a header is stored as a tuple. It is
-        # built after the numpy checks have freed their arrays; built before them,
-        # it raised the ingest peak RSS by about 1 MB through heap fragmentation.
-        object.__setattr__(self, "sample_indices", tuple(self.sample_indices))
+        object.__setattr__(self, "sample_indices", idx)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockSpec):
+            return NotImplemented
+        return (self.id, self.name, self.shape, self.module_kind) == (
+            other.id, other.name, other.shape, other.module_kind
+        ) and np.array_equal(self.sample_indices, other.sample_indices)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.name, self.shape, self.module_kind, self.sample_size))
 
     @property
     def sample_size(self) -> int:
@@ -120,31 +193,51 @@ class BlockSpec:
     ) -> "BlockSpec":
         shape = BlockShape(tuple(int(d) for d in dims))
         indices = sample_coordinates(shape.param_count, sampling_ratio, derive_seed(seed, id))
-        return cls(id=id, name=name, shape=shape, sample_indices=indices, module_kind=module_kind)
+        return cls(id, name, shape, indices, module_kind, sample_seed=seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "dims": list(self.shape.dims),
-            "kind": self.module_kind,
-            "sample_indices": list(self.sample_indices),
-        }
+        entry = {"id": self.id, "name": self.name, "dims": list(self.shape.dims), "kind": self.module_kind}
+        if self.sample_seed is None:
+            entry["sample_indices"] = self.sample_indices.tolist()
+        else:
+            entry["sample_seed"] = self.sample_seed
+            entry["sample_size"] = self.sample_size
+            entry["sample_sha256"] = indices_sha256(self.sample_indices)
+        return entry
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockSpec":
-        """A spec from its header entry; ValueError unless id, dims and indices
-        are integers and the name and kind strings."""
+        """A spec from its header entry, in either form (see the module docstring).
+
+        ValueError unless id, dims and the indices or the seed and size are
+        integers and the name, kind and digest strings; a seeded entry must
+        not list indices too. A seeded entry whose indices, drawn again, do
+        not give its ``sample_sha256`` raises TraceParseError naming the block.
+        """
         block_id = read(d, "id", json_int)
         with naming(f"block {block_id}: dims"):
             shape = BlockShape.from_json(d["dims"])
-        return cls(
-            id=block_id,
-            name=read(d, "name", json_str),
-            shape=shape,
-            sample_indices=d["sample_indices"],
-            module_kind=read(d, "kind", json_str, "other"),
-        )
+        name = read(d, "name", json_str)
+        kind = read(d, "kind", json_str, "other")
+        seeded = [key for key in _SEEDED_KEYS if key in d]
+        if "sample_indices" in d or not seeded:
+            if seeded:
+                raise ValueError(f"block {block_id}: has both 'sample_indices' and {seeded[0]!r}")
+            return cls(block_id, name, shape, d["sample_indices"], kind)
+        with naming(f"block {block_id}"):
+            seed = read(d, "sample_seed", _seed_value)
+            size = read(d, "sample_size", json_count)
+            digest = read(d, "sample_sha256", json_str)
+            if size > shape.param_count:
+                raise ValueError(f"'sample_size' {size} exceeds the block's {shape.param_count} parameters")
+        indices = _draw(shape.param_count, size, derive_seed(seed, block_id))
+        drawn = indices_sha256(indices)
+        if drawn != digest:
+            raise TraceParseError(
+                f"block {block_id}: 'sample_sha256' {digest[:12]}... does not match the {size} indices that "
+                f"'sample_seed' {seed} draws here ({drawn[:12]}...), so they are not the coordinates traced"
+            )
+        return cls(block_id, name, shape, indices, kind, sample_seed=seed)
 
 
 @dataclass(slots=True)
@@ -156,24 +249,26 @@ class StepRecord:
     params: dict[int, np.ndarray] | None = None
 
 
-def _encode_vectors(step: int, vectors: dict[int, np.ndarray], last: dict[int, tuple[int, bytes]]) -> dict:
-    """One record's ``grads`` or ``params`` object in the version-3 layout.
+def _encode_vectors(step: int, vectors: dict[int, np.ndarray], last: dict[int, tuple[int, bytes]]) -> str:
+    """One record's ``grads`` or ``params`` object in the version-3 layout, as JSON text.
 
     `last` maps a block id to the step and the little-endian bytes of the
     last vector written for it in this kind. A bit-identical vector becomes
     a reference to that step; any other vector is written as base64 and
-    takes its place in `last`.
+    takes its place in `last`. The text is the one `json.dumps` gives for
+    the object. Base64 needs no escaping, so it is joined in as it is:
+    `json.dumps` would scan and copy every character of it again.
     """
-    out: dict[str, str | int] = {}
+    items = []
     for block_id, vec in vectors.items():
         data = np.asarray(vec, dtype="<f8").tobytes()
         prev = last.get(block_id)
         if prev is not None and prev[1] == data:
-            out[str(block_id)] = prev[0]
+            items.append(f'"{block_id:d}": {prev[0]:d}')
         else:
             last[block_id] = (step, data)
-            out[str(block_id)] = base64.b64encode(data).decode("ascii")
-    return out
+            items.append(f'"{block_id:d}": "{base64.b64encode(data).decode("ascii")}"')
+    return "{" + ", ".join(items) + "}"
 
 
 def _decode_vectors(
@@ -253,10 +348,12 @@ def write_trace(
     records: Iterable[StepRecord],
     sampling_ratio: float,
 ) -> None:
-    """Write header + records as version-3 JSONL. Exclusive per file; last writer wins.
+    """Write header + records as version-4 JSONL. Exclusive per file; last writer wins.
 
-    Each vector is written as the base64 text of its little-endian float64
-    bytes, so reading the file back gives bit-identical values. A vector
+    A spec with a `sample_seed` is written as a seeded entry, any other
+    with its `sample_indices` (see the module docstring). Each vector is
+    written as the base64 text of its little-endian float64 bytes, so
+    reading the file back gives bit-identical values. A vector
     whose bytes equal the last ones written for its block and kind is
     written as the step of the record that holds them (see the module
     docstring). Records must come in increasing step order, as the reader
@@ -272,10 +369,12 @@ def write_trace(
         fh.write(json.dumps(header) + "\n")
         last: dict[str, dict[int, tuple[int, bytes]]] = {"grads": {}, "params": {}}
         for rec in records:
-            obj: dict = {"step": rec.step, "grads": _encode_vectors(rec.step, rec.grads, last["grads"])}
-            if rec.params is not None:
-                obj["params"] = _encode_vectors(rec.step, rec.params, last["params"])
-            fh.write(json.dumps(obj) + "\n")
+            grads = _encode_vectors(rec.step, rec.grads, last["grads"])
+            if rec.params is None:
+                fh.write(f'{{"step": {rec.step:d}, "grads": {grads}}}\n')
+            else:
+                params = _encode_vectors(rec.step, rec.params, last["params"])
+                fh.write(f'{{"step": {rec.step:d}, "grads": {grads}, "params": {params}}}\n')
 
     if hasattr(path, "write"):
         _emit(path)  # type: ignore[arg-type]
@@ -284,27 +383,35 @@ def write_trace(
             _emit(fh)
 
 
+def _json_line(line: bytes, where: str) -> object:
+    """One trace line as JSON; TraceParseError naming `where` unless it is UTF-8 JSON."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{where}: not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(f"{where}: malformed JSON: {exc}") from None
+
+
 def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]:
     """Parse the header eagerly and return a lazy stream of step records.
 
-    Reads trace versions 1, 2 and 3 (see the module docstring). The header
+    Reads trace versions 1 to 4 (see the module docstring). The header
     is read and closed here; the record stream opens the file again only
-    once it is first advanced. The decoded vectors are read-only float64
-    arrays; for versions 2 and 3 they are views of the decoded bytes. A
-    version-3 reference yields the very array decoded at the step it names,
-    so records that repeat a vector share one array; a record without
+    once it is first advanced. Each line is read as bytes and decoded as
+    UTF-8. The decoded vectors are read-only float64 arrays; for versions
+    2 to 4 they are views of the decoded bytes. A reference yields the
+    very array decoded at the step it names, so records that repeat a
+    vector share one array; a record without
     ``params`` still gives ``params=None``. Malformed vectors and references
     (see `_decode_vectors`), unknown block ids and non-monotone steps raise
     TraceParseError naming the offending record while streaming.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         header_line = fh.readline()
     if not header_line.strip():
         raise TraceParseError("empty trace file: missing header line")
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"malformed header: {exc}") from None
+    header = _json_line(header_line, "header")
     if not isinstance(header, dict) or "blocks" not in header:
         raise TraceParseError("malformed header: expected an object with a 'blocks' field")
     version = header.get("version")
@@ -321,8 +428,9 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
     for spec in specs:
         expected = sample_count(spec.shape.param_count, ratio)
         if spec.sample_size != expected:
+            key = "sample_indices" if spec.sample_seed is None else "sample_size"
             raise TraceParseError(
-                f"header block {spec.id}: {spec.sample_size} sample indices, "
+                f"header block {spec.id}: {key!r} gives {spec.sample_size} samples, "
                 f"but sampling_ratio {ratio} implies {expected}"
             )
     specs_by_id = {s.id: s for s in specs}
@@ -332,16 +440,13 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
         prev_step: int | None = None
         record_no = 0
         last: dict[str, dict[int, tuple[int, np.ndarray]]] = {"grads": {}, "params": {}}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             fh.readline()  # header, parsed above
             for line in fh:
                 if not line.strip():
                     continue
                 record_no += 1
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceParseError(f"record {record_no}: malformed JSON: {exc}") from None
+                obj = _json_line(line, f"record {record_no}")
                 if not isinstance(obj, dict) or "step" not in obj or "grads" not in obj:
                     raise TraceParseError(f"record {record_no}: missing step or grads")
                 try:

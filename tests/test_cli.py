@@ -1,14 +1,18 @@
+import dataclasses
 import gc
 import hashlib
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from baoc.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, dispatch
 from baoc.config_space import CostModel
 from baoc.diagnostics import DiagnosticsState
+from baoc.trace import BlockSpec, read_trace
 
 PROFILES = {
     "sampling_ratio": 1.0,
@@ -63,7 +67,7 @@ class TestSimulate:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header + 3 records
-        assert json.loads(lines[0])["version"] == 3
+        assert json.loads(lines[0])["version"] == 4
 
     def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         profile_path = tmp_path / "profiles.json"
@@ -106,6 +110,52 @@ class TestDiagnose:
     def test_missing_trace(self, capsys):
         assert dispatch(["diagnose", "--trace", "/nonexistent.jsonl"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_record_that_is_not_utf8_is_one_error_line(self, trace_path, tmp_path, capsys):
+        lines = trace_path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"grads"', b'"gr\xffads"')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        assert dispatch(["diagnose", "--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: record 2: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+
+class TestSeededHeaderEntries:
+    """A block entry that holds `sample_seed` must be exact: one error line naming the block and the key."""
+
+    ENTRY = "malformed header block entry: block 0: "
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"sample_seed": True}, ENTRY + "'sample_seed' must be an integer >= 0, got true"),
+            ({"sample_seed": 3.0}, ENTRY + "'sample_seed' must be an integer >= 0, got 3.0"),
+            ({"sample_seed": -3}, ENTRY + "'sample_seed' must be an integer >= 0, got -3"),
+            ({"sample_size": None}, ENTRY + "missing key 'sample_size'"),
+            ({"sample_size": True}, ENTRY + "'sample_size' must be an integer >= 1, got true"),
+            ({"sample_indices": list(range(256))}, ENTRY + "has both 'sample_indices' and 'sample_seed'"),
+            ({"sample_sha256": "0" * 64}, ENTRY + "'sample_sha256' 000000000000... does not match the 256 indices"),
+            # The entry is intact; the header's ratio implies another size.
+            ({"sampling_ratio": 0.5}, "header block 0: 'sample_size' gives 256 samples, but sampling_ratio 0.5 implies 128"),
+        ],
+    )
+    def test_bad_entry(self, edit, message, trace_path, tmp_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        entry = header["blocks"][0]
+        assert {"sample_seed", "sample_size", "sample_sha256"} <= set(entry)
+        for key, value in edit.items():
+            target = header if key in header else entry
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert dispatch(["diagnose", "--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 class TestAllocate:
@@ -789,3 +839,52 @@ class TestBench:
         assert dispatch(["bench", "--reps", "0"]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --reps")
+
+
+def _ingest_workloads():
+    """The benchmark's workload module, which simulates the seed-0 `ingest` inputs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def _as_version_3(src: Path, dst: Path) -> None:
+    """`src` with its header rewritten as version 3, every entry listing its `sample_indices`."""
+    with open(src, "rb") as fh:
+        header = json.loads(fh.readline())
+        records = fh.read()
+    specs = [BlockSpec.from_json_dict(entry) for entry in header["blocks"]]
+    header["version"] = 3
+    header["blocks"] = [dataclasses.replace(s, sample_seed=None).to_json_dict() for s in specs]
+    dst.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + records)
+
+
+def test_version_3_and_seeded_headers_give_the_same_plan(tmp_path):
+    """The ingest seed-0 trace read with its seeded header and with explicit indices."""
+    inputs = _ingest_workloads().setup_ingest(0, tmp_path)
+    v3 = tmp_path / "trace-v3.jsonl"
+    _as_version_3(inputs.trace, v3)
+    seeded, listed = json.loads(inputs.trace.read_text().splitlines()[0]), json.loads(v3.read_text().splitlines()[0])
+    assert (seeded["version"], listed["version"]) == (4, 3)
+    assert all("sample_seed" in entry and "sample_indices" not in entry for entry in seeded["blocks"])
+    assert all("sample_indices" in entry and "sample_seed" not in entry for entry in listed["blocks"])
+    specs4, specs3 = read_trace(inputs.trace)[0], read_trace(v3)[0]
+    assert specs4 == specs3 and sum(s.sample_size for s in specs4) == 19_936
+
+    docs, plans = [], []
+    for trace in (inputs.trace, v3):
+        blocks, plan = trace.with_suffix(".blocks.json"), trace.with_suffix(".plan.json")
+        assert dispatch(["partition", "--model-desc", str(inputs.model_desc), "--trace", str(trace),
+                         "--out", str(blocks), "--quiet"]) == EXIT_OK
+        assert dispatch(["allocate", "--trace", str(trace), "--blocks", str(blocks),
+                         "--out", str(plan), "--quiet"]) == EXIT_OK
+        doc = json.loads(blocks.read_text())
+        assert doc.pop("trace_sha256") == hashlib.sha256(trace.read_bytes()).hexdigest()
+        docs.append(doc)
+        plans.append(plan.read_bytes())
+    assert docs[0] == docs[1]
+    assert plans[0] == plans[1]
+    assert hashlib.sha256(plans[0]).hexdigest() == "7f79ae155f2084e8164500399b52122a03fc061be0828316ca436f435e9fd75c"

@@ -355,7 +355,7 @@ class TestTraceVersion3:
         _write_v1_trace(paths[1], specs, records, ratio)
         _write_v2_trace(paths[2], specs, records, ratio)
         write_trace(paths[3], specs, records, ratio)
-        assert [json.loads(p.read_text().splitlines()[0])["version"] for p in paths.values()] == [1, 2, 3]
+        assert [json.loads(p.read_text().splitlines()[0])["version"] for p in paths.values()] == [1, 2, 4]
         assert paths[3].stat().st_size < 0.75 * paths[2].stat().st_size
 
         metrics = [collect_metrics(*read_trace(p)) for p in paths.values()]
@@ -395,5 +395,5 @@ class TestTraceVersion3:
         write_trace(v3, specs, moving, 0.1)
         lines2, lines3 = v2.read_text().splitlines(), v3.read_text().splitlines()
         assert lines3[1:] == lines2[1:]
-        assert json.loads(lines3[0]) == json.loads(lines2[0]) | {"version": 3}
+        assert json.loads(lines3[0]) == json.loads(lines2[0]) | {"version": 4}
         assert collect_metrics(*read_trace(v2)) == collect_metrics(*read_trace(v3))

@@ -1,4 +1,6 @@
 import base64
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -16,6 +18,7 @@ from baoc.trace import (
     StepRecord,
     TraceParseError,
     derive_seed,
+    indices_sha256,
     read_trace,
     sample_coordinates,
     write_trace,
@@ -30,10 +33,10 @@ class TestSampleCoordinates:
     def test_deterministic(self):
         a = sample_coordinates(1000, 0.01, seed=7)
         b = sample_coordinates(1000, 0.01, seed=7)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_seed_changes_output(self):
-        assert sample_coordinates(1000, 0.05, seed=1) != sample_coordinates(1000, 0.05, seed=2)
+        assert not np.array_equal(sample_coordinates(1000, 0.05, seed=1), sample_coordinates(1000, 0.05, seed=2))
 
     def test_ratio_validation(self):
         for ratio in (0.0, -0.1, 1.0001):
@@ -41,7 +44,7 @@ class TestSampleCoordinates:
                 sample_coordinates(100, ratio, seed=0)
 
     def test_full_ratio(self):
-        assert sample_coordinates(10, 1.0, seed=0) == list(range(10))
+        assert sample_coordinates(10, 1.0, seed=0).tolist() == list(range(10))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -50,7 +53,7 @@ class TestSampleCoordinates:
         seed=st.integers(0, 2**31),
     )
     def test_size_distinctness_range(self, d, ratio, seed):
-        idx = sample_coordinates(d, ratio, seed)
+        idx = sample_coordinates(d, ratio, seed).tolist()
         assert len(idx) == max(1, math.ceil(ratio * d))
         assert len(set(idx)) == len(idx)
         assert idx == sorted(idx)
@@ -60,7 +63,37 @@ class TestSampleCoordinates:
         a = sample_coordinates(500, 0.02, derive_seed(9, 4))
         b = sample_coordinates(500, 0.02, derive_seed(9, 4))
         c = sample_coordinates(500, 0.02, derive_seed(9, 5))
-        assert a == b and a != c
+        assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "param_count, unit_id, size, first, last, digest",
+        [
+            (
+                1024 * 1024, 1, 1049,
+                [1914, 1944, 3126, 5730, 5916],
+                [1041878, 1044514, 1044701, 1047398, 1047709],
+                "3ac4cb1d4370863be5458b9baeaa2ac4b909763d1a5c6fb19c9f75ba850aeae0",
+            ),
+            (
+                2816 * 1024, 6, 2884,
+                [900, 2157, 2203, 2929, 4227],
+                [2878961, 2879991, 2880083, 2881126, 2882104],
+                "03eb4f4a82193f30423185cfa41d074b84b764eee382723b625808f319d7c97c",
+            ),
+        ],
+    )
+    def test_golden_draws_of_transformer_units(self, param_count, unit_id, size, first, last, digest):
+        # A 1024 x 1024 attention matrix and a 2816 x 1024 FFN matrix at ratio 0.001, run seed 0.
+        # A seeded trace header stores only the seed, so a NumPy whose Generator.choice draws other
+        # indices must fail here by name, not only through the plan bytes.
+        idx = sample_coordinates(param_count, 0.001, derive_seed(0, unit_id))
+        assert len(idx) == size
+        assert idx[:5].tolist() == first and idx[-5:].tolist() == last
+        assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == digest == indices_sha256(idx)
+
+    def test_array_is_read_only_int64(self):
+        idx = sample_coordinates(1000, 0.01, seed=7)
+        assert idx.dtype == np.int64 and idx.ndim == 1 and not idx.flags.writeable
 
 
 def _specs():
@@ -157,7 +190,7 @@ class TestRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         specs, stream = read_trace(path)
         got = list(stream)
-        assert specs[0].sample_indices == (0, 2)
+        assert specs[0].sample_indices.tolist() == [0, 2]
         assert got[0].grads[0].tolist() == [0.25, -1.5]
         assert got[1].grads[0].tolist() == [1e-300, 3.141592653589793]
         assert got[1].params is None
@@ -349,12 +382,20 @@ class TestVersion3References:
             for t, p in zip((2, 3, 5, 6, 9, 10), params)
         ]
 
+    def test_record_lines_are_the_json_dumps_text(self, tmp_path):
+        # write_trace joins each record line from its parts; it must be the text json.dumps gives.
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _specs(), [*self._records(), StepRecord(step=11, grads={})], sampling_ratio=0.1)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 8
+        assert all(line == json.dumps(json.loads(line)) for line in lines)
+
     def test_repeats_become_references_and_round_trip(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         records = self._records()
         write_trace(a, _specs(), records, sampling_ratio=0.1)
         lines = [json.loads(line) for line in a.read_text().splitlines()]
-        assert lines[0]["version"] == 3
+        assert lines[0]["version"] == 4
         assert [rec.get("params") and rec["params"]["1"] for rec in lines[1:]] == [
             _b64(records[0].params[1]), 2, None, 2, 2, None
         ]
@@ -473,10 +514,10 @@ class TestStrictHeaderIntegers:
     def _entry(self, **change):
         return {"id": 0, "name": "w", "dims": [4, 4], "kind": "other", "sample_indices": [0, 5, 9]} | change
 
-    def test_indices_stay_a_tuple_of_python_ints(self):
+    def test_indices_are_one_read_only_int64_array(self):
         spec = BlockSpec.from_json_dict(self._entry())
-        assert spec.sample_indices == (0, 5, 9)
-        assert type(spec.sample_indices) is tuple and all(type(i) is int for i in spec.sample_indices)
+        assert spec.sample_indices.tolist() == [0, 5, 9]
+        assert spec.sample_indices.dtype == np.int64 and not spec.sample_indices.flags.writeable
         assert spec.shape.dims == (4, 4) and all(type(d) is int for d in spec.shape.dims)
         assert spec == BlockSpec(id=0, name="w", shape=BlockShape((4, 4)), sample_indices=[0, 5, 9])
 
@@ -517,4 +558,93 @@ class TestStrictHeaderIntegers:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"version": 3, "sampling_ratio": 0.2, "blocks": [self._entry(id=block_id)]}) + "\n")
         with pytest.raises(TraceParseError, match=re.escape(f"malformed header block entry: {reason}")):
+            read_trace(path)
+
+
+class TestSeededEntries:
+    """Version-4 header entries that hold the sampler's seed instead of the indices."""
+
+    def test_created_spec_writes_its_seed_and_reads_back_equal(self, tmp_path):
+        spec = BlockSpec.create(3, "w", (40, 50), 0.01, seed=11, module_kind="ffn")
+        entry = spec.to_json_dict()
+        assert entry == {
+            "id": 3, "name": "w", "dims": [40, 50], "kind": "ffn",
+            "sample_seed": 11, "sample_size": 20, "sample_sha256": indices_sha256(spec.sample_indices),
+        }
+        back = BlockSpec.from_json_dict(entry)
+        assert back == spec and back.sample_seed == 11
+        assert back.sample_indices.dtype == np.int64 and not back.sample_indices.flags.writeable
+        path = tmp_path / "t.jsonl"
+        write_trace(path, [spec], [], sampling_ratio=0.01)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["version"] == 4 and header["blocks"] == [entry]
+        specs, _ = read_trace(path)
+        assert specs == [spec] and specs[0].to_json_dict() == entry
+
+    def test_spec_from_a_list_writes_its_indices(self):
+        spec = BlockSpec(id=0, name="w", shape=BlockShape((10,)), sample_indices=[1, 4, 9])
+        assert spec.sample_seed is None
+        assert spec.to_json_dict()["sample_indices"] == [1, 4, 9]
+        assert not any(key in spec.to_json_dict() for key in ("sample_seed", "sample_size", "sample_sha256"))
+        assert spec.sample_indices.dtype == np.int64 and not spec.sample_indices.flags.writeable
+
+    def test_forms_compare_equal(self):
+        seeded = BlockSpec.create(0, "w", (30, 30), 0.05, seed=2)
+        listed = dataclasses.replace(seeded, sample_seed=None)
+        assert listed == seeded and hash(listed) == hash(seeded)
+        assert "sample_indices" in listed.to_json_dict() and "sample_seed" in seeded.to_json_dict()
+        assert BlockSpec.from_json_dict(listed.to_json_dict()) == BlockSpec.from_json_dict(seeded.to_json_dict())
+        moved = BlockSpec(0, "w", BlockShape((30, 30)), seeded.sample_indices + 1)
+        assert moved != seeded
+
+    def test_writable_array_is_copied(self):
+        given = np.array([2, 5, 7])
+        spec = BlockSpec(id=0, name="w", shape=BlockShape((10,)), sample_indices=given)
+        given[0] = 0
+        assert spec.sample_indices.tolist() == [2, 5, 7] and not spec.sample_indices.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [
+            (np.array([1.0, 2.0]), "expected a 1-D integer array, got a 1-D float64 array"),
+            (np.array([[1, 2]]), "expected a 1-D integer array, got a 2-D int64 array"),
+            (np.array([True, False]), "expected a 1-D integer array, got a 1-D bool array"),
+        ],
+    )
+    def test_array_that_holds_no_indices(self, values, reason):
+        with pytest.raises(ValueError, match=re.escape(f"block 0: sample indices: {reason}")):
+            BlockSpec(id=0, name="w", shape=BlockShape((10,)), sample_indices=values)
+
+    def test_digest_mismatch_names_the_block(self):
+        entry = BlockSpec.create(5, "w", (40, 50), 0.01, seed=11).to_json_dict()
+        entry["sample_sha256"] = "0" * 64
+        with pytest.raises(TraceParseError, match=r"^block 5: 'sample_sha256' 000000000000\.\.\. does not match the 20 indices"):
+            BlockSpec.from_json_dict(entry)
+
+    def test_size_larger_than_the_block(self):
+        entry = BlockSpec.create(5, "w", (4,), 1.0, seed=11).to_json_dict() | {"sample_size": 5}
+        with pytest.raises(ValueError, match=re.escape("block 5: 'sample_size' 5 exceeds the block's 4 parameters")):
+            BlockSpec.from_json_dict(entry)
+
+
+class TestNonUtf8Lines:
+    def _trace(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _specs(), _records(), sampling_ratio=0.1)
+        return path, path.read_bytes().split(b"\n")
+
+    def test_record_names_its_number(self, tmp_path):
+        path, lines = self._trace(tmp_path)
+        lines[2] = lines[2].replace(b'"step"', b'"st\xffep"')
+        path.write_bytes(b"\n".join(lines))
+        _, stream = read_trace(path)
+        assert next(stream).step == 1
+        with pytest.raises(TraceParseError, match=r"^record 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"):
+            next(stream)
+
+    def test_header(self, tmp_path):
+        path, lines = self._trace(tmp_path)
+        lines[0] = lines[0].replace(b'"emb"', b'"e\xe9mb"')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(TraceParseError, match=r"^header: not UTF-8: 'utf-8' codec can't decode byte 0xe9"):
             read_trace(path)
