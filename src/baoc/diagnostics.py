@@ -8,6 +8,12 @@ Raw metrics, the distortion and the structure residual included, are
 derived from the final EMA values at the end of warmup, from the occupied
 cells alone: no metric builds the block's dense matrix.
 
+A block whose leading axes are all 1 (every 2-D block) has one sample per
+cell: its sorted, distinct indices are distinct cells, met in row-major
+order. Its cell EMA then folds each squared sample in as it is, with no
+scatter into cells. That is exact: the scatter would add each value to
+0.0 and divide it by a count of 1, and neither changes a float.
+
 - anisotropy: log ratio of the 0.9/0.1 quantiles of the second moment
 - direction stability and a signal-to-noise proxy, gating momentum need
 - distortion: how unevenly the adaptive preconditioner scales parameters
@@ -20,6 +26,7 @@ cells alone: no metric builds the block's dense matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +223,27 @@ def _non_negative(value: object) -> float:
     raise BadValue("a number >= 0", value)
 
 
+def _norm(v: np.ndarray) -> float:
+    """`np.linalg.norm` of a 1-D float64 vector, bit for bit, without its
+    dispatch: the square root of the dot product of the elements in memory
+    order. A strided view is copied first, as `np.linalg.norm` copies it:
+    a dot product over strided memory sums in another order."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 class DiagnosticsState:
     """EMA accumulators for one block's sampled gradient stream.
+
+    A block with two or more axes keeps a squared-gradient EMA per occupied
+    cell of its two trailing axes. When its parameter count is rows times
+    columns of those axes, no leading axis pools samples into a cell: each
+    sample is its own cell, in sample order, and `update` folds the squared
+    samples in directly (see the module docstring for why that is exact).
+    Otherwise each step averages the samples that share a cell first.
+
+    The norm of the last gradient is carried to the next step's direction
+    stability instead of computed again.
 
     One writer at a time per block; snapshot reads are side-effect free.
     """
@@ -236,22 +262,28 @@ class DiagnosticsState:
         self.exp_avg_sq = np.zeros(n, dtype=np.float64)
         self.direction_stability = 0.0
         self.prev_grad: np.ndarray | None = None
+        self._prev_norm = 0.0
         self.step_count = 0
         self._last_params: np.ndarray | None = None
         self._params_exp_avg_sq: np.ndarray | None = None
         self._grid_shape: tuple[int, int] | None = None
         if len(spec.shape.dims) >= 2:
             rows_full, cols_full = spec.shape.dims[-2], spec.shape.dims[-1]
+            one_per_cell = spec.shape.param_count == rows_full * cols_full
             within = spec.sample_indices % (rows_full * cols_full)
             rows, row_rank = np.unique(within // cols_full, return_inverse=True)
             cols, col_rank = np.unique(within % cols_full, return_inverse=True)
             if len(rows) >= 2 and len(cols) >= 2:
                 self._grid_shape = (len(rows), len(cols))
-                cells, self._cell_of, self._cell_count = np.unique(
-                    row_rank * len(cols) + col_rank, return_inverse=True, return_counts=True
-                )
-                self._cell_row, self._cell_col = np.divmod(cells, len(cols))
-                self._cell_sq = np.zeros(len(cells), dtype=np.float64)
+                if one_per_cell:
+                    self._cell_of = self._cell_count = None
+                    self._cell_row, self._cell_col = row_rank, col_rank
+                else:
+                    cells, self._cell_of, self._cell_count = np.unique(
+                        row_rank * len(cols) + col_rank, return_inverse=True, return_counts=True
+                    )
+                    self._cell_row, self._cell_col = np.divmod(cells, len(cols))
+                self._cell_sq = np.zeros(len(self._cell_row), dtype=np.float64)
 
     @property
     def sq_matrix(self) -> np.ndarray | None:
@@ -288,12 +320,15 @@ class DiagnosticsState:
             )
         self.exp_avg = self.beta_m * self.exp_avg + (1.0 - self.beta_m) * g
         self.exp_avg_sq = self.beta_v * self.exp_avg_sq + (1.0 - self.beta_v) * g * g
+        norm = _norm(g)
         if self.prev_grad is not None:
-            norms = np.linalg.norm(g) * np.linalg.norm(self.prev_grad)
+            norms = norm * self._prev_norm
             cos = 0.0 if norms == 0.0 else float(g @ self.prev_grad / (norms + self.eps))
             self.direction_stability = self.beta_rho * self.direction_stability + (1.0 - self.beta_rho) * cos
         if self._grid_shape is not None:
-            cell_mean = np.bincount(self._cell_of, weights=g * g) / self._cell_count
+            cell_mean = g * g
+            if self._cell_of is not None:
+                cell_mean = np.bincount(self._cell_of, weights=cell_mean) / self._cell_count
             self._cell_sq = self.beta_v * self._cell_sq + (1.0 - self.beta_v) * cell_mean
         if param_sample is not None:
             theta = np.asarray(param_sample, dtype=np.float64)
@@ -305,6 +340,7 @@ class DiagnosticsState:
             self._last_params = theta
             self._params_exp_avg_sq = self.exp_avg_sq  # rebound every step, never written in place
         self.prev_grad = g
+        self._prev_norm = norm
         self.step_count += 1
 
     def snapshot(self) -> RawMetrics:

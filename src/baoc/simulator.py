@@ -11,6 +11,7 @@ counter-based generator key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -44,7 +45,9 @@ class StreamProfile:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
+    # The dot product and square root np.linalg.norm takes for a contiguous
+    # 1-D float64 vector, bit for bit, without its dispatch.
+    norm = math.sqrt(vec.dot(vec))
     return vec if norm == 0.0 else vec / norm
 
 

@@ -53,6 +53,7 @@ so a line that is not UTF-8 is an error naming the header or the record.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import math
@@ -67,6 +68,8 @@ from .documents import BadValue, json_count, json_fraction, json_int, json_ints,
 
 TRACE_VERSION = 4
 _SEEDED_KEYS = ("sample_seed", "sample_size", "sample_sha256")
+#: Read buffer of the record stream, in bytes (see `read_trace`).
+_RECORD_BUFFER = 1 << 20
 
 
 class TraceParseError(ValueError):
@@ -271,6 +274,10 @@ def _encode_vectors(step: int, vectors: dict[int, np.ndarray], last: dict[int, t
     return "{" + ", ".join(items) + "}"
 
 
+def _vector_error(where: str, kind: str, block_id: int, problem: str) -> TraceParseError:
+    return TraceParseError(f"{where}: {kind} vector for block {block_id} {problem}")
+
+
 def _decode_vectors(
     record_no: int,
     step: int,
@@ -282,13 +289,13 @@ def _decode_vectors(
 ) -> dict[int, np.ndarray]:
     """One record's ``grads``/``params`` object as read-only float64 vectors.
 
-    A string value is base64 little-endian float64 (versions 2 and 3), a
-    list is decimal numbers (version 1), and an integer, allowed only when
-    `references` is set (version 3), is the step of the record that holds
-    the vector. `last` maps a block id to the step and vector last decoded
-    from text for this kind; a valid reference resolves to that same
-    array. Every malformed case raises TraceParseError naming the record
-    and, where there is one, the block.
+    A string value is base64 little-endian float64 (versions 2 and later),
+    a list is decimal numbers (version 1), and an integer, allowed only when
+    `references` is set (versions 3 and later), is the step of the record
+    that holds the vector. `last` maps a block id to the step and vector
+    last decoded from text for this kind; a valid reference resolves to that
+    same array. Every malformed case raises TraceParseError naming the
+    record and, where there is one, the block.
     """
     where = f"record {record_no} (step {step})"
     if not isinstance(raw, dict):
@@ -301,42 +308,45 @@ def _decode_vectors(
             raise TraceParseError(f"{where}: {kind} key {key!r} is not an integer block id") from None
         if block_id not in specs_by_id:
             raise TraceParseError(f"{where}: {kind} for unknown block id {block_id}")
-        what = f"{where}: {kind} vector for block {block_id}"
         if type(value) is int:
             if not references:
-                raise TraceParseError(f"{what} is a step reference, which only trace version 3 allows")
+                raise _vector_error(
+                    where, kind, block_id, "is a step reference, which only trace versions 3 and later allow"
+                )
             prev = last.get(block_id)
             if prev is None:
-                raise TraceParseError(f"{what} refers to step {value}, but no earlier record wrote one")
+                raise _vector_error(where, kind, block_id, f"refers to step {value}, but no earlier record wrote one")
             if value != prev[0]:
-                raise TraceParseError(
-                    f"{what} refers to step {value}, but the last one was written at step {prev[0]}"
+                raise _vector_error(
+                    where, kind, block_id, f"refers to step {value}, but the last one was written at step {prev[0]}"
                 )
             out[block_id] = prev[1]
             continue
         if isinstance(value, str):
             try:
-                data = base64.b64decode(value, validate=True)
+                data = binascii.a2b_base64(value, strict_mode=True)
             except ValueError as exc:
-                raise TraceParseError(f"{what} is not valid base64: {exc}") from None
+                raise _vector_error(where, kind, block_id, f"is not valid base64: {exc}") from None
             if len(data) % 8:
-                raise TraceParseError(f"{what} has {len(data)} bytes, not a multiple of 8")
+                raise _vector_error(where, kind, block_id, f"has {len(data)} bytes, not a multiple of 8")
             vec = np.frombuffer(data, dtype="<f8")
         elif isinstance(value, list):
             try:
                 vec = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
-                raise TraceParseError(f"{what} is not an array of numbers") from None
+                raise _vector_error(where, kind, block_id, "is not an array of numbers") from None
             vec.flags.writeable = False
         else:
-            raise TraceParseError(f"{what} is {json.dumps(value):.40}, not a vector or a step reference")
+            raise _vector_error(
+                where, kind, block_id, f"is {json.dumps(value):.40}, not a vector or a step reference"
+            )
         if vec.ndim != 1:
-            raise TraceParseError(f"{what} is not 1-D (shape {vec.shape})")
+            raise _vector_error(where, kind, block_id, f"is not 1-D (shape {vec.shape})")
         expected = specs_by_id[block_id].sample_size
         if len(vec) != expected:
-            raise TraceParseError(f"{what} has length {len(vec)}, expected {expected}")
+            raise _vector_error(where, kind, block_id, f"has length {len(vec)}, expected {expected}")
         if not np.isfinite(vec).all():
-            raise TraceParseError(f"{what} has a non-finite value")
+            raise _vector_error(where, kind, block_id, "has a non-finite value")
         last[block_id] = (step, vec)
         out[block_id] = vec
     return out
@@ -406,6 +416,12 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
     ``params`` still gives ``params=None``. Malformed vectors and references
     (see `_decode_vectors`), unknown block ids and non-monotone steps raise
     TraceParseError naming the offending record while streaming.
+
+    The record stream reads through a buffer of `_RECORD_BUFFER` bytes,
+    which holds a typical record line: with the default 8 KiB buffer, a
+    line of a few hundred KB took dozens of read calls, and those calls,
+    not the bytes, were most of the time spent reading. A longer line
+    still reads whole, in more calls.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -440,7 +456,7 @@ def read_trace(path: str | Path) -> tuple[list[BlockSpec], Iterator[StepRecord]]
         prev_step: int | None = None
         record_no = 0
         last: dict[str, dict[int, tuple[int, np.ndarray]]] = {"grads": {}, "params": {}}
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=_RECORD_BUFFER) as fh:
             fh.readline()  # header, parsed above
             for line in fh:
                 if not line.strip():

@@ -234,6 +234,25 @@ class TestStateUpdate:
         state.update(np.zeros(2))
         assert state.direction_stability == pytest.approx(0.9 * before, abs=1e-15)
 
+    def test_direction_stability_matches_np_linalg_norm(self):
+        # The carried norm and its dot product give the bits np.linalg.norm gives, over a stream
+        # with a zero gradient, strided views and a reversed one.
+        n = 257
+        state = DiagnosticsState(_spec(dims=(n,)))
+        rng = np.random.default_rng(12)
+        stream = [rng.standard_normal(n), np.zeros(n), rng.standard_normal(2 * n)[::2], rng.standard_normal(n),
+                  rng.standard_normal(n)[::-1], np.zeros(n), np.zeros(n), rng.standard_normal(3 * n)[1::3]]
+        expected, prev = 0.0, None
+        for g in stream:
+            state.update(g)
+            if prev is not None:
+                norms = np.linalg.norm(g) * np.linalg.norm(prev)
+                cos = 0.0 if norms == 0.0 else float(g @ prev / (norms + EPS))
+                expected = 0.9 * expected + (1.0 - 0.9) * cos
+            prev = g
+            assert state.direction_stability == expected
+        assert expected != 0.0
+
     def test_length_mismatch(self):
         state = DiagnosticsState(_spec(dims=(4,)))
         with pytest.raises(ValueError):
@@ -271,7 +290,9 @@ class TestStateUpdate:
         assert np.allclose(state.sq_matrix, expected, atol=1e-14)
         assert np.all(state.sq_matrix >= 0.0)
 
-    @pytest.mark.parametrize("dims, ratio", [((64, 48), 0.05), ((4, 16, 12), 0.3)])
+    @pytest.mark.parametrize(
+        "dims, ratio", [((64, 48), 0.05), ((4, 16, 12), 0.3), ((1, 40, 30), 0.3), ((6, 5), 1.0)]
+    )
     def test_sparse_matrix_state_matches_dense_accumulator(self, dims, ratio):
         # Reference: a dense occupied-rows x occupied-columns accumulator that
         # scatter-adds g*g, divides by the per-cell sample count and folds the
@@ -285,10 +306,11 @@ class TestStateUpdate:
         counts = np.zeros((row_rank.max() + 1, col_rank.max() + 1), dtype=np.int64)
         np.add.at(counts, (row_rank, col_rank), 1)
         observed = counts > 0
-        if len(dims) == 2:
-            assert not observed.all()  # sparse grid: unobserved cells stay 0
-        else:
+        if spec.shape.param_count > rows_full * cols_full:
             assert counts.max() > 1  # leading axis pools samples into cells
+        else:
+            assert counts.max() == 1  # one sample per cell
+            assert observed.all() == (ratio == 1.0)  # sparse grid unless fully sampled: unobserved cells stay 0
         state = DiagnosticsState(spec)
         beta = state.beta_v
         reference = np.zeros(counts.shape)

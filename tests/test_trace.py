@@ -166,6 +166,34 @@ class TestRoundTrip:
             write_trace(b, specs, [back], sampling_ratio=1.0)
             assert a.read_bytes() == b.read_bytes()
 
+    def test_line_longer_than_the_read_buffer(self, tmp_path):
+        # 200,000 samples make a record line of about 2.1 MB, twice the record stream's buffer.
+        spec = BlockSpec.create(0, "w", (1000, 1000), 0.2, seed=5)
+        rng = np.random.default_rng(6)
+        records = [StepRecord(step=t, grads={0: rng.standard_normal(spec.sample_size)}) for t in (1, 2, 3)]
+        path = tmp_path / "t.jsonl"
+        write_trace(path, [spec], records, sampling_ratio=0.2)
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines[1]) > 2 * 10**6
+        _, stream = read_trace(path)
+        back = list(stream)
+        assert [r.step for r in back] == [1, 2, 3]
+        for orig, got in zip(records, back):
+            assert got.grads[0].tobytes() == orig.grads[0].tobytes()
+
+    def test_last_line_without_a_newline(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = _records()
+        write_trace(path, _specs(), records, sampling_ratio=0.1)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        _, stream = read_trace(path)
+        back = list(stream)
+        assert [r.step for r in back] == [1, 2, 3]
+        for orig, got in zip(records, back):
+            for b in (0, 1):
+                assert got.grads[b].tobytes() == orig.grads[b].tobytes()
+        assert back[2].params[1].tobytes() == records[2].params[1].tobytes()
+
     def test_vectors_are_read_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace(path, _specs(), _records(), sampling_ratio=0.1)
@@ -506,7 +534,7 @@ class TestReferenceErrors:
         message = self._error(tmp_path, records, version=version)
         assert message == (
             "record 2 (step 2): grads vector for block 0 is a step reference, "
-            "which only trace version 3 allows"
+            "which only trace versions 3 and later allow"
         )
 
 
