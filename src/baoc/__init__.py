@@ -34,6 +34,7 @@ from .config_space import (
     aggressiveness,
     enumerate_candidates,
     measure_update_ratio,
+    quantize,
     state_bytes,
 )
 from .diagnostics import (
@@ -42,7 +43,6 @@ from .diagnostics import (
     anisotropy,
     distortion,
     precision_similarity,
-    quantize,
     snr,
     structure_residual,
 )

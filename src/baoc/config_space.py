@@ -24,6 +24,30 @@ from .documents import json_bool, json_int, json_ints, json_number, json_object,
 
 VALID_BITS = (32, 16, 8)
 
+
+def quantize(x: np.ndarray, bits: int) -> np.ndarray:
+    """Emulate storing `x` at the given state precision and reading it back.
+
+    32: identity. 16: IEEE binary16 round-to-nearest-even, saturating at the
+    largest finite half-precision value. 8: symmetric absmax linear
+    quantization onto 255 signed levels (scale = absmax/127). The level is
+    round(x / absmax * 127), so a subnormal absmax, whose scale underflows
+    to 0, still gives finite values.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if bits == 32:
+        return arr.copy()
+    if bits == 16:
+        largest = float(np.finfo(np.float16).max)
+        return np.clip(arr, -largest, largest).astype(np.float16).astype(np.float64)
+    if bits == 8:
+        absmax = float(np.abs(arr).max()) if arr.size else 0.0
+        if absmax == 0.0:
+            return np.zeros_like(arr)
+        return np.clip(np.round(arr / absmax * 127.0), -127, 127) * (absmax / 127.0)
+    raise ValueError(f"unsupported bit-width {bits}")
+
+
 #: The families of the candidate grid: AdamW, Adam, SGD, SGD+momentum, SGDW,
 #: SGDW+momentum, Adafactor. Stateless families carry no bit-width axis.
 _FAMILY_FLAGS = {
@@ -420,8 +444,6 @@ def _store_state(arr: np.ndarray, bits: int) -> np.ndarray:
     if bits == 16:
         return arr.astype(np.float16)
     # int8 storage with a per-tensor absmax scale, as 8-bit optimizers do
-    from .diagnostics import quantize  # diagnostics imports this module through trace
-
     return quantize(arr, 8).astype(np.float32)
 
 

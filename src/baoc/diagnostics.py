@@ -1,18 +1,20 @@
 """Streaming per-block gradient diagnostics.
 
 Each traced block owns one `DiagnosticsState` that folds sampled gradient
-vectors into exponential moving averages: first/second moments, step-to-step
-direction stability, and (for matrix blocks) one squared-gradient EMA per
-occupied cell of a compacted row/column grid, so a step costs O(samples).
-Raw metrics, the distortion and the structure residual included, are
-derived from the final EMA values at the end of warmup, from the occupied
-cells alone: no metric builds the block's dense matrix.
+vectors into exponential moving averages: first/second moments per sample
+and step-to-step direction stability, so a step costs O(samples). Raw
+metrics, the distortion and the structure residual included, are derived
+from the final EMA values at the end of warmup. A matrix block's
+squared-gradient grid is one value per occupied cell of a compacted
+row/column grid, the mean of its samples' second moments, derived once at
+snapshot time: no metric builds the block's dense matrix.
 
-A block whose leading axes are all 1 (every 2-D block) has one sample per
-cell: its sorted, distinct indices are distinct cells, met in row-major
-order. Its cell EMA then folds each squared sample in as it is, with no
-scatter into cells. That is exact: the scatter would add each value to
-0.0 and divide it by a count of 1, and neither changes a float.
+An EMA is linear, so the mean of a cell's per-sample EMAs of g^2 equals, in
+exact arithmetic, the EMA of the cell's per-step mean g^2. In floats every
+term is non-negative, so no rounding cancels into a larger relative error:
+after T steps, the mean that `snapshot` takes and a step-wise per-cell EMA
+are each within (2T + k + 1) units of roundoff (2^-53), relative and to
+first order, of the exact value for a cell of k samples.
 
 - anisotropy: log ratio of the 0.9/0.1 quantiles of the second moment
 - direction stability and a signal-to-noise proxy, gating momentum need
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_space import VALID_BITS
+from .config_space import VALID_BITS, quantize
 from .documents import BadValue, json_count, json_fraction, json_number, json_object, naming, read
 from .trace import BlockSpec
 
@@ -41,7 +43,8 @@ EPS = 1e-12
 #: EPS so preconditioners stay numerically useful).
 EPS_UPDATE = 1e-8
 
-DEFAULT_BETAS = (0.9, 0.999, 0.9)  # (first moment, second moment, direction stability)
+#: EMA decay rates of the first moment, the second moment and direction stability.
+BETA_M, BETA_V, BETA_RHO = 0.9, 0.999, 0.9
 
 
 def anisotropy(v_hat: np.ndarray) -> float:
@@ -114,29 +117,6 @@ def _cell_structure_residual(
     unlisted_b_sq[np.bincount(rows[live], minlength=n_rows) == np.count_nonzero(b)] = 0.0
     err_sq = listed_err @ listed_err + (a * a) @ unlisted_b_sq / (total * total)
     return float(np.sqrt(err_sq) / (np.sqrt(values @ values) + EPS))
-
-
-def quantize(x: np.ndarray, bits: int) -> np.ndarray:
-    """Emulate storing `x` at the given state precision and reading it back.
-
-    32: identity. 16: IEEE binary16 round-to-nearest-even, saturating at the
-    largest finite half-precision value. 8: symmetric absmax linear
-    quantization onto 255 signed levels (scale = absmax/127). The level is
-    round(x / absmax * 127), so a subnormal absmax, whose scale underflows
-    to 0, still gives finite values.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if bits == 32:
-        return arr.copy()
-    if bits == 16:
-        largest = float(np.finfo(np.float16).max)
-        return np.clip(arr, -largest, largest).astype(np.float16).astype(np.float64)
-    if bits == 8:
-        absmax = float(np.abs(arr).max()) if arr.size else 0.0
-        if absmax == 0.0:
-            return np.zeros_like(arr)
-        return np.clip(np.round(arr / absmax * 127.0), -127, 127) * (absmax / 127.0)
-    raise ValueError(f"unsupported bit-width {bits}")
 
 
 def precision_similarity(m_hat: np.ndarray, v_hat: np.ndarray, bits: int) -> float:
@@ -235,12 +215,11 @@ def _norm(v: np.ndarray) -> float:
 class DiagnosticsState:
     """EMA accumulators for one block's sampled gradient stream.
 
-    A block with two or more axes keeps a squared-gradient EMA per occupied
-    cell of its two trailing axes. When its parameter count is rows times
-    columns of those axes, no leading axis pools samples into a cell: each
-    sample is its own cell, in sample order, and `update` folds the squared
-    samples in directly (see the module docstring for why that is exact).
-    Otherwise each step averages the samples that share a cell first.
+    A block with two or more axes maps each sample to its cell of the two
+    trailing axes once, at construction; leading axes pool in. Its
+    squared-gradient grid is read off `exp_avg_sq` when asked for (see the
+    module docstring for how it compares with a per-cell EMA), so `update`
+    folds the per-sample EMAs alone.
 
     The norm of the last gradient is carried to the next step's direction
     stability instead of computed again.
@@ -248,15 +227,8 @@ class DiagnosticsState:
     One writer at a time per block; snapshot reads are side-effect free.
     """
 
-    def __init__(
-        self,
-        spec: BlockSpec,
-        betas: tuple[float, float, float] = DEFAULT_BETAS,
-        eps: float = EPS,
-    ):
+    def __init__(self, spec: BlockSpec):
         self.spec = spec
-        self.beta_m, self.beta_v, self.beta_rho = betas
-        self.eps = eps
         n = spec.sample_size
         self.exp_avg = np.zeros(n, dtype=np.float64)
         self.exp_avg_sq = np.zeros(n, dtype=np.float64)
@@ -269,34 +241,33 @@ class DiagnosticsState:
         self._grid_shape: tuple[int, int] | None = None
         if len(spec.shape.dims) >= 2:
             rows_full, cols_full = spec.shape.dims[-2], spec.shape.dims[-1]
-            one_per_cell = spec.shape.param_count == rows_full * cols_full
             within = spec.sample_indices % (rows_full * cols_full)
             rows, row_rank = np.unique(within // cols_full, return_inverse=True)
             cols, col_rank = np.unique(within % cols_full, return_inverse=True)
             if len(rows) >= 2 and len(cols) >= 2:
                 self._grid_shape = (len(rows), len(cols))
-                if one_per_cell:
-                    self._cell_of = self._cell_count = None
-                    self._cell_row, self._cell_col = row_rank, col_rank
-                else:
-                    cells, self._cell_of, self._cell_count = np.unique(
-                        row_rank * len(cols) + col_rank, return_inverse=True, return_counts=True
-                    )
-                    self._cell_row, self._cell_col = np.divmod(cells, len(cols))
-                self._cell_sq = np.zeros(len(self._cell_row), dtype=np.float64)
+                cells, self._cell_of, self._cell_count = np.unique(
+                    row_rank * len(cols) + col_rank, return_inverse=True, return_counts=True
+                )
+                self._cell_row, self._cell_col = np.divmod(cells, len(cols))
+
+    def _cell_means(self) -> np.ndarray:
+        """The mean of `exp_avg_sq` over each occupied cell, in row-major cell order."""
+        return np.bincount(self._cell_of, weights=self.exp_avg_sq) / self._cell_count
 
     @property
     def sq_matrix(self) -> np.ndarray | None:
         """Squared-gradient EMA on the grid of occupied rows/columns of the two
-        trailing axes (leading axes pool in; samples sharing a cell enter as
-        their mean), unobserved cells 0. None unless the grid is at least 2x2.
+        trailing axes (leading axes pool in): each occupied cell holds the mean
+        of its samples' `exp_avg_sq`, unobserved cells 0. None unless the grid
+        is at least 2x2.
 
         An inspection view built on each access; `snapshot` never builds it.
         """
         if self._grid_shape is None:
             return None
         mat = np.zeros(self._grid_shape, dtype=np.float64)
-        mat[self._cell_row, self._cell_col] = self._cell_sq
+        mat[self._cell_row, self._cell_col] = self._cell_means()
         return mat
 
     @property
@@ -318,18 +289,13 @@ class DiagnosticsState:
                 f"block {self.spec.id}: gradient sample length {g.shape} "
                 f"does not match state length {self.exp_avg.shape}"
             )
-        self.exp_avg = self.beta_m * self.exp_avg + (1.0 - self.beta_m) * g
-        self.exp_avg_sq = self.beta_v * self.exp_avg_sq + (1.0 - self.beta_v) * g * g
+        self.exp_avg = BETA_M * self.exp_avg + (1.0 - BETA_M) * g
+        self.exp_avg_sq = BETA_V * self.exp_avg_sq + (1.0 - BETA_V) * g * g
         norm = _norm(g)
         if self.prev_grad is not None:
             norms = norm * self._prev_norm
-            cos = 0.0 if norms == 0.0 else float(g @ self.prev_grad / (norms + self.eps))
-            self.direction_stability = self.beta_rho * self.direction_stability + (1.0 - self.beta_rho) * cos
-        if self._grid_shape is not None:
-            cell_mean = g * g
-            if self._cell_of is not None:
-                cell_mean = np.bincount(self._cell_of, weights=cell_mean) / self._cell_count
-            self._cell_sq = self.beta_v * self._cell_sq + (1.0 - self.beta_v) * cell_mean
+            cos = 0.0 if norms == 0.0 else float(g @ self.prev_grad / (norms + EPS))
+            self.direction_stability = BETA_RHO * self.direction_stability + (1.0 - BETA_RHO) * cos
         if param_sample is not None:
             theta = np.asarray(param_sample, dtype=np.float64)
             if theta.shape != self.exp_avg.shape:
@@ -350,7 +316,7 @@ class DiagnosticsState:
             raise ValueError(f"block {self.spec.id}: no updates folded in yet")
         residual = 0.0
         if self._grid_shape is not None:
-            residual = _cell_structure_residual(self._cell_row, self._cell_col, self._cell_sq, self._grid_shape)
+            residual = _cell_structure_residual(self._cell_row, self._cell_col, self._cell_means(), self._grid_shape)
         q = {b: precision_similarity(self.exp_avg, self.exp_avg_sq, b) for b in VALID_BITS}
         return RawMetrics(
             anisotropy=anisotropy(self.exp_avg_sq),

@@ -120,16 +120,19 @@ def json_object(value: object) -> dict:
     raise BadValue("an object", value)
 
 
+def _named(where: str, exc: ValueError) -> ValueError:
+    """`exc` with `where` in front: "<where> must be ..." for a `BadValue`,
+    "<where>: <message>" for any other."""
+    return ValueError(f"{where} {exc}" if isinstance(exc, BadValue) else f"{where}: {exc}")
+
+
 @contextmanager
 def naming(where: str) -> Iterator[None]:
-    """Put `where` in front of a ValueError raised inside: "<where> must be ..."
-    for a `BadValue`, "<where>: <message>" for any other."""
+    """Put `where` in front of a ValueError raised inside, as `_named` does."""
     try:
         yield
-    except BadValue as exc:
-        raise ValueError(f"{where} {exc}") from None
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise _named(where, exc) from None
 
 
 def read(d: object, key: str, parse: Callable[[object], T], default: object = _REQUIRED) -> T:
@@ -139,8 +142,10 @@ def read(d: object, key: str, parse: Callable[[object], T], default: object = _R
         if default is _REQUIRED:
             raise ValueError(f"missing key {key!r}")
         return default
-    with naming(repr(key)):
+    try:
         return parse(d[key])
+    except ValueError as exc:
+        raise _named(repr(key), exc) from None
 
 
 def read_list(d: object, key: str, parse: Callable[[object], T], default: object = _REQUIRED) -> list[T]:
@@ -148,8 +153,10 @@ def read_list(d: object, key: str, parse: Callable[[object], T], default: object
     as `key[i]`; `default` when `d` lacks the key."""
     parsed = []
     for i, value in enumerate(read(d, key, json_list, default)):
-        with naming(f"{key}[{i}]"):
+        try:
             parsed.append(parse(value))
+        except ValueError as exc:
+            raise _named(f"{key}[{i}]", exc) from None
     return parsed
 
 

@@ -26,7 +26,7 @@ from .allocator import (
     solve_exact,
 )
 from .config_space import CostModel
-from .diagnostics import DEFAULT_BETAS, DiagnosticsState, RawMetrics
+from .diagnostics import DiagnosticsState, RawMetrics
 from .partitioner import block_name
 from .risk import Anchors, RiskSignals, RiskWeights, signals_from_metrics
 from .trace import BlockSpec, StepRecord, read_trace
@@ -72,12 +72,17 @@ class RunResult:
 def collect_metrics(
     specs: Sequence[BlockSpec],
     records: Iterable[StepRecord],
-    betas: tuple[float, float, float] = DEFAULT_BETAS,
     max_steps: int | None = None,
 ) -> dict[int, RawMetrics]:
-    """Stream records through per-block diagnostics; snapshot at the end,
-    with a precision cosine for every bit-width of the candidate grid."""
-    states = {s.id: DiagnosticsState(s, betas=betas) for s in specs}
+    """Fold the first `max_steps` records (all of them when None) into one
+    `DiagnosticsState` per spec and snapshot each, with a precision cosine
+    for every bit-width of the candidate grid.
+
+    The EMA decay rates are the constants of `baoc.diagnostics`. A gradient
+    for a block not in `specs`, a trace with no records and a spec that no
+    record gives a gradient raise ValueError.
+    """
+    states = {s.id: DiagnosticsState(s) for s in specs}
     consumed = 0
     for record in records:
         for block_id, grad in record.grads.items():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from baoc.diagnostics import (
+    BETA_V,
     EPS,
     DiagnosticsState,
     RawMetrics,
@@ -210,6 +211,34 @@ def _spec(dims=(6,), ratio=1.0, seed=0, id=0):
     return BlockSpec.create(id, f"b{id}", dims, ratio, seed)
 
 
+def dense_cells(spec):
+    """Each sample's occupied-row and occupied-column rank in the two trailing
+    axes, and the sample count of every cell of that grid."""
+    rows_full, cols_full = spec.shape.dims[-2], spec.shape.dims[-1]
+    within = np.asarray(spec.sample_indices) % (rows_full * cols_full)
+    r, c = within // cols_full, within % cols_full
+    row_rank = np.searchsorted(np.unique(r), r)
+    col_rank = np.searchsorted(np.unique(c), c)
+    counts = np.zeros((row_rank.max() + 1, col_rank.max() + 1), dtype=np.int64)
+    np.add.at(counts, (row_rank, col_rank), 1)
+    return row_rank, col_rank, counts
+
+
+def stepwise_cell_fold(spec, grads):
+    """The squared-gradient grid as a per-cell EMA, step by step: each step
+    scatter-adds g*g into a dense grid, divides by the per-cell sample count
+    and folds the observed cells in."""
+    row_rank, col_rank, counts = dense_cells(spec)
+    observed = counts > 0
+    fold = np.zeros(counts.shape)
+    for g in grads:
+        acc = np.zeros(counts.shape)
+        np.add.at(acc, (row_rank, col_rank), g * g)
+        cell_mean = acc / np.maximum(counts, 1)
+        fold[observed] = BETA_V * fold[observed] + (1.0 - BETA_V) * cell_mean[observed]
+    return fold
+
+
 class TestStateUpdate:
     def test_first_update_closed_form(self):
         state = DiagnosticsState(_spec(dims=(2,)))
@@ -294,35 +323,27 @@ class TestStateUpdate:
         "dims, ratio", [((64, 48), 0.05), ((4, 16, 12), 0.3), ((1, 40, 30), 0.3), ((6, 5), 1.0)]
     )
     def test_sparse_matrix_state_matches_dense_accumulator(self, dims, ratio):
-        # Reference: a dense occupied-rows x occupied-columns accumulator that
-        # scatter-adds g*g, divides by the per-cell sample count and folds the
-        # observed cells into the EMA, step by step.
+        # Reference: a dense occupied-rows x occupied-columns grid holding the
+        # mean of each cell's exp_avg_sq entries, which the state must equal
+        # exactly; and the step-wise per-cell EMA, equal in exact arithmetic.
         spec = _spec(dims=dims, ratio=ratio, seed=3)
-        rows_full, cols_full = dims[-2], dims[-1]
-        within = np.asarray(spec.sample_indices) % (rows_full * cols_full)
-        r, c = within // cols_full, within % cols_full
-        row_rank = np.searchsorted(np.unique(r), r)
-        col_rank = np.searchsorted(np.unique(c), c)
-        counts = np.zeros((row_rank.max() + 1, col_rank.max() + 1), dtype=np.int64)
-        np.add.at(counts, (row_rank, col_rank), 1)
-        observed = counts > 0
-        if spec.shape.param_count > rows_full * cols_full:
+        row_rank, col_rank, counts = dense_cells(spec)
+        if spec.shape.param_count > dims[-2] * dims[-1]:
             assert counts.max() > 1  # leading axis pools samples into cells
         else:
             assert counts.max() == 1  # one sample per cell
-            assert observed.all() == (ratio == 1.0)  # sparse grid unless fully sampled: unobserved cells stay 0
+            assert (counts > 0).all() == (ratio == 1.0)  # sparse grid unless fully sampled: unobserved cells stay 0
         state = DiagnosticsState(spec)
-        beta = state.beta_v
-        reference = np.zeros(counts.shape)
         rng = np.random.default_rng(11)
+        grads = []
         for _ in range(6):
-            g = rng.standard_normal(spec.sample_size) * rng.uniform(0.1, 3.0, spec.sample_size)
-            state.update(g)
-            acc = np.zeros(counts.shape)
-            np.add.at(acc, (row_rank, col_rank), g * g)
-            cell_mean = acc / np.maximum(counts, 1)
-            reference[observed] = beta * reference[observed] + (1.0 - beta) * cell_mean[observed]
-            assert np.array_equal(state.sq_matrix, reference)
+            grads.append(rng.standard_normal(spec.sample_size) * rng.uniform(0.1, 3.0, spec.sample_size))
+            state.update(grads[-1])
+            cell_mean = np.zeros(counts.shape)
+            np.add.at(cell_mean, (row_rank, col_rank), state.exp_avg_sq)
+            cell_mean /= np.maximum(counts, 1)
+            assert np.array_equal(state.sq_matrix, cell_mean)
+            np.testing.assert_allclose(state.sq_matrix, stepwise_cell_fold(spec, grads), rtol=1e-14, atol=0)
 
     def test_permutation_invariant_metrics(self):
         rng = np.random.default_rng(9)
@@ -375,10 +396,13 @@ class TestSnapshot:
     def test_structure_residual_matches_dense_reference(self, dims, ratio):
         state = DiagnosticsState(_spec(dims=dims, ratio=ratio, seed=5))
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            state.update(rng.standard_normal(state.spec.sample_size) * rng.uniform(0.1, 3.0))
-        expected = dense_structure_residual(state.sq_matrix)
-        assert state.snapshot().structure_residual == pytest.approx(expected, abs=1e-12)
+        grads = [rng.standard_normal(state.spec.sample_size) * rng.uniform(0.1, 3.0) for _ in range(5)]
+        for g in grads:
+            state.update(g)
+        residual = state.snapshot().structure_residual
+        assert residual == pytest.approx(dense_structure_residual(state.sq_matrix), abs=1e-12)
+        stepwise = dense_structure_residual(stepwise_cell_fold(state.spec, grads))
+        assert residual == pytest.approx(stepwise, abs=1e-12)
 
     def test_streamed_rank1_pattern_at_full_sampling(self):
         # Every step's squared gradient is a scaled outer product, so the EMA
