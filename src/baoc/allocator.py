@@ -8,8 +8,8 @@ with a 1e-9 comparison slack.
 
 An `AllocationProblem` holds the candidates as one padded (blocks x columns)
 table: each block's configuration tuple names its columns, and float64 phi,
-int64 state bytes and float64 time ratio arrays hold their costs, with a
-mask of the columns a solution may use. `build_problem` fills the table in
+int64 state bytes and float64 time ratio arrays hold their costs. An excluded
+configuration is never a column. `build_problem` fills the table in
 array passes over blocks x the candidate grid; the solvers, `verify` and the
 plan document read it directly. `Candidate` objects are a view, built only
 when `AllocationProblem.candidates` is read.
@@ -96,10 +96,12 @@ class AllocationProblem:
     Column j of block i is the configuration `configs[i][j]`, with its
     objective term `phi[i, j]`, its exact state bytes `mem[i, j]` and its
     update-time ratio `ratio[i, j]`. Beyond a block's configurations the
-    table is padded with phi inf, memory 0 and ratio 0. `usable_mask`, set
-    at construction, marks the columns a solution may take: the block's
-    configurations minus its `excluded` set. The constructor stores
-    read-only copies of the three tables. Equality compares the content.
+    table is padded with phi inf, memory 0 and ratio 0, whatever the given
+    tables hold there; `usable_mask`, set at construction, marks the
+    columns that are not padding. `excluded[i]` records the configurations
+    block i may not take; none of them is a column, and `verify` flags a
+    plan that uses one. The constructor stores read-only copies of the
+    three tables. Equality compares the content.
     """
 
     blocks: tuple[ProblemBlock, ...]
@@ -126,16 +128,24 @@ class AllocationProblem:
         if len(set(ids)) != n:
             dup = next(i for k, i in enumerate(ids) if i in ids[:k])
             raise AllocationBuildError(f"duplicate block id {dup}")
+        for block, row, banned in zip(self.blocks, self.configs, self.excluded):
+            if not row:
+                raise AllocationBuildError(f"block {block.id}: all candidates excluded")
+            if banned and not banned.isdisjoint(row):
+                c = min(banned.intersection(row), key=Configuration.sort_key)
+                raise ValueError(f"block {block.id}: {c.family}:{c.state_bits} is both a candidate and excluded")
         sizes = [len(row) for row in self.configs]
         width = max(sizes, default=0)
-        for name, dtype in (("phi", np.float64), ("mem", np.int64), ("ratio", np.float64)):
+        valid = np.arange(width) < np.array(sizes, dtype=np.int64).reshape(n, 1)
+        valid.flags.writeable = False
+        object.__setattr__(self, "usable_mask", valid)
+        for name, dtype, pad in (("phi", np.float64, np.inf), ("mem", np.int64, 0), ("ratio", np.float64, 0.0)):
             table = getattr(self, name)
             if table.shape != (n, width) or table.dtype != dtype:
                 raise ValueError(f"{name} must be a ({n}, {width}) {np.dtype(dtype).name} array")
-            table = table.copy()
+            table = np.where(valid, table, pad)
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-        valid = np.arange(width) < np.array(sizes, dtype=np.int64).reshape(n, 1)
         checks = (
             ("candidate memory must be non-negative", self.mem >= 0),
             ("candidate time ratio must be positive", self.ratio > 0),
@@ -146,15 +156,6 @@ class AllocationProblem:
             i, j = np.argwhere(bad)[0].tolist()
             message = next(message for message, ok in checks if not ok[i, j])
             raise ValueError(f"blocks[{i}]: candidates[{j}]: {message}")
-        usable = valid.copy()
-        for i, (row, banned) in enumerate(zip(self.configs, self.excluded)):
-            if banned:
-                usable[i, : len(row)] = [c not in banned for c in row]
-        usable.flags.writeable = False
-        object.__setattr__(self, "usable_mask", usable)
-        empty = ~usable.any(axis=1)
-        if empty.any():
-            raise AllocationBuildError(f"block {self.blocks[int(np.argmax(empty))].id}: all candidates excluded")
 
     @classmethod
     def from_candidates(
@@ -165,11 +166,15 @@ class AllocationProblem:
         time_budget: float,
         excluded: Sequence[frozenset[Configuration]] = (),
     ) -> "AllocationProblem":
-        """The problem whose block i has the candidate row `candidates[i]`;
-        `excluded[i]` (default: none) names configurations block i may not take."""
+        """The problem whose block i has the candidate row `candidates[i]`
+        without the configurations `excluded[i]` (default: none) names."""
         if len(candidates) != len(blocks):
             raise ValueError("need one candidate list per block")
         n = len(blocks)
+        excluded = tuple(excluded) or (frozenset(),) * n
+        if len(excluded) != n:
+            raise ValueError("need one exclusion set per block")
+        candidates = [[c for c in row if c.config not in banned] for row, banned in zip(candidates, excluded)]
         configs = tuple(tuple(c.config for c in row) for row in candidates)
         sizes = np.array(list(map(len, configs)), dtype=np.int64).reshape(n, 1)
         valid = np.arange(max(map(len, configs), default=0)) < sizes
@@ -191,7 +196,7 @@ class AllocationProblem:
             ratio=ratio,
             mem_budget=mem_budget,
             time_budget=time_budget,
-            excluded=tuple(excluded),
+            excluded=excluded,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -210,16 +215,15 @@ class AllocationProblem:
 
     @functools.cached_property
     def candidates(self) -> tuple[tuple[Candidate, ...], ...]:
-        """Each block's configurations with their cost rows, excluded ones
-        included; built on first access."""
+        """Each block's configurations with their cost rows; built on first access."""
         phi, mem, ratio = self.phi.tolist(), self.mem.tolist(), self.ratio.tolist()
         return tuple(
             tuple(Candidate(*cell) for cell in zip(row, phi[i], mem[i], ratio[i])) for i, row in enumerate(self.configs)
         )
 
     def usable(self, i: int) -> list[tuple[int, Candidate]]:
-        """Non-excluded candidates of block i with their original indices."""
-        return [(j, c) for (j, c), ok in zip(enumerate(self.candidates[i]), self.usable_mask[i].tolist()) if ok]
+        """The candidates of block i with their column indices."""
+        return list(enumerate(self.candidates[i]))
 
     def min_feasible_mem(self) -> int:
         least = np.where(self.usable_mask, self.mem, np.iinfo(np.int64).max).min(axis=1)
@@ -282,12 +286,8 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
     assignment (by block order, then candidate index).
     """
     n = len(problem.blocks)
-    # Digit k of block i names its k-th usable column, `cols[i, k]`.
-    cols = np.argsort(~problem.usable_mask, axis=1, kind="stable")
-    phi, mem_table, ratio_table = (
-        np.take_along_axis(t, cols, axis=1) for t in (problem.phi, problem.mem, problem.ratio)
-    )
-    sizes = problem.usable_mask.sum(axis=1).tolist()
+    # Digit k of block i names its column k.
+    sizes = [len(row) for row in problem.configs]
     total = math.prod(sizes)
     if total > max_assignments:
         raise ValueError(f"instance too large for brute force: {total} assignments > {max_assignments}")
@@ -306,9 +306,9 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
         ratio = np.zeros(stop - start, dtype=np.float64)
         for i in range(n):
             digit = (flat // strides[i]) % sizes[i]
-            obj += phi[i, digit]
-            mem += mem_table[i, digit]
-            ratio += ratio_table[i, digit]
+            obj += problem.phi[i, digit]
+            mem += problem.mem[i, digit]
+            ratio += problem.ratio[i, digit]
         feasible = (mem <= problem.mem_budget) & (ratio / n <= mean_cap)
         return obj, feasible
 
@@ -328,7 +328,7 @@ def solve_bruteforce(problem: AllocationProblem, max_assignments: int = 10**7) -
         hits = np.flatnonzero(feasible & (obj <= best + OBJECTIVE_SLACK))
         if hits.size:
             flat = start + int(hits[0])
-            return _solution(problem, [cols[i, (flat // int(strides[i])) % sizes[i]] for i in range(n)], nodes=total)
+            return _solution(problem, [(flat // int(strides[i])) % sizes[i] for i in range(n)], nodes=total)
     raise RuntimeError("unreachable: feasible minimum vanished between passes")
 
 
@@ -616,13 +616,11 @@ class _ParetoDP:
         self.time_cap = n * self.mean_cap
         self.margin = 1e-9 * max(1.0, abs(self.time_cap)) if math.isfinite(self.time_cap) else 0.0
 
-        # The problem's (blocks, columns) tables with phi infinite and memory
-        # and ratio 0 in every column a solution may not take; `pad_mem` is
-        # the memory table for the LP, infinite in those columns.
+        # The problem's (blocks, columns) tables, whose padding holds phi
+        # infinite and memory and ratio 0; `pad_mem` is the memory table for
+        # the LP, infinite in the padding.
         self.valid = valid = problem.usable_mask
-        self.mem_table = np.where(valid, problem.mem, 0)
-        self.pad_phi = np.where(valid, problem.phi, np.inf)
-        self.pad_ratio = np.where(valid, problem.ratio, 0.0)
+        self.mem_table, self.pad_phi, self.pad_ratio = problem.mem, problem.phi, problem.ratio
         self.pad_mem = np.where(valid, problem.mem, np.inf)
         # No assignment has more phi than each block's largest, summed.
         self.ceiling = float(sum(np.where(valid, problem.phi, -np.inf).max(axis=1).tolist()))
@@ -1049,7 +1047,6 @@ def build_problem(
     index = np.zeros((len(whole), width), dtype=np.int64)  # grid column of each table column
     for f, c in cols.items():
         index[factorizes[:, 0] == f, : c.size] = c
-    valid = np.arange(width) < np.array([cols[f].size for f in whole]).reshape(-1, 1)
     used = keep & (factorizes | ~GRID.factorized)
     rows = np.arange(len(whole)).reshape(-1, 1)
     phi = phi_table(block_signals, weights, gamma, used)[rows, index]
@@ -1058,9 +1055,9 @@ def build_problem(
     return AllocationProblem(
         blocks=tuple(descriptors),
         configs=tuple(configs[f] for f in whole),
-        phi=np.where(valid, phi, np.inf),
-        mem=np.where(valid, mem, 0),
-        ratio=np.where(valid, ratio, 0.0),
+        phi=phi,
+        mem=mem,
+        ratio=ratio,
         mem_budget=mem_budget,
         time_budget=time_budget,
         excluded=tuple(excluded[f] for f in whole),

@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -64,10 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("BAOC_SEED", "0"))
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="baoc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"baoc {__version__}")
@@ -79,8 +74,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a synthetic sampled gradient trace")
     p.add_argument("--profile", required=True, help="JSON file with block shapes and stream profiles")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--sampling-ratio", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=None, help="default seed (BAOC_SEED when absent)")
+    p.add_argument(
+        "--sampling-ratio",
+        type=float,
+        default=None,
+        help="sampled fraction of each block (the profile file's sampling_ratio, else 0.001, when absent)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the sampled coordinates and of every profile that names none"
+    )
     p.add_argument("--out", default=None, help="trace path (stdout when absent)")
     common(p)
 
@@ -159,14 +161,18 @@ def _positive(value: float, flag: str) -> float:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _positive(args.sampling_ratio, "--sampling-ratio")
+    if args.sampling_ratio is not None:
+        _positive(args.sampling_ratio, "--sampling-ratio")
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    defs, file_ratio = load_profiles(args.profile, default_seed=seed)
-    ratio = file_ratio if file_ratio is not None else args.sampling_ratio
+    defs, file_ratio = load_profiles(args.profile, default_seed=args.seed)
+    if None not in (args.sampling_ratio, file_ratio) and args.sampling_ratio != file_ratio:
+        raise UsageError(
+            f"--sampling-ratio {args.sampling_ratio} differs from the profile file's sampling_ratio {file_ratio}"
+        )
+    ratio = next((r for r in (args.sampling_ratio, file_ratio) if r is not None), 0.001)
     specs = [
-        BlockSpec.create(d["id"], d["name"], d["dims"], ratio, seed, module_kind=d["kind"])
+        BlockSpec.create(d["id"], d["name"], d["dims"], ratio, args.seed, module_kind=d["kind"])
         for d in defs
     ]
     profiles = {d["id"]: d["profile"] for d in defs}
@@ -274,12 +280,12 @@ def _grid_cost_model(doc: dict) -> CostModel:
 def _cmd_allocate(args: argparse.Namespace) -> int:
     _positive(args.budget_ratio, "--budget-ratio")
     _positive(args.time_budget, "--time-budget")
-    if args.gamma < 0:
+    if not args.gamma >= 0:
         raise UsageError(f"--gamma must be non-negative, got {args.gamma}")
     anchors, weights, prefer = _load_risk_settings(args)
     prefer = list(prefer) + list(args.prefer)
     if args.lambda_pref is not None:
-        if args.lambda_pref < 0:
+        if not args.lambda_pref >= 0:
             raise UsageError(f"--lambda-pref must be non-negative, got {args.lambda_pref}")
         weights = dataclasses.replace(weights, lambda_pref=args.lambda_pref)
     for selector in list(args.exclude) + list(args.prefer):
@@ -332,6 +338,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         raise UsageError(f"--alpha must be below 1, got {args.alpha}")
     if args.warmup_steps is not None and args.warmup_steps < 2:
         raise UsageError(f"--warmup-steps must be at least 2 for direction stability, got {args.warmup_steps}")
+    params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
     anchors, _, _ = _load_risk_settings(args)
     units = load_model_description(args.model_desc)
     specs, records = read_trace(args.trace)
@@ -348,7 +355,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     digest = _file_sha256(args.trace)
     metrics = collect_metrics(specs, records, max_steps=args.warmup_steps)
     signals = {u.id: signals_from_metrics(metrics[u.id], anchors) for u in units}
-    params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
     tau = compute_tau(units, signals, params)
     blocks = partition(units, signals, dataclasses.replace(params, tau=tau))
     doc = partition_to_json_dict(units, blocks, params, tau) | {

@@ -1,8 +1,8 @@
 """Structure-guided block partitioning refined by diagnostic differences.
 
 Model structure proposes candidate units in forward order; warmup diagnostics
-decide which adjacent units stay separate. Every distance is the weighted
-maximum component difference between two partition signal vectors
+decide which adjacent units stay separate. Every distance is the maximum
+absolute component difference between two partition signal vectors
 (`_difference`); the differences between neighboring units are computed once,
 as one vector. `partition` then makes three passes:
 
@@ -21,6 +21,7 @@ every output block does too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -49,39 +50,34 @@ class StructuralUnit:
 
 @dataclass(frozen=True, slots=True)
 class PartitionParams:
-    """Minimum block-size ratio, threshold policy, and per-metric weights."""
+    """Minimum block-size ratio and threshold policy."""
 
     alpha: float = 0.01
     tau: float | str = UPPER_QUARTILE
-    weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if isinstance(self.tau, str) and self.tau != UPPER_QUARTILE:
-            raise ValueError(f"tau must be a number or {UPPER_QUARTILE!r}")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("metric weights must be non-negative")
+        if isinstance(self.tau, str):
+            if self.tau != UPPER_QUARTILE:
+                raise ValueError(f"tau must be a number or {UPPER_QUARTILE!r}")
+        elif not math.isfinite(self.tau):  # NaN would never split; neither is valid JSON
+            raise ValueError(f"tau must be a finite number, got {self.tau}")
 
 
-def _difference(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted maximum component difference along the last axis; the one
+def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Maximum absolute component difference along the last axis; the one
     rule behind every distance the partitioner compares."""
-    return np.max(w * np.abs(a - b), axis=-1)
+    return np.max(np.abs(a - b), axis=-1)
 
 
-def pairwise_difference(
-    z_a: Sequence[float], z_b: Sequence[float], weights: Sequence[float] | None = None
-) -> float:
-    """Weighted maximum component difference between two signal vectors."""
+def pairwise_difference(z_a: Sequence[float], z_b: Sequence[float]) -> float:
+    """Maximum absolute component difference between two signal vectors."""
     a = np.asarray(z_a, dtype=np.float64)
     b = np.asarray(z_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("signal vectors must have matching lengths")
-    w = np.ones_like(a) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != a.shape:
-        raise ValueError("weights must match the signal vector length")
-    return float(_difference(a, b, w))
+    return float(_difference(a, b))
 
 
 def _signal_matrix(
@@ -108,12 +104,11 @@ def compute_tau(
     z = _signal_matrix(units, unit_signals)
     if len(units) < 2:
         return 0.0
-    w = np.asarray(params.weights, dtype=np.float64)
-    deltas = np.concatenate([_difference(z[i], z[i + 1 :], w) for i in range(len(z) - 1)])
+    deltas = np.concatenate([_difference(z[i], z[i + 1 :]) for i in range(len(z) - 1)])
     return float(np.quantile(deltas, 0.75))
 
 
-def _fold_undersized(z: np.ndarray, sizes: Sequence[int], n_min: float, w: np.ndarray) -> list[int]:
+def _fold_undersized(z: np.ndarray, sizes: Sequence[int], n_min: float) -> list[int]:
     """Start from one group per unit and merge the first group below `n_min`
     into its statistically closest adjacent neighbor (ties go to the preceding
     one; a group at either end takes its only neighbor) until none is left or
@@ -130,7 +125,7 @@ def _fold_undersized(z: np.ndarray, sizes: Sequence[int], n_min: float, w: np.nd
             break
         if pos + 1 == len(sizes) or (
             pos > 0
-            and _difference(means[pos - 1], means[pos], w) <= _difference(means[pos], means[pos + 1], w)
+            and _difference(means[pos - 1], means[pos]) <= _difference(means[pos], means[pos + 1])
         ):
             pos -= 1
         size = sizes[pos] + sizes[pos + 1]
@@ -157,17 +152,16 @@ def partition(
     if len(set(ids)) != len(ids):
         raise ValueError("unit ids must be unique")
     z = _signal_matrix(units, unit_signals)
-    w = np.asarray(params.weights, dtype=np.float64)
     sizes = [u.param_count for u in units]
     n_min = params.alpha * sum(sizes)
     tau = compute_tau(units, unit_signals, params)
     # split[k]: units k and k + 1 differ by more than tau.
-    split = (_difference(z[:-1], z[1:], w) > tau).tolist()
+    split = (_difference(z[:-1], z[1:]) > tau).tolist()
 
     # After the fold every group meets the minimum (or is the only one), so
     # adjacent groups stay separate exactly when their flanking units differ
     # by more than tau.
-    starts = _fold_undersized(z, sizes, n_min, w)
+    starts = _fold_undersized(z, sizes, n_min)
     cuts = [s for s in starts[1:] if split[s - 1]]
 
     # Re-split each run where a clear internal statistic change was buried,

@@ -115,19 +115,12 @@ def geometry_signal(A: float, anchors: Anchors = Anchors()) -> float:
     return _clip01((A - low) / (high - low))
 
 
-def momentum_need(
-    rho_bar: float,
-    snr: float,
-    anchors: Anchors = Anchors(),
-    snr_available: bool = True,
-) -> float:
+def momentum_need(rho_bar: float, snr: float, anchors: Anchors = Anchors()) -> float:
     """Product of the direction-stability gate and the log-compressed SNR gate.
 
-    Falls back to the direction gate alone when the SNR proxy is unavailable.
+    Every diagnostics snapshot computes an SNR, so both gates always apply.
     """
     s_rho = _clip01((rho_bar - anchors.rho_low) / (anchors.rho_high - anchors.rho_low))
-    if not snr_available:
-        return s_rho
     s_snr = _clip01((math.log1p(snr) - anchors.eta_low) / (anchors.eta_high - anchors.eta_low))
     return s_rho * s_snr
 
@@ -146,12 +139,10 @@ def precision_risk(Q: float) -> float:
     return -math.log(Q + EPS)
 
 
-def signals_from_metrics(
-    metrics: RawMetrics, anchors: Anchors = Anchors(), snr_available: bool = True
-) -> RiskSignals:
+def signals_from_metrics(metrics: RawMetrics, anchors: Anchors = Anchors()) -> RiskSignals:
     return RiskSignals(
         geometry=geometry_signal(metrics.anisotropy, anchors),
-        momentum=momentum_need(metrics.direction_stability, metrics.snr, anchors, snr_available),
+        momentum=momentum_need(metrics.direction_stability, metrics.snr, anchors),
         distortion=distortion_signal(metrics.distortion),
         structure=structure_signal(metrics.structure_residual),
         precision={b: precision_risk(q) for b, q in metrics.precision_cosine.items()},

@@ -1079,6 +1079,26 @@ class TestProblemTable:
         with pytest.raises(ValueError, match=rf"blocks\[1\]: candidates\[1\]: candidate {message}"):
             AllocationProblem.from_candidates((ProblemBlock(0, "b0"), ProblemBlock(1, "b1")), rows, 100, 2.0)
 
+    def test_from_candidates_drops_excluded_rows(self):
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        row = (Candidate(X, 0.1, 10, 1.0), Candidate(Y, 0.2, 4, 0.8), Candidate(Z, 0.9, 0, 0.5))
+        prob = AllocationProblem.from_candidates(blocks, (row, row), 20, 2.0, (frozenset({Y}), frozenset()))
+        assert prob.configs == ((X, Z), (X, Y, Z))
+        assert prob.excluded == (frozenset({Y}), frozenset())
+        assert prob.candidates[0] == (row[0], row[2])
+        assert prob.usable(0) == [(0, row[0]), (1, row[2])]
+        assert prob.usable_mask.tolist() == [[True, True, False], [True, True, True]]
+        assert (prob.phi[0, 2], prob.mem[0, 2], prob.ratio[0, 2]) == (math.inf, 0, 0.0)
+        with pytest.raises(AllocationBuildError, match="block 1: all candidates excluded"):
+            AllocationProblem.from_candidates(blocks, (row, row[:1]), 20, 2.0, (frozenset(), frozenset({X})))
+
+    def test_a_configuration_both_column_and_excluded_is_rejected(self):
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        table = np.array([[0.1, 0.2], [0.1, 0.2]])
+        with pytest.raises(ValueError, match="block 1: sgdm:16 is both a candidate and excluded"):
+            AllocationProblem(blocks, ((X, Y), (X, Y)), table, np.zeros((2, 2), np.int64), np.ones((2, 2)),
+                              mem_budget=10, time_budget=2.0, excluded=(frozenset(), frozenset({Y})))
+
     def test_constructor_keeps_read_only_copies(self):
         base = np.array([[0.1, 1.0], [0.2, 0.3], [9.0, 9.0]])
         blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))

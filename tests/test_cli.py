@@ -69,22 +69,43 @@ class TestSimulate:
         assert len(lines) == 4  # header + 3 records
         assert json.loads(lines[0])["version"] == 4
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
+    def test_no_seed_is_seed_zero(self, tmp_path, capsys):
         profile_path = tmp_path / "profiles.json"
         profile_path.write_text(json.dumps(PROFILES))
 
-        def run():
-            code = dispatch(["simulate", "--profile", str(profile_path), "--steps", "2", "--quiet"])
+        def run(*seed):
+            code = dispatch(["simulate", "--profile", str(profile_path), "--steps", "2", *seed, "--quiet"])
             assert code == EXIT_OK
             return capsys.readouterr().out
 
-        monkeypatch.setenv("BAOC_SEED", "11")
-        first = run()
-        second = run()
-        monkeypatch.setenv("BAOC_SEED", "12")
-        third = run()
-        assert first == second
-        assert first != third
+        assert run() == run("--seed", "0")
+        assert run() != run("--seed", "1")
+
+    @pytest.mark.parametrize(
+        "file_ratio, flag, ratio",
+        [(None, None, 0.001), (None, "0.25", 0.25), (0.5, None, 0.5), (0.5, "0.5", 0.5)],
+    )
+    def test_sampling_ratio_from_flag_or_profile(self, file_ratio, flag, ratio, tmp_path, capsys):
+        profile = {k: v for k, v in PROFILES.items() if k != "sampling_ratio"}
+        if file_ratio is not None:
+            profile["sampling_ratio"] = file_ratio
+        profile_path = tmp_path / "profiles.json"
+        profile_path.write_text(json.dumps(profile))
+        argv = ["simulate", "--profile", str(profile_path), "--steps", "2", "--quiet"]
+        assert dispatch(argv + ([] if flag is None else ["--sampling-ratio", flag])) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["sampling_ratio"] == ratio
+
+    def test_sampling_ratio_that_differs_from_the_profile_is_one_error_line(self, tmp_path, capsys):
+        profile_path = tmp_path / "profiles.json"
+        profile_path.write_text(json.dumps(PROFILES | {"sampling_ratio": 0.5}))
+        out = tmp_path / "trace.jsonl"
+        code = dispatch(["simulate", "--profile", str(profile_path), "--steps", "2", "--sampling-ratio", "1.0",
+                         "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --sampling-ratio 1.0 differs from the profile file's sampling_ratio 0.5"
+        ]
+        assert not out.exists()
 
     def test_bad_steps(self, tmp_path, capsys):
         profile_path = tmp_path / "profiles.json"
@@ -318,6 +339,13 @@ class TestAllocate:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag} must be non-negative")
+
+    @pytest.mark.parametrize("flag", ["--lambda-pref", "--gamma"])
+    def test_nan_weight_flag_names_the_flag(self, flag, trace_path, capsys):
+        # NaN passes a `< 0` check; the phi table would then fail naming a candidate cell.
+        code = dispatch(["allocate", "--trace", str(trace_path), "--prefer", "sgd", flag, "nan", "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be non-negative, got nan"]
 
 
 MALFORMED_DOCUMENTS = [
@@ -642,6 +670,17 @@ class TestPartitionCommand:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --alpha")
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_tau_is_one_error_line(self, tau, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"units": [{"id": 0, "name": "a", "dims": [16, 16]}]}))
+        out = tmp_path / "blocks.json"
+        code = dispatch(["partition", "--model-desc", str(model_path), "--trace", str(trace_path),
+                         f"--tau={tau}", "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: tau must be a finite number, got {float(tau)}"]
+        assert not out.exists()
 
     def test_unit_missing_from_trace_is_one_error_line(self, trace_path, tmp_path, capsys):
         model = {"units": [{"id": 0, "name": "a", "dims": [16, 16]}, {"id": 7, "name": "b", "dims": [16, 16]}]}

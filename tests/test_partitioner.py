@@ -46,9 +46,8 @@ def reference_compute_tau(units, unit_signals, params):
     m = len(units)
     if m < 2:
         return 0.0
-    w = np.asarray(params.weights, dtype=np.float64)
     deltas = [
-        float(np.max(w * np.abs(z[i] - z[j]))) for i in range(m) for j in range(i + 1, m)
+        float(np.max(np.abs(z[i] - z[j]))) for i in range(m) for j in range(i + 1, m)
     ]
     return float(np.quantile(np.asarray(deltas), 0.75))
 
@@ -65,9 +64,9 @@ def _ref_merge(a, b):
     return _RefGroup(unit_idx=a.unit_idx + b.unit_idx, size=size, z=(a.z * a.size + b.z * b.size) / size)
 
 
-def _ref_fold_undersized(groups, n_min, w):
+def _ref_fold_undersized(groups, n_min):
     def delta(a, b):
-        return float(np.max(w * np.abs(a.z - b.z)))
+        return float(np.max(np.abs(a.z - b.z)))
 
     while len(groups) > 1:
         pos = next((k for k, g in enumerate(groups) if g.size < n_min), None)
@@ -83,15 +82,14 @@ def _ref_fold_undersized(groups, n_min, w):
 
 def reference_partition(units, unit_signals, params):
     z = np.asarray([unit_signals[u.id].partition_vector() for u in units], dtype=np.float64)
-    w = np.asarray(params.weights, dtype=np.float64)
     n_min = params.alpha * sum(u.param_count for u in units)
     tau = reference_compute_tau(units, unit_signals, params)
 
     def unit_delta(i, j):
-        return float(np.max(w * np.abs(z[i] - z[j])))
+        return float(np.max(np.abs(z[i] - z[j])))
 
     groups = [_RefGroup(unit_idx=[i], size=units[i].param_count, z=z[i].copy()) for i in range(len(units))]
-    _ref_fold_undersized(groups, n_min, w)
+    _ref_fold_undersized(groups, n_min)
     kept = [groups[0]]
     for g in groups[1:]:
         left = kept[-1]
@@ -121,13 +119,13 @@ def reference_partition(units, unit_signals, params):
         zz = np.average(z[idx], axis=0, weights=[units[i].param_count for i in idx])
         sub.append(_RefGroup(unit_idx=list(idx), size=sum(units[i].param_count for i in idx), z=zz))
         pieces.extend(sub)
-    _ref_fold_undersized(pieces, n_min, w)
+    _ref_fold_undersized(pieces, n_min)
     return [[units[i].id for i in g.unit_idx] for g in pieces]
 
 
 def random_partition_case(rng):
     """Units, signals and params drawn to hit ties, near-ties, mixed unit
-    sizes, masked or random weights, small to large alpha and every tau mode."""
+    sizes, small to large alpha and every tau mode."""
     m = int(rng.integers(1, 25))
     signal_kind = int(rng.integers(0, 4))
     if signal_kind == 0:
@@ -145,15 +143,6 @@ def random_partition_case(rng):
         sizes = np.where(rng.random(m) < 0.5, rng.integers(1, 20, m), rng.integers(10**6, 10**8, m))
     else:
         sizes = np.full(m, 1000)
-    weight_kind = int(rng.integers(0, 4))
-    if weight_kind == 0:
-        weights = (1.0, 1.0, 1.0, 1.0)
-    elif weight_kind == 1:
-        weights = (0.0, 0.0, 0.0, 0.0)
-    elif weight_kind == 2:  # some components masked
-        weights = tuple(float(x) for x in rng.random(4) * (rng.random(4) < 0.6))
-    else:
-        weights = tuple(float(x) for x in rng.random(4) * 3)
     alpha = float(np.exp(rng.uniform(np.log(0.001), np.log(0.6))))
     tau = ("upper_quartile", 0.0, float(rng.random() * 0.6))[int(rng.integers(0, 3))]
     units = [
@@ -164,7 +153,7 @@ def random_partition_case(rng):
                           structure=float(v[3]), precision={32: 0.0})
         for u, v in zip(units, values)
     }
-    return units, signals, PartitionParams(alpha=alpha, tau=tau, weights=weights)
+    return units, signals, PartitionParams(alpha=alpha, tau=tau)
 
 
 class TestPairwiseDifference:
@@ -173,9 +162,6 @@ class TestPairwiseDifference:
 
     def test_max_component(self):
         assert pairwise_difference((0.9, 0.1), (0.1, 0.1)) == pytest.approx(0.8, abs=1e-12)
-
-    def test_weights_mask_components(self):
-        assert pairwise_difference((0.9, 0.1), (0.1, 0.1), weights=(0.0, 1.0)) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -205,11 +191,6 @@ class TestPartition:
         units, signals = make_units([0.1, tiny_value, 0.9], [10_000, 50, 10_000])
         blocks = partition(units, signals, PartitionParams(alpha=0.01, tau=0.5))
         assert blocks == expected
-
-    def test_zero_weights_single_block(self):
-        units, signals = make_units(TWO_CLUSTERS)
-        params = PartitionParams(alpha=0.01, weights=(0.0, 0.0, 0.0, 0.0))
-        assert len(partition(units, signals, params)) == 1
 
     def test_single_unit(self):
         units, signals = make_units([0.4])
@@ -258,15 +239,15 @@ class TestPartition:
         "values,sizes,expected",
         [
             # The tiny first unit is infinitely far from its only neighbor.
-            ([0.1, 0.5, 0.9], [10, 10_000, 10_000], [[0, 1], [2]]),
-            # The tiny last unit is a NaN distance (inf * 0) from its only neighbor.
-            ([0.1, 0.5, 0.5], [10_000, 10_000, 10], [[0], [1, 2]]),
+            ([math.inf, 0.1, 0.9], [10, 10_000, 10_000], [[0, 1], [2]]),
+            # The tiny last unit is a NaN distance (inf - inf) from its only neighbor.
+            ([0.1, math.inf, math.inf], [10_000, 10_000, 10], [[0], [1, 2]]),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_undersized_end_unit_merges_inward_at_degenerate_distance(self, values, sizes, expected):
         units, signals = make_units(values, sizes)
-        params = PartitionParams(alpha=0.01, tau=0.5, weights=(math.inf, 1.0, 1.0, 1.0))
+        params = PartitionParams(alpha=0.01, tau=0.5)
         assert partition(units, signals, params) == expected
 
     def test_duplicate_ids_rejected(self):
@@ -299,8 +280,11 @@ class TestParamsAndTau:
             PartitionParams(alpha=1.0)
         with pytest.raises(ValueError):
             PartitionParams(tau="median")
-        with pytest.raises(ValueError):
-            PartitionParams(weights=(1, 1, -1, 1))
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match="tau must be a finite number"):
+            PartitionParams(tau=tau)
 
     def test_fixed_tau(self):
         units, signals = make_units([0.1, 0.9])

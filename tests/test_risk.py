@@ -59,8 +59,9 @@ class TestGeometrySignal:
 
 class TestMomentumNeed:
     def test_rho_anchor_exactness(self):
-        assert momentum_need(0.2, 0.0, snr_available=False) == 0.0
-        assert momentum_need(0.6, 0.0, snr_available=False) == 1.0
+        # A saturating SNR gate is exactly 1, so the direction gate shows alone.
+        assert momentum_need(0.2, 1e9) == 0.0
+        assert momentum_need(0.6, 1e9) == 1.0
 
     def test_saturated_product(self):
         assert momentum_need(0.6, math.expm1(2.0)) == pytest.approx(1.0, abs=1e-9)
@@ -70,9 +71,6 @@ class TestMomentumNeed:
 
     def test_below_gate_is_zero(self):
         assert momentum_need(0.1, 1e9) == 0.0
-
-    def test_snr_unavailable_uses_direction_gate_alone(self):
-        assert momentum_need(0.4, 12345.0, snr_available=False) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestScalarSignals:
