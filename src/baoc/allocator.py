@@ -619,8 +619,8 @@ class _ParetoDP:
         # The problem's (blocks, columns) tables, whose padding holds phi
         # infinite and memory and ratio 0; `pad_mem` is the memory table for
         # the LP, infinite in the padding.
+        self.problem = problem
         self.valid = valid = problem.usable_mask
-        self.mem_table, self.pad_phi, self.pad_ratio = problem.mem, problem.phi, problem.ratio
         self.pad_mem = np.where(valid, problem.mem, np.inf)
         # No assignment has more phi than each block's largest, summed.
         self.ceiling = float(sum(np.where(valid, problem.phi, -np.inf).max(axis=1).tolist()))
@@ -628,32 +628,33 @@ class _ParetoDP:
         def suffix_sums(values: np.ndarray) -> np.ndarray:
             return np.concatenate((np.cumsum(values[::-1])[::-1], np.zeros(1, values.dtype)))
 
-        self.min_mem = suffix_sums(np.where(self.valid, self.mem_table, np.iinfo(np.int64).max).min(axis=1))
+        self.min_mem = suffix_sums(np.where(valid, problem.mem, np.iinfo(np.int64).max).min(axis=1))
         self.spare_mem = float(self.mem_budget - self.min_mem[0])  # beyond every block's minimum
-        self.max_mem = suffix_sums(self.mem_table.max(axis=1))
-        self.min_time = suffix_sums(np.where(self.valid, self.pad_ratio, np.inf).min(axis=1))
-        self.max_time = suffix_sums(self.pad_ratio.max(axis=1))
+        self.max_mem = suffix_sums(problem.mem.max(axis=1))
+        self.min_time = suffix_sums(np.where(valid, problem.ratio, np.inf).min(axis=1))
+        self.max_time = suffix_sums(problem.ratio.max(axis=1))
         self.tables: list[_PricedHulls] = []  # bound the DP's states
         self.bracket: list[_PricedHulls] = []  # only rounded for the incumbent
-        self.column_bound = np.zeros_like(self.pad_phi)  # the tables' largest bound with a block fixed to a column
+        self.column_bound = np.zeros_like(problem.phi)  # the tables' largest bound with a block fixed to a column
 
     def root_bound(self) -> float:
         """Build the LP tables (price 0, and `_best_price`'s when the time
         row binds the LP), fill `column_bound` from them and return the
         larger root bound. The column bounds take the time cap with the
         margin, as the states' bounds do."""
-        table = _PricedHulls.build(self.pad_mem, self.pad_phi, self.pad_ratio, 0.0, self.spare_mem)
+        phi, ratio = self.problem.phi, self.problem.ratio
+        table = _PricedHulls.build(self.pad_mem, phi, ratio, 0.0, self.spare_mem)
         root, slope = table.root(self.time_cap)
         self.tables, self.bracket = [table], []
         if math.isfinite(self.time_cap) and slope > 0:
             table, priced, self.bracket = _best_price(
-                self.pad_mem, self.pad_phi, self.pad_ratio, self.spare_mem, self.time_cap, (root, slope), self.ceiling
+                self.pad_mem, phi, ratio, self.spare_mem, self.time_cap, (root, slope), self.ceiling
             )
             self.tables.append(table)
             root = max(root, priced)
         cap = self.time_cap + self.margin
         self.column_bound = np.max(
-            [t.column_bounds(self.mem_table, self.pad_phi, self.pad_ratio, cap) for t in self.tables],
+            [t.column_bounds(self.problem.mem, phi, ratio, cap) for t in self.tables],
             axis=0,
         )
         return root
@@ -675,7 +676,7 @@ class _ParetoDP:
             tried.append(start)
             cols = self._moved(start)
             if cols is not None:
-                value = float(np.cumsum(self.pad_phi[np.arange(self.n), cols])[-1])  # in block order, as the oracle sums
+                value = float(np.cumsum(self.problem.phi[np.arange(self.n), cols])[-1])  # in block order, as the oracle sums
                 if best is None or value < best[0]:
                     best = (value, cols)
         return best
@@ -690,16 +691,17 @@ class _ParetoDP:
         added, until none is left. Memory is checked in exact integers and
         time as the leaves check it.
         """
+        mem, phi, ratio = self.problem.mem, self.problem.phi, self.problem.ratio
         rows = np.arange(self.n)
-        spare = self.mem_budget - int(self.mem_table[rows, cols].sum())
+        spare = self.mem_budget - int(mem[rows, cols].sum())
         if spare < 0:
             return None
         while True:
             now = (rows, cols)
-            rise = self.pad_phi - self.pad_phi[now][:, None]
-            extra = self.mem_table - self.mem_table[now][:, None]
-            saved = self.pad_ratio[now][:, None] - self.pad_ratio
-            time = np.cumsum(self.pad_ratio[now])[-1]
+            rise = phi - phi[now][:, None]
+            extra = mem - mem[now][:, None]
+            saved = ratio[now][:, None] - ratio
+            time = np.cumsum(ratio[now])[-1]
             over = time / self.n > self.mean_cap
             if over:
                 move = self.valid & (extra <= spare) & (saved > 0)
@@ -712,7 +714,7 @@ class _ParetoDP:
             i, j = np.unravel_index(np.argmin(np.where(move, score, np.inf)), move.shape)
             nxt = cols.copy()
             nxt[i] = j
-            if not over and np.cumsum(self.pad_ratio[rows, nxt])[-1] / self.n > self.mean_cap:
+            if not over and np.cumsum(ratio[rows, nxt])[-1] / self.n > self.mean_cap:
                 return cols
             spare -= int(extra[i, j])
             cols = nxt
@@ -738,8 +740,8 @@ class _ParetoDP:
         if 0 in sizes:
             return None, 0
         cols = np.argsort(~keep, axis=1, kind="stable")
-        mem_table, pad_ratio, pad_phi = (
-            np.take_along_axis(t, cols, axis=1) for t in (self.mem_table, self.pad_ratio, self.pad_phi)
+        mem_sorted, ratio_sorted, phi_sorted = (
+            np.take_along_axis(t, cols, axis=1) for t in (self.problem.mem, self.problem.ratio, self.problem.phi)
         )
         mems = np.zeros(1, dtype=np.int64)
         times = np.zeros(1, dtype=np.float64)
@@ -749,9 +751,9 @@ class _ParetoDP:
         sel = [np.arange(t.block.size) for t in self.tables]
         for d in range(n):
             k = sizes[d]
-            mem = (mems[:, None] + mem_table[d, :k]).ravel()
-            time = (times[:, None] + pad_ratio[d, :k]).ravel()
-            phi = (phis[:, None] + pad_phi[d, :k]).ravel()
+            mem = (mems[:, None] + mem_sorted[d, :k]).ravel()
+            time = (times[:, None] + ratio_sorted[d, :k]).ravel()
+            phi = (phis[:, None] + phi_sorted[d, :k]).ravel()
             ok = mem <= self.mem_budget - self.min_mem[d + 1]
             if d == n - 1:
                 ok &= (time / n <= self.mean_cap) & (phi <= limit)

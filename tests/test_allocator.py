@@ -396,7 +396,7 @@ def incumbent_of(prob):
     LP solution broke the time row."""
     dp = allocator._ParetoDP(prob)
     dp.root_bound()
-    broken = any(dp.pad_ratio[np.arange(dp.n), t.rounded()].sum() / dp.n > dp.mean_cap for t in dp.tables)
+    broken = any(prob.ratio[np.arange(dp.n), t.rounded()].sum() / dp.n > dp.mean_cap for t in dp.tables)
     return dp.incumbent(), broken
 
 
@@ -625,7 +625,7 @@ class TestReducedCostFixing:
         dp = allocator._ParetoDP(prob)
         dp.root_bound()
         for table in dp.tables:
-            bounds = table.column_bounds(dp.mem_table, dp.pad_phi, dp.pad_ratio, dp.time_cap)
+            bounds = table.column_bounds(prob.mem, prob.phi, prob.ratio, dp.time_cap)
             root = table.root(dp.time_cap)[0]
             scale = max(1.0, table.lam * abs(dp.time_cap)) if table.lam else 1.0
             assert np.abs(bounds.min(axis=1) - root).max() <= 1e-9 * scale

@@ -7,12 +7,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from baoc.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, dispatch
 from baoc.config_space import CostModel
 from baoc.diagnostics import DiagnosticsState
 from baoc.trace import BlockSpec, read_trace
+from conftest import write_trace_v4
 
 PROFILES = {
     "sampling_ratio": 1.0,
@@ -67,7 +69,17 @@ class TestSimulate:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header + 3 records
-        assert json.loads(lines[0])["version"] == 4
+        assert json.loads(lines[0])["version"] == 5
+
+    def test_stdout_and_out_give_the_same_bytes(self, tmp_path, capsys):
+        profile_path = tmp_path / "profiles.json"
+        profile_path.write_text(json.dumps(PROFILES))
+        argv = ["simulate", "--profile", str(profile_path), "--steps", "3", "--seed", "1", "--quiet"]
+        out = tmp_path / "trace.jsonl"
+        assert dispatch(argv + ["--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert dispatch(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
 
     def test_no_seed_is_seed_zero(self, tmp_path, capsys):
         profile_path = tmp_path / "profiles.json"
@@ -231,7 +243,7 @@ class TestAllocate:
     def test_malformed_trace_record_is_one_error_line(self, trace_path, tmp_path, capsys):
         header = trace_path.read_text().splitlines()[0]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(header + "\n" + json.dumps({"step": 1, "grads": [0.1, 0.2]}) + "\n")
+        bad.write_text(header + "\n" + json.dumps({"step": 1, "grads": [0.1, 0.2]}) + "\t\n")
         assert dispatch(["allocate", "--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: record 1 (step 1): grads must be an object")
@@ -240,7 +252,7 @@ class TestAllocate:
     def test_non_integer_trace_step_is_one_error_line(self, trace_path, tmp_path, capsys):
         header = trace_path.read_text().splitlines()[0]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(header + "\n" + json.dumps({"step": "1", "grads": {}}) + "\n")
+        bad.write_text(header + "\n" + json.dumps({"step": "1", "grads": {}}) + "\t\n")
         assert dispatch(["allocate", "--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == ['error: record 1: step "1" is not a 64-bit integer']
@@ -700,6 +712,55 @@ MODEL = {
 }
 
 
+def _edit_record_2(trace, out, edit):
+    """Write `trace` to `out` with record 2 replaced by `edit(head, payload)`, the new line's bytes."""
+    lines = trace.read_bytes().split(b"\n")
+    head, payload = lines[2].decode("ascii").split("\t")
+    lines[2] = edit(json.loads(head), payload)
+    out.write_bytes(b"\n".join(lines))
+
+
+def _line(head, payload):
+    return (json.dumps(head) + "\t" + payload).encode("ascii")
+
+
+NAN = np.array([np.nan], dtype="<f8").tobytes().hex()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h, p: _line(h, p[:10] + "x" + p[11:]),
+         "record 2 (step 2): grads vector for block 0 is not hex: payload digit 10 is b'x'"),
+        (lambda h, p: _line(h, p + "0"), "record 2 (step 2): payload has an odd number of hex digits (8193)"),
+        (lambda h, p: _line(h, p[:-16]), "record 2 (step 2): grads vector for block 1 is cut short"),
+        (lambda h, p: _line(h, p + "00" * 8), "record 2 (step 2): payload has 8208 hex digits, more than the 8192"),
+        (lambda h, p: _line(h, NAN + p[16:]), "record 2 (step 2): grads vector for block 0 has a non-finite value"),
+        (lambda h, p: _line(h | {"grads": {"0": None, "7": None}}, p),
+         "record 2 (step 2): grads for unknown block id 7"),
+        (lambda h, p: _line(h | {"params": {"0": 2, "1": 1}}, p),
+         "record 2 (step 2): params vector for block 0 refers to step 2, but the last one was written at step 1"),
+        (lambda h, p: _line(h | {"step": 1}, p), "record 2: step 1 not greater than previous step 1"),
+        (lambda h, p: _line(h, p).replace(b'"grads"', b'"gr\xffads"'), "record 2: not UTF-8"),
+        (lambda h, p: json.dumps(h).encode("ascii"), "record 2: no tab between the JSON head and the payload"),
+    ],
+)
+@pytest.mark.parametrize("command", ["allocate", "partition"])
+def test_malformed_version_5_record_is_one_error_line(command, edit, message, trace_path, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    _edit_record_2(trace_path, bad, edit)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MODEL))
+    argv = {
+        "allocate": ["allocate", "--trace", str(bad), "--quiet"],
+        "partition": ["partition", "--model-desc", str(model), "--trace", str(bad),
+                      "--out", str(tmp_path / "blocks.json"), "--quiet"],
+    }[command]
+    assert dispatch(argv) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + message)
+
+
 class TestDiagnosticsHandOff:
     """`partition` hands its metrics to `allocate --blocks`, stamped with the trace's sha256."""
 
@@ -890,8 +951,15 @@ def _ingest_workloads():
     return workloads
 
 
+def _as_version_4(src: Path, dst: Path) -> None:
+    """The version-5 trace `src` rendered as version 4: the same header entries and records."""
+    specs, records = read_trace(src)
+    ratio = json.loads(src.read_text().splitlines()[0])["sampling_ratio"]
+    write_trace_v4(dst, specs, list(records), ratio)
+
+
 def _as_version_3(src: Path, dst: Path) -> None:
-    """`src` with its header rewritten as version 3, every entry listing its `sample_indices`."""
+    """The version-4 trace `src` with its header rewritten as version 3, every entry listing its `sample_indices`."""
     with open(src, "rb") as fh:
         header = json.loads(fh.readline())
         records = fh.read()
@@ -902,19 +970,22 @@ def _as_version_3(src: Path, dst: Path) -> None:
 
 
 def test_version_3_and_seeded_headers_give_the_same_plan(tmp_path):
-    """The ingest seed-0 trace read with its seeded header and with explicit indices."""
+    """The ingest seed-0 stream read as version 5, as version 4 with its seeded
+    header and as version 3 with explicit indices."""
     inputs = _ingest_workloads().setup_ingest(0, tmp_path)
-    v3 = tmp_path / "trace-v3.jsonl"
-    _as_version_3(inputs.trace, v3)
-    seeded, listed = json.loads(inputs.trace.read_text().splitlines()[0]), json.loads(v3.read_text().splitlines()[0])
-    assert (seeded["version"], listed["version"]) == (4, 3)
-    assert all("sample_seed" in entry and "sample_indices" not in entry for entry in seeded["blocks"])
-    assert all("sample_indices" in entry and "sample_seed" not in entry for entry in listed["blocks"])
-    specs4, specs3 = read_trace(inputs.trace)[0], read_trace(v3)[0]
-    assert specs4 == specs3 and sum(s.sample_size for s in specs4) == 19_936
+    v4, v3 = tmp_path / "trace-v4.jsonl", tmp_path / "trace-v3.jsonl"
+    _as_version_4(inputs.trace, v4)
+    _as_version_3(v4, v3)
+    headers = [json.loads(trace.read_text().splitlines()[0]) for trace in (inputs.trace, v4, v3)]
+    assert [header["version"] for header in headers] == [5, 4, 3]
+    assert headers[1] == headers[0] | {"version": 4}
+    assert all("sample_seed" in entry and "sample_indices" not in entry for entry in headers[1]["blocks"])
+    assert all("sample_indices" in entry and "sample_seed" not in entry for entry in headers[2]["blocks"])
+    specs5, specs4, specs3 = (read_trace(trace)[0] for trace in (inputs.trace, v4, v3))
+    assert specs5 == specs4 == specs3 and sum(s.sample_size for s in specs4) == 19_936
 
     docs, plans = [], []
-    for trace in (inputs.trace, v3):
+    for trace in (inputs.trace, v4, v3):
         blocks, plan = trace.with_suffix(".blocks.json"), trace.with_suffix(".plan.json")
         assert dispatch(["partition", "--model-desc", str(inputs.model_desc), "--trace", str(trace),
                          "--out", str(blocks), "--quiet"]) == EXIT_OK
@@ -924,6 +995,6 @@ def test_version_3_and_seeded_headers_give_the_same_plan(tmp_path):
         assert doc.pop("trace_sha256") == hashlib.sha256(trace.read_bytes()).hexdigest()
         docs.append(doc)
         plans.append(plan.read_bytes())
-    assert docs[0] == docs[1]
-    assert plans[0] == plans[1]
+    assert docs[0] == docs[1] == docs[2]
+    assert plans[0] == plans[1] == plans[2]
     assert hashlib.sha256(plans[0]).hexdigest() == "7f79ae155f2084e8164500399b52122a03fc061be0828316ca436f435e9fd75c"

@@ -21,6 +21,7 @@ from baoc.pipeline import (
 from baoc.risk import signals_from_metrics
 from baoc.simulator import StreamProfile, generate_stream
 from baoc.trace import BlockSpec, StepRecord, read_trace, write_trace
+from conftest import v5_records, write_trace_v4
 
 
 def three_block_trace(steps=150, seed=0):
@@ -351,30 +352,32 @@ class TestTraceVersion3:
         specs, records = _simulated(ratio)
         # Drop the parameter sample at some steps, so absent params must survive every layout.
         records = [StepRecord(r.step, r.grads, None if r.step % 7 == 0 else r.params) for r in records]
-        paths = {1: tmp_path / "v1.jsonl", 2: tmp_path / "v2.jsonl", 3: tmp_path / "v3.jsonl"}
+        paths = {v: tmp_path / f"v{v}.jsonl" for v in (1, 2, 4, 5)}
         _write_v1_trace(paths[1], specs, records, ratio)
         _write_v2_trace(paths[2], specs, records, ratio)
-        write_trace(paths[3], specs, records, ratio)
-        assert [json.loads(p.read_text().splitlines()[0])["version"] for p in paths.values()] == [1, 2, 4]
-        assert paths[3].stat().st_size < 0.75 * paths[2].stat().st_size
+        write_trace_v4(paths[4], specs, records, ratio)
+        write_trace(paths[5], specs, records, ratio)
+        assert [json.loads(p.read_text().splitlines()[0])["version"] for p in paths.values()] == [1, 2, 4, 5]
+        assert paths[4].stat().st_size < 0.75 * paths[2].stat().st_size
 
         metrics = [collect_metrics(*read_trace(p)) for p in paths.values()]
-        assert metrics[0] == metrics[1] == metrics[2]
+        assert metrics[0] == metrics[1] == metrics[2] == metrics[3]
         config = RunConfig(budget_ratio=0.5)
         plans = [plan_bytes(run_allocation(config, p, groups=[[0, 1], [2]]).plan) for p in paths.values()]
-        assert plans[0] == plans[1] == plans[2]
+        assert plans[0] == plans[1] == plans[2] == plans[3]
 
     def test_simulated_trace_writes_each_parameter_vector_once(self, tmp_path):
         specs, records = _simulated()
         path = tmp_path / "t.jsonl"
         write_trace(path, specs, records, 0.1)
-        lines = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        lines = v5_records(path)
         assert len(lines) == 40
         for spec in specs:
-            values = [rec["params"][str(spec.id)] for rec in lines]
-            assert isinstance(values[0], str)
-            assert values[1:] == [1] * 39
-            assert all(isinstance(rec["grads"][str(spec.id)], str) for rec in lines)
+            values = [head["params"][str(spec.id)] for head, _ in lines]
+            assert values == [None] + [1] * 39
+            assert all(head["grads"][str(spec.id)] is None for head, _ in lines)
+        floats = sum(s.sample_size for s in specs)
+        assert [len(payload) for _, payload in lines] == [2 * 16 * floats] + [16 * floats] * 39
         _, stream = read_trace(path)
         back = list(stream)
         for spec in specs:
@@ -383,17 +386,54 @@ class TestTraceVersion3:
 
     def test_trace_without_repeats_is_the_version_2_layout(self, tmp_path):
         # As in training, the optimizer moves the parameters at every step, so no
-        # vector repeats: version 3 then writes the same records as version 2.
-        specs, records = _simulated()
-        params = records[0].params
-        moving = []
-        for rec in records:
-            params = {b: p - 0.01 * rec.grads[b] for b, p in params.items()}
-            moving.append(StepRecord(rec.step, rec.grads, params))
-        v2, v3 = tmp_path / "v2.jsonl", tmp_path / "v3.jsonl"
+        # vector repeats: version 4 then writes the same records as version 2, and
+        # version 5 no reference.
+        specs, moving = _moving(*_simulated())
+        v2, v4, v5 = tmp_path / "v2.jsonl", tmp_path / "v4.jsonl", tmp_path / "v5.jsonl"
         _write_v2_trace(v2, specs, moving, 0.1)
-        write_trace(v3, specs, moving, 0.1)
-        lines2, lines3 = v2.read_text().splitlines(), v3.read_text().splitlines()
-        assert lines3[1:] == lines2[1:]
-        assert json.loads(lines3[0]) == json.loads(lines2[0]) | {"version": 4}
-        assert collect_metrics(*read_trace(v2)) == collect_metrics(*read_trace(v3))
+        write_trace_v4(v4, specs, moving, 0.1)
+        write_trace(v5, specs, moving, 0.1)
+        lines2, lines4 = v2.read_text().splitlines(), v4.read_text().splitlines()
+        assert lines4[1:] == lines2[1:]
+        assert json.loads(lines4[0]) == json.loads(lines2[0]) | {"version": 4}
+        assert all(value is None for head, _ in v5_records(v5) for kind in ("grads", "params")
+                   for value in head[kind].values())
+        assert collect_metrics(*read_trace(v2)) == collect_metrics(*read_trace(v5))
+
+
+def _moving(specs, records):
+    """`records` with the parameters moved at every step, as an optimizer
+    moves them, so that no vector repeats."""
+    params = records[0].params
+    moving = []
+    for rec in records:
+        params = {b: p - 0.01 * rec.grads[b] for b, p in params.items()}
+        moving.append(StepRecord(rec.step, rec.grads, params))
+    return specs, moving
+
+
+def _metrics_text(metrics):
+    """Every metric's repr, so that equal text means bit-identical values."""
+    return json.dumps([m.to_json_dict(block_id) for block_id, m in metrics.items()])
+
+
+class TestVersion4And5:
+    """One stream written as version 4 and as version 5 gives the same metrics and plan."""
+
+    @pytest.mark.parametrize("stream", ["repeating", "moving"])
+    def test_same_metrics_and_plan_bytes(self, stream, tmp_path):
+        specs, records = _simulated()
+        if stream == "moving":
+            specs, records = _moving(specs, records)
+        v4, v5 = tmp_path / "v4.jsonl", tmp_path / "v5.jsonl"
+        write_trace_v4(v4, specs, records, 0.1)
+        write_trace(v5, specs, records, 0.1)
+        heads = [head for head, _ in v5_records(v5)]
+        references = sum(type(v) is int for head in heads for kind in ("grads", "params") for v in head[kind].values())
+        assert references == (0 if stream == "moving" else 3 * 39)
+
+        metrics4, metrics5 = collect_metrics(*read_trace(v4)), collect_metrics(*read_trace(v5))
+        assert _metrics_text(metrics4) == _metrics_text(metrics5)
+        config = RunConfig(budget_ratio=0.5)
+        plans = [plan_bytes(run_allocation(config, p, groups=[[0, 1], [2]]).plan) for p in (v4, v5)]
+        assert plans[0] == plans[1]

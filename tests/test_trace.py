@@ -23,6 +23,7 @@ from baoc.trace import (
     sample_coordinates,
     write_trace,
 )
+from conftest import v5_records
 
 
 class TestSampleCoordinates:
@@ -167,7 +168,7 @@ class TestRoundTrip:
             assert a.read_bytes() == b.read_bytes()
 
     def test_line_longer_than_the_read_buffer(self, tmp_path):
-        # 200,000 samples make a record line of about 2.1 MB, twice the record stream's buffer.
+        # 200,000 samples make a record line of about 3.2 MB, three times the record stream's buffer.
         spec = BlockSpec.create(0, "w", (1000, 1000), 0.2, seed=5)
         rng = np.random.default_rng(6)
         records = [StepRecord(step=t, grads={0: rng.standard_normal(spec.sample_size)}) for t in (1, 2, 3)]
@@ -416,21 +417,28 @@ class TestVersion3References:
         write_trace(path, _specs(), [*self._records(), StepRecord(step=11, grads={})], sampling_ratio=0.1)
         lines = path.read_text().splitlines()
         assert len(lines) == 8
-        assert all(line == json.dumps(json.loads(line)) for line in lines)
+        assert lines[0] == json.dumps(json.loads(lines[0]))
+        heads, payloads = zip(*(line.split("\t") for line in lines[1:]))
+        assert all(head == json.dumps(json.loads(head)) for head in heads)
+        assert all(re.fullmatch("[0-9a-f]*", payload) for payload in payloads) and payloads[-1] == ""
 
     def test_repeats_become_references_and_round_trip(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         records = self._records()
         write_trace(a, _specs(), records, sampling_ratio=0.1)
-        lines = [json.loads(line) for line in a.read_text().splitlines()]
-        assert lines[0]["version"] == 4
-        assert [rec.get("params") and rec["params"]["1"] for rec in lines[1:]] == [
-            _b64(records[0].params[1]), 2, None, 2, 2, None
-        ]
-        assert [rec.get("params") and rec["params"]["0"] for rec in lines[1:]] == [
-            _b64(records[0].params[0]), 2, None, _b64(records[3].params[0]), 6, None
-        ]
-        assert all(isinstance(v, str) for rec in lines[1:] for v in rec["grads"].values())
+        assert json.loads(a.read_text().splitlines()[0])["version"] == 5
+        lines = v5_records(a)
+
+        def params(block):
+            return [head["params"][block] if "params" in head else "absent" for head, _ in lines]
+
+        assert params("1") == [None, 2, "absent", 2, 2, "absent"]
+        assert params("0") == [None, 2, "absent", None, 6, "absent"]
+        assert all(v is None for head, _ in lines for v in head["grads"].values())
+        for (head, payload), rec in zip(lines, records):
+            new = [rec.grads[int(b)] for b in head["grads"]]
+            new += [rec.params[int(b)] for b, v in head.get("params", {}).items() if v is None]
+            assert payload == b"".join(np.asarray(v, dtype="<f8").tobytes() for v in new).hex()
 
         specs, stream = read_trace(a)
         got = list(stream)
@@ -454,8 +462,9 @@ class TestVersion3References:
         grad = np.array([0.5, -1.0, 2.0, 0.0])
         records = [StepRecord(step=t, grads={1: grad}) for t in (1, 2, 3)]
         write_trace(path, _specs()[1:], records, sampling_ratio=0.1)
-        lines = [json.loads(line) for line in path.read_text().splitlines()[1:]]
-        assert [rec["grads"]["1"] for rec in lines] == [_b64(grad), 1, 1]
+        lines = v5_records(path)
+        assert [head["grads"]["1"] for head, _ in lines] == [None, 1, 1]
+        assert [payload for _, payload in lines] == [grad.astype("<f8").tobytes().hex(), "", ""]
         _, stream = read_trace(path)
         assert [rec.grads[1].tolist() for rec in stream] == [grad.tolist()] * 3
 
@@ -605,7 +614,7 @@ class TestSeededEntries:
         path = tmp_path / "t.jsonl"
         write_trace(path, [spec], [], sampling_ratio=0.01)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["version"] == 4 and header["blocks"] == [entry]
+        assert header["version"] == 5 and header["blocks"] == [entry]
         specs, _ = read_trace(path)
         assert specs == [spec] and specs[0].to_json_dict() == entry
 
@@ -676,3 +685,147 @@ class TestNonUtf8Lines:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(TraceParseError, match=r"^header: not UTF-8: 'utf-8' codec can't decode byte 0xe9"):
             read_trace(path)
+
+
+def _hex(values):
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+class TestVersion5Records:
+    """Version-5 record lines: a JSON head, a tab, the hex of the new vectors."""
+
+    HEADER = {
+        "version": 5,
+        "sampling_ratio": 0.5,
+        "blocks": [
+            {"id": 0, "name": "w", "dims": [4], "kind": "other", "sample_indices": [0, 2]},
+            {"id": 1, "name": "v", "dims": [4], "kind": "other", "sample_indices": [1, 3]},
+        ],
+    }
+    FIRST = json.dumps({"step": 1, "grads": {"0": None, "1": None}, "params": {"0": None}}) + "\t" + _hex(
+        [0.1, 0.2, 0.3, 0.4, 1.0, 2.0]
+    )
+
+    def _stream(self, tmp_path, second, newline="\n"):
+        """Read a trace of the good record 1 then `second` (a line without its newline)."""
+        path = tmp_path / "t.jsonl"
+        lines = [json.dumps(self.HEADER), self.FIRST, second]
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        return read_trace(path)[1]
+
+    def _error(self, tmp_path, second) -> str:
+        stream = self._stream(tmp_path, second)
+        assert next(stream).step == 1
+        with pytest.raises(TraceParseError) as err:
+            next(stream)
+        return str(err.value)
+
+    @staticmethod
+    def _line(head, payload):
+        return json.dumps(head) + "\t" + payload
+
+    def test_round_trip_with_a_reference(self, tmp_path):
+        second = self._line({"step": 2, "grads": {"1": None, "0": None}, "params": {"0": 1}}, _hex([5, 6, 7, 8]))
+        first, rec = list(self._stream(tmp_path, second))
+        assert first.grads[0].tolist() == [0.1, 0.2] and first.params[0].tolist() == [1.0, 2.0]
+        assert list(rec.grads) == [1, 0]
+        assert rec.grads[1].tolist() == [5, 6] and rec.grads[0].tolist() == [7, 8]
+        assert rec.params[0] is first.params[0]
+        with pytest.raises(ValueError, match="read-only"):
+            rec.grads[0][0] = 1.0
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_ends(self, newline, tmp_path):
+        second = self._line({"step": 2, "grads": {"0": None}}, _hex([5, 6]))
+        records = list(self._stream(tmp_path, second, newline))
+        assert [r.step for r in records] == [1, 2] and records[1].grads[0].tolist() == [5, 6]
+        assert records[1].params is None
+
+    @pytest.mark.parametrize(
+        "head, payload, message",
+        [
+            (
+                {"step": 2, "grads": {"0": None, "1": None}}, _hex([1, 2, 3, 4])[:40] + "g" + _hex([1, 2, 3, 4])[41:],
+                "record 2 (step 2): grads vector for block 1 is not hex: payload digit 40 is b'g'",
+            ),
+            (
+                {"step": 2, "grads": {"0": None}}, _hex([1, 2]) + "0",
+                "record 2 (step 2): payload has an odd number of hex digits (33)",
+            ),
+            (
+                {"step": 2, "grads": {"0": None}}, _hex([1, 2]) + "  ",
+                "record 2 (step 2): payload is not hex: payload digit 32 is b' '",
+            ),
+            (
+                {"step": 2, "grads": {"0": None, "1": None}}, _hex([1, 2, 3]),
+                "record 2 (step 2): grads vector for block 1 is cut short: "
+                "the payload has 48 hex digits, the head's new vectors need 64",
+            ),
+            (
+                {"step": 2, "grads": {"0": None}, "params": {"1": None}}, _hex([1, 2]),
+                "record 2 (step 2): params vector for block 1 is cut short: "
+                "the payload has 32 hex digits, the head's new vectors need 64",
+            ),
+            (
+                {"step": 2, "grads": {"0": None}}, _hex([1, 2, 3]),
+                "record 2 (step 2): payload has 48 hex digits, more than the 32 the head's new vectors need",
+            ),
+            (
+                {"step": 2, "grads": {"0": None, "1": None}}, _hex([1, 2, 3, np.nan]),
+                "record 2 (step 2): grads vector for block 1 has a non-finite value",
+            ),
+            (
+                {"step": 2, "grads": {"0": None}, "params": {"0": 1, "1": None}}, _hex([1, 2, -np.inf, 4]),
+                "record 2 (step 2): params vector for block 1 has a non-finite value",
+            ),
+            (
+                {"step": 2, "grads": {"9": None}}, _hex([1, 2]),
+                "record 2 (step 2): grads for unknown block id 9",
+            ),
+            (
+                {"step": 2, "grads": {"0": None}, "params": {"1": 1}}, _hex([1, 2]),
+                "record 2 (step 2): params vector for block 1 refers to step 1, but no earlier record wrote one",
+            ),
+            (
+                {"step": 2, "grads": {"0": 2}}, "",
+                "record 2 (step 2): grads vector for block 0 refers to step 2, "
+                "but the last one was written at step 1",
+            ),
+            (
+                {"step": 1, "grads": {"0": None}}, _hex([1, 2]),
+                "record 2: step 1 not greater than previous step 1",
+            ),
+            (
+                {"step": 2, "grads": {"0": _b64([1, 2])}}, "",
+                'record 2 (step 2): grads vector for block 0 is "AAAAAAAA8D8AAAAAAAAAQA==", '
+                "not null or a step reference",
+            ),
+            (
+                {"step": 2, "grads": {"0": None, "00": None}}, _hex([1, 2, 3, 4]),
+                "record 2 (step 2): grads vector for block 0 is listed twice",
+            ),
+            (
+                {"step": 2, "grads": [0.1, 0.2]}, "",
+                "record 2 (step 2): grads must be an object mapping block ids to vectors",
+            ),
+        ],
+    )
+    def test_malformed_record_names_it_and_its_block(self, head, payload, message, tmp_path):
+        assert self._error(tmp_path, self._line(head, payload)) == message
+
+    def test_missing_tab(self, tmp_path):
+        message = self._error(tmp_path, json.dumps({"step": 2, "grads": {}}))
+        assert message == "record 2: no tab between the JSON head and the payload"
+
+    def test_head_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        second = b'{"step": 2, "gr\xffads": {"0": null}}\t' + _hex([1, 2]).encode()
+        path.write_bytes(b"\n".join([json.dumps(self.HEADER).encode(), self.FIRST.encode(), second]) + b"\n")
+        _, stream = read_trace(path)
+        assert next(stream).step == 1
+        with pytest.raises(TraceParseError, match=r"^record 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"):
+            next(stream)
+
+    def test_malformed_head(self, tmp_path):
+        message = self._error(tmp_path, '{"step": 2, "grads": \t' + _hex([1, 2]))
+        assert message.startswith("record 2: malformed JSON: ")
