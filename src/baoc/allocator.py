@@ -97,7 +97,7 @@ class AllocationProblem:
     objective term `phi[i, j]`, its exact state bytes `mem[i, j]` and its
     update-time ratio `ratio[i, j]`. Beyond a block's configurations the
     table is padded with phi inf, memory 0 and ratio 0, whatever the given
-    tables hold there; `usable_mask`, set at construction, marks the
+    tables hold there; `column_mask`, set at construction, marks the
     columns that are not padding. `excluded[i]` records the configurations
     block i may not take; none of them is a column, and `verify` flags a
     plan that uses one. The constructor stores read-only copies of the
@@ -112,7 +112,7 @@ class AllocationProblem:
     mem_budget: int
     time_budget: float
     excluded: tuple[frozenset[Configuration], ...] = ()
-    usable_mask: np.ndarray = field(init=False, repr=False)
+    column_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.blocks)
@@ -138,7 +138,7 @@ class AllocationProblem:
         width = max(sizes, default=0)
         valid = np.arange(width) < np.array(sizes, dtype=np.int64).reshape(n, 1)
         valid.flags.writeable = False
-        object.__setattr__(self, "usable_mask", valid)
+        object.__setattr__(self, "column_mask", valid)
         for name, dtype, pad in (("phi", np.float64, np.inf), ("mem", np.int64, 0), ("ratio", np.float64, 0.0)):
             table = getattr(self, name)
             if table.shape != (n, width) or table.dtype != dtype:
@@ -226,7 +226,7 @@ class AllocationProblem:
         return list(enumerate(self.candidates[i]))
 
     def min_feasible_mem(self) -> int:
-        least = np.where(self.usable_mask, self.mem, np.iinfo(np.int64).max).min(axis=1)
+        least = np.where(self.column_mask, self.mem, np.iinfo(np.int64).max).min(axis=1)
         return sum(least.tolist())
 
 
@@ -620,7 +620,7 @@ class _ParetoDP:
         # infinite and memory and ratio 0; `pad_mem` is the memory table for
         # the LP, infinite in the padding.
         self.problem = problem
-        self.valid = valid = problem.usable_mask
+        self.valid = valid = problem.column_mask
         self.pad_mem = np.where(valid, problem.mem, np.inf)
         # No assignment has more phi than each block's largest, summed.
         self.ceiling = float(sum(np.where(valid, problem.phi, -np.inf).max(axis=1).tolist()))

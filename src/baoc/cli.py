@@ -13,15 +13,23 @@ header, when T's sha256 matches, its --warmup-steps equals the stamped
 window, and the rows cover every unit in T's header with exactly the
 precision bits of the candidate grid. Otherwise it diagnoses T itself, and
 its log says why the document's metrics were not used.
+
+Both commands compute the trace's sha256 on a second thread while they
+read the trace themselves, and wait for it only where they need the
+digest. The thread is joined before the command returns, and an error of
+the command's own wins over one of the thread's.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +55,7 @@ from .partitioner import (
 from .pipeline import AllocationInfeasibleError, RunConfig, collect_metrics, plan_bytes, run_allocation
 from .risk import Anchors, RiskWeights, load_risk_config, parse_selector, signals_from_metrics
 from .simulator import generate_stream, load_profiles
-from .trace import BlockSpec, TraceParseError, read_trace, write_trace
+from .trace import _RECORD_BUFFER, BlockSpec, TraceParseError, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -160,6 +168,23 @@ def _positive(value: float, flag: str) -> float:
     return value
 
 
+def _non_negative(value: float, flag: str) -> float:
+    if not value >= 0:
+        raise UsageError(f"{flag} must be non-negative, got {value}")
+    return value
+
+
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}")
+    return value
+
+
+def _check_warmup_steps(steps: int | None) -> None:
+    if steps is not None and steps < 2:
+        raise UsageError(f"--warmup-steps must be at least 2 for direction stability, got {steps}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.sampling_ratio is not None:
         _positive(args.sampling_ratio, "--sampling-ratio")
@@ -200,19 +225,57 @@ def _load_risk_settings(args: argparse.Namespace) -> tuple[Anchors, RiskWeights,
         anchors, weights, prefer = load_risk_config(args.risk_config)
     else:
         anchors, weights, prefer = Anchors(), RiskWeights(), []
-    scale = _positive(args.anchor_scale, "--anchor-scale")
+    scale = _finite(_positive(args.anchor_scale, "--anchor-scale"), "--anchor-scale")
     if scale != 1.0:
         anchors = anchors.scaled(scale)
     return anchors, weights, prefer
 
 
 def _file_sha256(path: str) -> str:
-    """Hex sha256 of a file's bytes, read in chunks."""
+    """Hex sha256 of a file's bytes, read in chunks of `_RECORD_BUFFER` bytes into one buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
+    buffer = bytearray(_RECORD_BUFFER)
+    with open(path, "rb", buffering=0) as fh, memoryview(buffer) as view:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
+
+
+class _BackgroundSha256:
+    """`_file_sha256(path)`, computed on a thread of its own from construction on.
+
+    The read and the hash release the interpreter lock, so the thread runs
+    while the command decodes the trace. It takes the lock back after each
+    chunk, and waits for it each time: in 1 MiB chunks that is a few times a
+    pass, while 64 KiB chunks lose most of the overlap. `result()` waits for
+    the digest and raises what the hash raised. Leaving the `with` block
+    joins the thread, so an error of the command's own wins over one of the
+    hash's.
+    """
+
+    def __init__(self, path: str) -> None:
+        self._digest = ""
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, args=(path,), name="trace-sha256")
+        self._thread.start()
+
+    def _run(self, path: str) -> None:
+        try:
+            self._digest = _file_sha256(path)
+        except Exception as exc:  # raised again by `result()`
+            self._error = exc
+
+    def __enter__(self) -> "_BackgroundSha256":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._thread.join()
+
+    def result(self) -> str:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._digest
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,11 +300,14 @@ class _Diagnosed:
                 raise ValueError(f"'metrics' comes without '{key}'")
         return cls(read(doc, "trace_sha256", json_str), read(doc, "warmup_steps", _window_steps), metrics)
 
-    def mismatch(self, trace: str, warmup_steps: int | None, specs: list[BlockSpec]) -> str:
-        """Why these metrics are not the ones `allocate` would diagnose; "" when they are."""
+    def mismatch(self, trace_sha256: _BackgroundSha256, warmup_steps: int | None, specs: list[BlockSpec]) -> str:
+        """Why these metrics are not the ones `allocate` would diagnose; "" when they are.
+
+        The trace's digest is awaited only once the window matches.
+        """
         if self.warmup_steps != warmup_steps:
             return f"they cover {_window(self.warmup_steps)}, --warmup-steps asks for {_window(warmup_steps)}"
-        digest = _file_sha256(trace)
+        digest = trace_sha256.result()
         if digest != self.trace_sha256:
             return f"the trace's sha256 is {digest[:12]}..., theirs {self.trace_sha256[:12]}..."
         ids = {s.id for s in specs}
@@ -279,14 +345,13 @@ def _grid_cost_model(doc: dict) -> CostModel:
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     _positive(args.budget_ratio, "--budget-ratio")
-    _positive(args.time_budget, "--time-budget")
-    if not args.gamma >= 0:
-        raise UsageError(f"--gamma must be non-negative, got {args.gamma}")
+    _positive(args.time_budget, "--time-budget")  # may be inf: no time budget
+    _finite(_non_negative(args.gamma, "--gamma"), "--gamma")
+    _check_warmup_steps(args.warmup_steps)
     anchors, weights, prefer = _load_risk_settings(args)
     prefer = list(prefer) + list(args.prefer)
     if args.lambda_pref is not None:
-        if not args.lambda_pref >= 0:
-            raise UsageError(f"--lambda-pref must be non-negative, got {args.lambda_pref}")
+        _finite(_non_negative(args.lambda_pref, "--lambda-pref"), "--lambda-pref")
         weights = dataclasses.replace(weights, lambda_pref=args.lambda_pref)
     for selector in list(args.exclude) + list(args.prefer):
         parse_selector(selector)  # fail fast, naming the bad selector
@@ -304,17 +369,20 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         exclude=tuple(args.exclude),
         prefer=tuple(prefer),
     )
-    specs, records = read_trace(args.trace)
-    metrics, reason = None, ""
-    if diagnosed is not None:
-        reason = diagnosed.mismatch(args.trace, config.warmup_steps, specs)
-        metrics = None if reason else diagnosed.metrics
-    result = run_allocation(config, (specs, records), groups=groups, metrics=metrics)
+    with (contextlib.nullcontext() if diagnosed is None else _BackgroundSha256(args.trace)) as trace_sha256:
+        specs, records = read_trace(args.trace)
+        metrics, reason = None, ""
+        if diagnosed is not None:
+            reason = diagnosed.mismatch(trace_sha256, config.warmup_steps, specs)
+            metrics = None if reason else diagnosed.metrics
+        result = run_allocation(config, (specs, records), groups=groups, metrics=metrics)
     if metrics is not None:
         _log(args, f"diagnostics reused from --blocks (trace sha256 {diagnosed.trace_sha256[:12]}...)")
     else:
+        # The steps folded in, which a trace shorter than --warmup-steps makes fewer.
+        steps = None if config.warmup_steps is None else max(m.steps for m in result.metrics.values())
         why = f" (--blocks metrics not used: {reason})" if reason else ""
-        _log(args, f"diagnosed {_window(config.warmup_steps)} of {len(specs)} units from --trace{why}")
+        _log(args, f"diagnosed {_window(steps)} of {len(specs)} units from --trace{why}")
     if args.dump_problem is not None:
         Path(args.dump_problem).write_text(
             json.dumps(problem_to_json_dict(result.problem), sort_keys=True, indent=2) + "\n",
@@ -336,24 +404,24 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     _positive(args.alpha, "--alpha")
     if args.alpha >= 1.0:
         raise UsageError(f"--alpha must be below 1, got {args.alpha}")
-    if args.warmup_steps is not None and args.warmup_steps < 2:
-        raise UsageError(f"--warmup-steps must be at least 2 for direction stability, got {args.warmup_steps}")
+    _check_warmup_steps(args.warmup_steps)
     params = PartitionParams(alpha=args.alpha, tau=args.tau if args.tau is not None else "upper_quartile")
     anchors, _, _ = _load_risk_settings(args)
     units = load_model_description(args.model_desc)
-    specs, records = read_trace(args.trace)
-    traced = {s.id: s.shape for s in specs}
-    missing = sorted(u.id for u in units if u.id not in traced)
-    if missing:
-        raise ValueError(f"trace lacks diagnostics for units {missing}")
-    for unit in units:
-        if unit.shape != traced[unit.id]:
-            raise ValueError(
-                f"--model-desc {args.model_desc}: unit {unit.id} has dims {list(unit.shape.dims)}, "
-                f"but the trace's block {unit.id} has dims {list(traced[unit.id].dims)}"
-            )
-    digest = _file_sha256(args.trace)
-    metrics = collect_metrics(specs, records, max_steps=args.warmup_steps)
+    with _BackgroundSha256(args.trace) as trace_sha256:
+        specs, records = read_trace(args.trace)
+        traced = {s.id: s.shape for s in specs}
+        missing = sorted(u.id for u in units if u.id not in traced)
+        if missing:
+            raise ValueError(f"trace lacks diagnostics for units {missing}")
+        for unit in units:
+            if unit.shape != traced[unit.id]:
+                raise ValueError(
+                    f"--model-desc {args.model_desc}: unit {unit.id} has dims {list(unit.shape.dims)}, "
+                    f"but the trace's block {unit.id} has dims {list(traced[unit.id].dims)}"
+                )
+        metrics = collect_metrics(specs, records, max_steps=args.warmup_steps)
+        digest = trace_sha256.result()
     signals = {u.id: signals_from_metrics(metrics[u.id], anchors) for u in units}
     tau = compute_tau(units, signals, params)
     blocks = partition(units, signals, dataclasses.replace(params, tau=tau))

@@ -67,6 +67,7 @@ class RunResult:
     problem: AllocationProblem
     solution: AllocationSolution
     plan: dict
+    metrics: Mapping[int, RawMetrics]  # every traced unit's, given or diagnosed
 
 
 def collect_metrics(
@@ -293,4 +294,4 @@ def run_allocation(
             message += f" (budget ratio {min_mem / max(problem.mem_budget / config.budget_ratio, 1e-300):.4g})"
         raise AllocationInfeasibleError(message, solution, problem)
     plan = render_plan(problem, solution)
-    return RunResult(problem=problem, solution=solution, plan=plan)
+    return RunResult(problem=problem, solution=solution, plan=plan, metrics=metrics)

@@ -411,8 +411,10 @@ def write_trace(
     characters a byte where base64 takes 4 per 3, so the file is 1.5
     times version 4's (7,986,087 bytes against 5,328,063), and each sha256
     pass over it (`partition` and `allocate --blocks` each make one) takes
-    about 2.4 ms more. The file stays ASCII and one record per line, so it
-    can go to a text stream, such as stdout, and be split into lines.
+    about 2.4 ms more. Both commands hash on a second thread while they
+    read the trace, so in `partition` that pass hides behind the decode.
+    The file stays ASCII and one record per line, so it can go to a text
+    stream, such as stdout, and be split into lines.
 
     Records must come in increasing step order, as the reader requires.
     `path` may be an open text stream, such as stdout.

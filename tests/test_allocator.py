@@ -596,7 +596,7 @@ def _highs_rows(prob):
     Memory is scaled by the budget, so HiGHS's tolerances act on a row of
     order 1; time is capped as `_ParetoDP` caps it."""
     n = len(prob.blocks)
-    rows, cols = np.nonzero(prob.usable_mask)
+    rows, cols = np.nonzero(prob.column_mask)
     one_each = np.zeros((n, rows.size))
     one_each[rows, np.arange(rows.size)] = 1.0
     budget_rows = np.vstack((prob.mem[rows, cols] / prob.mem_budget, prob.ratio[rows, cols] / n))
@@ -614,7 +614,7 @@ class TestReducedCostFixing:
             # A time budget below the unconstrained optimum's mean ratio: the row binds.
             free = solve_bruteforce(AllocationProblem.from_candidates(
                 prob.blocks, prob.candidates, prob.mem_budget, math.inf, prob.excluded))
-            least = float(np.where(prob.usable_mask, prob.ratio, np.inf).min(axis=1).mean())
+            least = float(np.where(prob.column_mask, prob.ratio, np.inf).min(axis=1).mean())
             if free.is_optimal and free.mean_time_ratio > least:
                 prob = AllocationProblem.from_candidates(
                     prob.blocks, prob.candidates, prob.mem_budget,
@@ -632,7 +632,7 @@ class TestReducedCostFixing:
 
         keep = dp.valid & (dp.column_bound <= brute.objective + allocator.OBJECTIVE_SLACK)
         n = len(prob.blocks)
-        choice = np.array(list(itertools.product(*map(np.flatnonzero, prob.usable_mask))))
+        choice = np.array(list(itertools.product(*map(np.flatnonzero, prob.column_mask))))
         rows = np.arange(n)
         obj = np.zeros(len(choice))
         for i in range(n):
@@ -1018,7 +1018,7 @@ class TestProblemTable:
                 assert int(prob.mem[i, j]) == sum(state_bytes(cfg, s) for s in block.shapes)
                 assert prob.phi[i, j] == phi(cfg, by_id[block.id], preferred, gamma)
                 assert prob.ratio[i, j] == CostModel.static_default().ratio(cfg)
-            assert prob.usable_mask[i].sum() == len(prob.configs[i])
+            assert prob.column_mask[i].sum() == len(prob.configs[i])
         assert prob.mem_budget == round(0.5 * sum(state_bytes(ADAMW16, s) for b in blocks for s in b.shapes))
 
     def test_state_bytes_beyond_int64_is_an_error(self):
@@ -1087,7 +1087,7 @@ class TestProblemTable:
         assert prob.excluded == (frozenset({Y}), frozenset())
         assert prob.candidates[0] == (row[0], row[2])
         assert prob.usable(0) == [(0, row[0]), (1, row[2])]
-        assert prob.usable_mask.tolist() == [[True, True, False], [True, True, True]]
+        assert prob.column_mask.tolist() == [[True, True, False], [True, True, True]]
         assert (prob.phi[0, 2], prob.mem[0, 2], prob.ratio[0, 2]) == (math.inf, 0, 0.0)
         with pytest.raises(AllocationBuildError, match="block 1: all candidates excluded"):
             AllocationProblem.from_candidates(blocks, (row, row[:1]), 20, 2.0, (frozenset(), frozenset({X})))

@@ -4,13 +4,15 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from baoc.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, dispatch
+from baoc import cli
+from baoc.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, _BackgroundSha256, dispatch
 from baoc.config_space import CostModel
 from baoc.diagnostics import DiagnosticsState
 from baoc.trace import BlockSpec, read_trace
@@ -359,6 +361,21 @@ class TestAllocate:
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be non-negative, got nan"]
 
+    @pytest.mark.parametrize("flag", ["--lambda-pref", "--gamma", "--anchor-scale"])
+    def test_infinite_flag_names_the_flag(self, flag, trace_path, capsys):
+        # An infinite weight made the phi table fail naming a candidate cell; an
+        # infinite anchor scale gave a plan from degenerate phi values.
+        code = dispatch(["allocate", "--trace", str(trace_path), "--prefer", "sgd", flag, "inf", "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be finite, got inf"]
+
+    @pytest.mark.parametrize("steps", ["1", "0", "-3"])
+    def test_window_below_two_names_the_flag(self, steps, trace_path, capsys):
+        code = dispatch(["allocate", "--trace", str(trace_path), "--warmup-steps", steps, "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --warmup-steps must be at least 2 for direction stability, got {steps}"]
+
 
 MALFORMED_DOCUMENTS = [
     ("allocate", "--risk-config", [1, 2]),
@@ -694,6 +711,16 @@ class TestPartitionCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: tau must be a finite number, got {float(tau)}"]
         assert not out.exists()
 
+    def test_infinite_anchor_scale_names_the_flag(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"units": [{"id": 0, "name": "a", "dims": [16, 16]}]}))
+        out = tmp_path / "blocks.json"
+        code = dispatch(["partition", "--model-desc", str(model_path), "--trace", str(trace_path),
+                         "--anchor-scale", "inf", "--out", str(out), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == ["error: --anchor-scale must be finite, got inf"]
+        assert not out.exists()
+
     def test_unit_missing_from_trace_is_one_error_line(self, trace_path, tmp_path, capsys):
         model = {"units": [{"id": 0, "name": "a", "dims": [16, 16]}, {"id": 7, "name": "b", "dims": [16, 16]}]}
         model_path = tmp_path / "model.json"
@@ -712,11 +739,11 @@ MODEL = {
 }
 
 
-def _edit_record_2(trace, out, edit):
-    """Write `trace` to `out` with record 2 replaced by `edit(head, payload)`, the new line's bytes."""
+def _edit_record(trace, out, edit, record=2):
+    """Write `trace` to `out` with the record replaced by `edit(head, payload)`, the new line's bytes."""
     lines = trace.read_bytes().split(b"\n")
-    head, payload = lines[2].decode("ascii").split("\t")
-    lines[2] = edit(json.loads(head), payload)
+    head, payload = lines[record].decode("ascii").split("\t")
+    lines[record] = edit(json.loads(head), payload)
     out.write_bytes(b"\n".join(lines))
 
 
@@ -748,7 +775,7 @@ NAN = np.array([np.nan], dtype="<f8").tobytes().hex()
 @pytest.mark.parametrize("command", ["allocate", "partition"])
 def test_malformed_version_5_record_is_one_error_line(command, edit, message, trace_path, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    _edit_record_2(trace_path, bad, edit)
+    _edit_record(trace_path, bad, edit)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(MODEL))
     argv = {
@@ -888,6 +915,22 @@ class TestDiagnosticsHandOff:
         assert log.splitlines()[0].endswith(f"(--blocks metrics not used: {reason})")
         assert plan == self.allocate(trace_path, self.without_metrics(blocks), capsys)[0]
 
+    def test_log_gives_the_steps_diagnosed(self, trace_path, tmp_path, capsys):
+        # The trace holds 120 steps: a longer window diagnoses those, logs them, and
+        # stays the window stamped, so that the same --warmup-steps reuses the metrics.
+        blocks = self.partition(trace_path, tmp_path, "--warmup-steps", "200")
+        doc = json.loads(blocks.read_text())
+        assert doc["warmup_steps"] == 200 and {row["steps"] for row in doc["metrics"]} == {120}
+        _, log = self.allocate(trace_path, self.without_metrics(blocks), capsys, "--warmup-steps", "200")
+        assert log.splitlines()[0] == "diagnosed 120 steps of 2 units from --trace"
+        _, log = self.allocate(trace_path, blocks, capsys, "--warmup-steps", "200")
+        assert log.startswith("diagnostics reused from --blocks")
+        _, log = self.allocate(trace_path, blocks, capsys, "--warmup-steps", "60")
+        assert log.splitlines()[0] == (
+            "diagnosed 60 steps of 2 units from --trace (--blocks metrics not used: "
+            "they cover 200 steps, --warmup-steps asks for 60 steps)"
+        )
+
     def test_no_file_handle_leaks(self, trace_path, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -911,6 +954,103 @@ class TestDiagnosticsHandOff:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: --warmup-steps must be at least 2 for direction stability, got {steps}"]
+
+
+def _hash_fails(path):
+    raise OSError("the disk went away")
+
+
+# (command, case, exit code, the one stderr line or None); the paths are filled in.
+_EXIT_PATHS = [
+    ("partition", "success", EXIT_OK, None),
+    ("partition", "missing trace", EXIT_INPUT_ERROR, "error: [Errno 2] No such file or directory: '{trace}'"),
+    ("partition", "directory trace", EXIT_INPUT_ERROR, "error: [Errno 21] Is a directory: '{trace}'"),
+    ("partition", "malformed record", EXIT_INPUT_ERROR,
+     "error: record 100 (step 100): grads vector for block 0 has a non-finite value"),
+    ("partition", "dims mismatch", EXIT_INPUT_ERROR,
+     "error: --model-desc {model}: unit 0 has dims [16, 8], but the trace's block 0 has dims [16, 16]"),
+    ("partition", "window below two", EXIT_INPUT_ERROR,
+     "error: --warmup-steps must be at least 2 for direction stability, got 1"),
+    ("partition", "hash error", EXIT_INPUT_ERROR, "error: the disk went away"),
+    ("allocate", "success", EXIT_OK, None),
+    ("allocate", "missing trace", EXIT_INPUT_ERROR, "error: [Errno 2] No such file or directory: '{trace}'"),
+    ("allocate", "directory trace", EXIT_INPUT_ERROR, "error: [Errno 21] Is a directory: '{trace}'"),
+    ("allocate", "malformed record", EXIT_INPUT_ERROR,
+     "error: record 100 (step 100): grads vector for block 0 has a non-finite value"),
+    ("allocate", "window mismatch", EXIT_OK, None),
+    ("allocate", "hash error", EXIT_INPUT_ERROR, "error: the disk went away"),
+]
+
+
+class TestTraceDigestThread:
+    """The trace's sha256 is computed on a thread of its own, and no exit path leaves it running."""
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 5])
+    def test_digest_is_the_sha256_of_the_bytes(self, size, tmp_path):
+        # Around the 1 MiB chunk: a short last chunk, an exact one, and none at all.
+        path = tmp_path / "bytes"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        threads = threading.active_count()
+        with _BackgroundSha256(str(path)) as digest:
+            assert digest.result() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert threading.active_count() == threads
+
+    def test_result_raises_what_the_hash_raised(self, tmp_path):
+        with _BackgroundSha256(str(tmp_path / "absent")) as digest:
+            with pytest.raises(FileNotFoundError, match="absent"):
+                digest.result()
+
+    @pytest.mark.parametrize("command, case, code, error", _EXIT_PATHS, ids=[f"{c}-{k}" for c, k, *_ in _EXIT_PATHS])
+    def test_no_thread_outlives_the_command(self, command, case, code, error, trace_path, tmp_path, capsys,
+                                            monkeypatch):
+        model = tmp_path / "units.json"
+        dims = [16, 8] if case == "dims mismatch" else [16, 16]
+        model.write_text(json.dumps({"units": [MODEL["units"][0] | {"dims": dims}, MODEL["units"][1]]}))
+        blocks = TestDiagnosticsHandOff.partition(trace_path, tmp_path, name="handed-off.json")
+        trace, extra = trace_path, []
+        if case == "missing trace":
+            trace = tmp_path / "absent.jsonl"
+        elif case == "directory trace":
+            trace = tmp_path / "a-directory"
+            trace.mkdir()
+        elif case == "malformed record":
+            trace = tmp_path / "bad.jsonl"
+            _edit_record(trace_path, trace, lambda h, p: _line(h, NAN + p[16:]), record=100)
+        elif case == "window mismatch":
+            extra = ["--warmup-steps", "60"]
+        elif case == "window below two":
+            extra = ["--warmup-steps", "1"]
+        elif case == "hash error":
+            monkeypatch.setattr(cli, "_file_sha256", _hash_fails)
+        argv = {
+            "allocate": ["allocate", "--trace", str(trace), "--blocks", str(blocks)],
+            "partition": ["partition", "--model-desc", str(model), "--trace", str(trace)],
+        }[command] + ["--out", str(tmp_path / "out.json"), "--quiet", *extra]
+        capsys.readouterr()
+        threads = threading.active_count()
+        assert dispatch(argv) == code
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err.splitlines() == ([] if error is None else [error.format(trace=trace, model=model)])
+
+    @pytest.mark.parametrize("command", ["allocate", "partition"])
+    def test_the_command_s_own_error_wins(self, command, trace_path, tmp_path, capsys, monkeypatch):
+        # Both fail: the command on the record (partition) or the header (allocate), the thread on the hash.
+        blocks = TestDiagnosticsHandOff.partition(trace_path, tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        if command == "partition":
+            _edit_record(trace_path, bad, lambda h, p: _line(h, NAN + p[16:]), record=100)
+            argv = ["partition", "--model-desc", str(tmp_path / "model.json")]
+            message = "error: record 100 (step 100): grads vector for block 0 has a non-finite value"
+        else:
+            bad.write_text("\n")
+            argv = ["allocate", "--blocks", str(blocks)]
+            message = "error: empty trace file: missing header line"
+        monkeypatch.setattr(cli, "_file_sha256", _hash_fails)
+        capsys.readouterr()
+        threads = threading.active_count()
+        assert dispatch(argv + ["--trace", str(bad), "--quiet"]) == EXIT_INPUT_ERROR
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 class TestBench:

@@ -148,6 +148,7 @@ class TestRunAllocation:
         given = run_allocation(config, (specs, unread()), groups=[[0, 1], [2]], metrics=metrics)
         diagnosed = run_allocation(config, (specs, records), groups=[[0, 1], [2]])
         assert plan_bytes(given.plan) == plan_bytes(diagnosed.plan)
+        assert given.metrics is metrics and diagnosed.metrics == metrics
 
     def test_run_config_validation(self):
         with pytest.raises(ValueError):
