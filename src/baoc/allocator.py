@@ -26,8 +26,11 @@ repaired to fit, so one pass proves the optimum; without an incumbent the
 pass has no cutoff. Before the pass, reduced-cost fixing (Dyer, Kayal &
 Walker, 1984) drops every candidate whose Lagrangian bound, with its block
 fixed to it, exceeds the cutoff. It proves optimality or infeasibility on
-any instance, with no recursion. Both return the lexicographically
-smallest assignment among those within the slack of the optimum.
+any instance, with no recursion. When the candidates left after fixing
+multiply to at most `_SMALL_PRODUCT` assignments, the pass enumerates them
+all at once instead of stepping the DP; `nodes_explored` then counts the
+assignments enumerated. Both solvers return the lexicographically smallest
+assignment among those within the slack of the optimum.
 """
 
 from __future__ import annotations
@@ -62,10 +65,27 @@ _PRICE_GAP = 1e-3
 # 1024 states gives 1240 / 753 / 719 / 801 us with 49,372 / 96,996 / 217,867
 # / 541,680 states.
 _SMALL_FRONT = 64
+# `_ParetoDP.run` enumerates every kept assignment in one pass, instead of
+# stepping the DP, when the kept columns multiply to at most this many.
+# `run` and the leaf decode alone on the 459 `sweep` problems of seed 0
+# (seed 1), best of 3 with the caps interleaved per problem, on a shared
+# 2-CPU Xeon host: always the DP gives p50 226 (226) us and 140 (139) ms
+# over all problems; a cap of 4096 gives 190 (175) us and 119 (115) ms,
+# enumerating 244 (253) problems; 8192 gives 184 (168) us and 119 (115) ms;
+# 16,384 gives 183 (164) us and 125 (118) ms; 65,536 gives 180 (165) us and
+# 177 (174) ms. Every cap chose the DP's columns.
+_SMALL_PRODUCT = 4096
 
 
 class AllocationBuildError(ValueError):
     """The problem cannot be constructed as requested."""
+
+
+def _summed_extremes(phi: np.ndarray, valid: np.ndarray) -> float:
+    """The sum over blocks of each block's largest |phi| among the `valid`
+    columns: no sum of phi over the blocks, or over a prefix of them, is
+    larger in magnitude. inf or NaN when that sum overflows."""
+    return sum(np.abs(phi).max(axis=1, where=valid, initial=0.0).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +176,11 @@ class AllocationProblem:
             i, j = np.argwhere(bad)[0].tolist()
             message = next(message for message, ok in checks if not ok[i, j])
             raise ValueError(f"blocks[{i}]: candidates[{j}]: {message}")
+        # These bound every sum the solvers form over the blocks.
+        if sum(self.mem.max(axis=1, initial=0).tolist()) >= 2**63:
+            raise ValueError("the blocks' largest candidate memories must sum within 64-bit integers")
+        if not math.isfinite(_summed_extremes(self.phi, valid)):
+            raise ValueError("the blocks' largest candidate objective terms must have a finite sum")
 
     @classmethod
     def from_candidates(
@@ -237,8 +262,9 @@ class AllocationSolution:
     objective: float
     total_mem: int
     mean_time_ratio: float
-    # solve_exact: DP states kept in its one round; solve_bruteforce:
-    # assignments enumerated.
+    # solve_exact: DP states kept in its one round, or the assignments
+    # enumerated when the round enumerates; solve_bruteforce: assignments
+    # enumerated.
     nodes_explored: int = 0
     infeasible_reason: str | None = None
 
@@ -719,20 +745,28 @@ class _ParetoDP:
             spare -= int(extra[i, j])
             cols = nxt
 
-    def run(self, limit: float) -> tuple[tuple[np.ndarray, list] | None, int]:
+    def run(self, limit: float) -> tuple[tuple[np.ndarray, tuple] | None, int]:
         """One pass over the blocks, keeping states whose phi plus bound is <= `limit`.
 
         First, reduced-cost fixing: a column whose `column_bound` exceeds
         `limit` is dropped, since every assignment through it has phi above
         the limit. One stable sort moves each block's remaining columns to
         the front in table order, so the states stay in lexicographic order.
-        The bound and the dominance pass each run only on a front of more
-        than `_SMALL_FRONT` states; a smaller one is carried unpruned. Both
-        passes only remove states, and the leaves check the limit, so this
-        keeps the optimum and the tie rule's answer.
-        Returns the leaves' phis in that order with per-step (parent, table
-        column) back-pointers (or None when no leaf survives), and the
-        number of states kept, the unpruned ones included.
+
+        When the kept columns multiply to at most `_SMALL_PRODUCT`, the pass
+        enumerates every kept assignment: it extends all states by each
+        block in turn, with no test, and checks the leaves once. Otherwise
+        it steps the DP: after each block it drops the states that cannot
+        fit the budgets, then runs the bound and the dominance pass, each
+        only on a front of more than `_SMALL_FRONT` states; a smaller one is
+        carried unpruned. Both passes only remove states, and the leaves
+        check the limit, so either way the optimum and the tie rule's answer
+        stay, and the sums are added in the same order.
+
+        Returns the leaves' phis in lexicographic order with the path
+        `choice` decodes them from (or None when no leaf survives), and the
+        number of states: the DP's kept, the unpruned ones included, or the
+        assignments enumerated.
         """
         n = self.n
         keep = self.valid & (self.column_bound <= limit)
@@ -740,13 +774,26 @@ class _ParetoDP:
         if 0 in sizes:
             return None, 0
         cols = np.argsort(~keep, axis=1, kind="stable")
-        mem_sorted, ratio_sorted, phi_sorted = (
-            np.take_along_axis(t, cols, axis=1) for t in (self.problem.mem, self.problem.ratio, self.problem.phi)
-        )
+        rows = np.arange(n).reshape(n, 1)
+        mem_sorted = self.problem.mem[rows, cols]
+        # Each state's summed ratio and phi as one row each, so that one add
+        # per block extends both in an enumeration.
+        cost_sorted = np.stack((self.problem.ratio, self.problem.phi))[:, rows, cols]
         mems = np.zeros(1, dtype=np.int64)
-        times = np.zeros(1, dtype=np.float64)
-        phis = np.zeros(1, dtype=np.float64)
-        back: list[tuple[np.ndarray, np.ndarray]] = []
+        costs = np.zeros((2, 1))
+        product = math.prod(sizes)
+        if product <= _SMALL_PRODUCT:
+            for d, k in enumerate(sizes):
+                mems = (mems[:, None] + mem_sorted[d, :k]).ravel()
+                costs = (costs[:, :, None] + cost_sorted[:, d, None, :k]).reshape(2, -1)
+            times, phis = costs
+            idx = np.flatnonzero((mems <= self.mem_budget) & (times / n <= self.mean_cap) & (phis <= limit))
+            if idx.size == 0:
+                return None, product
+            return (phis[idx], (sizes, cols, [(0, idx)])), product
+        ratio_sorted, phi_sorted = cost_sorted
+        times, phis = costs
+        steps: list[tuple[int, np.ndarray]] = []
         kept = 0
         sel = [np.arange(t.block.size) for t in self.tables]
         for d in range(n):
@@ -777,18 +824,29 @@ class _ParetoDP:
                     idx = idx[_undominated(mem[idx], time[idx], phi[idx], free_mem, free_time)]
             if idx.size == 0:
                 return None, kept
-            back.append((idx // k, cols[d, idx % k]))
+            steps.append((d, idx))
             mems, times, phis = mem[idx], time[idx], phi[idx]
             kept += idx.size
-        return (phis, back), kept
+        return (phis, (sizes, cols, steps)), kept
 
-    def choice(self, back: list, leaf: int) -> list[int]:
-        """Table column per block of the leaf's assignment."""
+    def choice(self, path: tuple, leaf: int) -> list[int]:
+        """Table column per block of the leaf's assignment.
+
+        `path` is (kept column counts, sorted columns, steps). Each step is
+        (its first block, the index of every state it kept); a state's index
+        holds its parent's index followed by one mixed-radix digit per block
+        of the step, the last block's lowest. The DP steps one block at a
+        time; an enumeration takes every block in one step.
+        """
+        sizes, cols, steps = path
         choice = [0] * self.n
-        for d in range(self.n - 1, -1, -1):
-            parent, cand = back[d]
-            choice[d] = int(cand[leaf])
-            leaf = int(parent[leaf])
+        end = self.n
+        for first, idx in reversed(steps):
+            code = int(idx[leaf])
+            for d in range(end - 1, first - 1, -1):
+                code, digit = divmod(code, sizes[d])
+                choice[d] = int(cols[d, digit])
+            leaf, end = code, first
         return choice
 
 
@@ -817,7 +875,13 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     remaining candidates keep their order, and a block left with one
     candidate extends every state without the bound and dominance tests.
     So does a front of at most `_SMALL_FRONT` states: (b) and (c) only
-    remove states, and on small fronts they cost more than they save.
+    remove states, and on small fronts they cost more than they save. When
+    the remaining candidates multiply to at most `_SMALL_PRODUCT`
+    assignments, the round tests none of (a) to (c): it builds every
+    assignment's totals, block by block in the same order, and keeps the
+    leaves within both budgets and the limit. Those are every assignment
+    the DP could keep as a leaf, in the DP's order and with the DP's sums,
+    so the optimum and the tie rule's answer are the same.
 
     U is the phi of a feasible incumbent (`_ParetoDP.incumbent`): the root
     LP solution of each table, and of the tables at both ends of the final
@@ -833,7 +897,7 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
     the optimum, the lexicographically smallest (block order, then
     candidate index). Totals are summed in block order, as the oracle sums
     them. `nodes_explored` counts the DP states kept in the round, the ones
-    carried unpruned included.
+    carried unpruned included, or the assignments an enumerated round built.
     """
     n = len(problem.blocks)
     dp = _ParetoDP(problem)
@@ -859,9 +923,9 @@ def solve_exact(problem: AllocationProblem) -> AllocationSolution:
         if incumbent is not None:
             raise RuntimeError("unreachable: the round at the incumbent's cutoff kept no leaf")
         return _infeasible("no assignment satisfies both budgets", nodes=nodes)
-    phis, back = leaves
+    phis, path = leaves
     leaf = int(np.flatnonzero(phis <= phis.min() + OBJECTIVE_SLACK)[0])
-    return _solution(problem, dp.choice(back, leaf), nodes=nodes)
+    return _solution(problem, dp.choice(path, leaf), nodes=nodes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1038,7 +1102,11 @@ def build_problem(
     # parameter, so this bounds every sum of state bytes the solver forms.
     if 8 * total > np.iinfo(np.int64).max:
         raise AllocationBuildError(f"state memory of {total} parameters overflows 64-bit integers")
-    mem_budget = int(round(budget_ratio * (4 * total)))  # AdamW16: two 2-byte tensors per parameter
+    mem_budget = budget_ratio * (4 * total)  # AdamW16: two 2-byte tensors per parameter
+    if not mem_budget < 2**63:  # inf included
+        raise AllocationBuildError(
+            f"budget ratio {budget_ratio} gives a memory budget of {mem_budget:.4g} bytes, beyond 64-bit integers"
+        )
 
     # The grid columns a block takes, keyed by whether it factorizes.
     cols = {f: np.flatnonzero(keep & (f | ~GRID.factorized)) for f in set(whole)}
@@ -1051,19 +1119,42 @@ def build_problem(
         index[factorizes[:, 0] == f, : c.size] = c
     used = keep & (factorizes | ~GRID.factorized)
     rows = np.arange(len(whole)).reshape(-1, 1)
-    phi = phi_table(block_signals, weights, gamma, used)[rows, index]
+
+    def table(weights: RiskWeights, gamma: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # the problem rejects what overflows
+            return phi_table(block_signals, weights, gamma, used)[rows, index]
+
+    phi = table(weights, gamma)
     mem = state_bytes_table(np.array(params, dtype=np.int64), np.array(factors, dtype=np.int64))[rows, index]
     ratio = cost_model.ratio_row(used.any(axis=0))[index]
-    return AllocationProblem(
-        blocks=tuple(descriptors),
-        configs=tuple(configs[f] for f in whole),
-        phi=phi,
-        mem=mem,
-        ratio=ratio,
-        mem_budget=mem_budget,
-        time_budget=time_budget,
-        excluded=tuple(excluded[f] for f in whole),
-    )
+    try:
+        return AllocationProblem(
+            blocks=tuple(descriptors),
+            configs=tuple(configs[f] for f in whole),
+            phi=phi,
+            mem=mem,
+            ratio=ratio,
+            mem_budget=int(round(mem_budget)),
+            time_budget=time_budget,
+            excluded=tuple(excluded[f] for f in whole),
+        )
+    except ValueError:
+        valid = np.arange(width) < np.array([cols[f].size for f in whole]).reshape(-1, 1)
+        if math.isfinite(_summed_extremes(phi, valid)):
+            raise
+        # Name the setting whose term overflows alone: gamma's, the preference's, else the risk terms'.
+        risk_free = replace(weights, w_A=0.0, w_M=0.0, w_C=0.0, w_F=0.0, w_Q=0.0)
+        parts = (
+            (f"gamma {gamma}", replace(risk_free, lambda_pref=0.0), gamma),
+            (f"lambda_pref {weights.lambda_pref}", risk_free, 0.0),
+        )
+        cause = next(
+            (name for name, w, g in parts if not math.isfinite(_summed_extremes(table(w, g), valid))),
+            "the risk weights",
+        )
+        raise AllocationBuildError(
+            f"{cause} makes the objective terms of {len(whole)} blocks overflow when summed"
+        ) from None
 
 
 def problem_to_json_dict(problem: AllocationProblem) -> dict:

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,12 @@ from conftest import GRID, random_instance
 X = Configuration.from_family("adamw", 16)
 Y = Configuration.from_family("sgdm", 16)
 Z = Configuration.from_family("sgd")
+
+
+@pytest.fixture
+def every_round_steps_the_dp(monkeypatch):
+    """`_SMALL_PRODUCT` at 0: no round enumerates."""
+    monkeypatch.setattr(allocator, "_SMALL_PRODUCT", 0)
 
 
 def two_block_problem(mem_budget, time_budget=math.inf):
@@ -134,6 +142,15 @@ class TestSolveExact:
         assert solve_exact(prob) == solve_exact(prob)
 
     def test_oracle_equivalence_random_suite(self, instance_rng):
+        self._oracle_suite(instance_rng)
+
+    @pytest.mark.usefixtures("every_round_steps_the_dp")
+    def test_oracle_equivalence_random_suite_stepping_the_dp(self, instance_rng):
+        # Most of these draws enumerate at the default cap.
+        self._oracle_suite(instance_rng)
+
+    @staticmethod
+    def _oracle_suite(instance_rng):
         feasible_seen = infeasible_seen = 0
         for _ in range(200):
             prob = random_instance(instance_rng)
@@ -344,6 +361,15 @@ class TestParetoDP:
         assert sol.status == "optimal"
         floor = sum(min(c.phi for c in row) for row in prob.candidates)
         assert abs(sol.objective - floor) <= 1e-9
+        # Fixing keeps one column per block: one assignment enumerated, or
+        # one DP state per block.
+        assert sol.nodes_explored == (1 if allocator._SMALL_PRODUCT else 2000)
+
+
+@pytest.mark.usefixtures("every_round_steps_the_dp")
+class TestParetoDPSteppingEveryRound(TestParetoDP):
+    """`TestParetoDP` with no round enumerated, so that the DP meets the oracle
+    on the small problems too."""
 
 
 # (memory, time, phi, mem_free, time_free): few values, so states tie in
@@ -764,6 +790,7 @@ class TestRootPrice:
         assert len(builds) <= 10
 
 
+@pytest.mark.usefixtures("every_round_steps_the_dp")  # the gate is a DP pass
 class TestSmallFrontGate:
     """Fronts of at most `_SMALL_FRONT` states skip the bound and dominance passes."""
 
@@ -825,6 +852,69 @@ class TestSmallFrontGate:
         assert solve_exact(_solver_problem(np.random.default_rng(0), 300, 0.3, 0.9)).is_optimal
         assert min(fronts["bound"]) > allocator._SMALL_FRONT
         assert min(fronts["dominance"]) > allocator._SMALL_FRONT
+
+
+class TestEnumeration:
+    """A round whose kept columns multiply to at most `_SMALL_PRODUCT` enumerates them."""
+
+    @staticmethod
+    def _round(prob):
+        """The problem's round as `solve_exact` runs it: the DP, its limit and
+        the product of the columns each block keeps."""
+        dp = allocator._ParetoDP(prob)
+        dp.root_bound()
+        incumbent = dp.incumbent()
+        limit = math.inf
+        if incumbent is not None:
+            lam = max(t.lam for t in dp.tables)
+            limit = incumbent[0] + allocator.OBJECTIVE_SLACK + allocator._rounding(lam, dp.time_cap, incumbent[0])
+        return dp, limit, math.prod((dp.valid & (dp.column_bound <= limit)).sum(axis=1).tolist())
+
+    def test_the_cap_is_the_largest_product_enumerated(self, instance_rng, monkeypatch):
+        seen = 0
+        for _ in range(200):
+            prob = random_instance(instance_rng, max_product=20_000)
+            dp, limit, product = self._round(prob)
+            if product < 2:
+                continue
+            seen += 1
+            answers = []
+            for cap, enumerated in ((product, True), (product - 1, False)):
+                monkeypatch.setattr(allocator, "_SMALL_PRODUCT", cap)
+                leaves, nodes = dp.run(limit)
+                if enumerated:
+                    assert nodes == product
+                if leaves is not None:
+                    assert (len(leaves[1][2]) == 1) == enumerated  # one step takes every block
+                answers.append(dataclasses.replace(assert_same_as_bruteforce(prob), nodes_explored=0))
+            assert answers[0] == answers[1]
+        assert seen > 100
+
+    def test_a_tie_within_the_slack_goes_to_the_first_assignment(self):
+        # (X, X) has phi 0.1 + 0.2, above (Y, Z)'s 0.3 by less than
+        # OBJECTIVE_SLACK and first in lexicographic order; (X, Z) breaks the
+        # memory budget.
+        blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))
+        cands = (
+            (Candidate(X, 0.1, 1, 1.0), Candidate(Y, 0.3, 0, 1.0)),
+            (Candidate(X, 0.2, 0, 1.0), Candidate(Z, 0.0, 1, 1.0)),
+        )
+        prob = AllocationProblem.from_candidates(blocks=blocks, candidates=cands, mem_budget=1, time_budget=2.0)
+        assert 0.1 + 0.2 > 0.3
+        dp, limit, product = self._round(prob)
+        _, (_, _, steps) = dp.run(limit)[0]
+        assert product == 4 and len(steps) == 1
+        sol = assert_same_as_bruteforce(prob)
+        assert sol.assignment == {0: X, 1: X} and sol.objective == 0.1 + 0.2
+
+    def test_an_infeasible_round_keeps_no_leaf(self):
+        # No incumbent, so the round is unbounded; it enumerates all eight
+        # assignments and none meets both budgets.
+        prob = _time_row_unmet()
+        dp = allocator._ParetoDP(prob)
+        dp.root_bound()
+        assert dp.incumbent() is None
+        assert dp.run(math.inf) == (None, 8)
 
 
 class TestVerify:
@@ -1078,6 +1168,37 @@ class TestProblemTable:
         rows = ((Candidate(X, 0.1, 10, 1.0),), (Candidate(X, 0.2, 10, 1.0), cell))
         with pytest.raises(ValueError, match=rf"blocks\[1\]: candidates\[1\]: candidate {message}"):
             AllocationProblem.from_candidates((ProblemBlock(0, "b0"), ProblemBlock(1, "b1")), rows, 100, 2.0)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ((Candidate(X, 1e308, 10, 1.0), Candidate(X, -1e308, 10, 1.0)), "objective terms must have a finite sum"),
+            ((Candidate(X, 0.1, 2**62, 1.0), Candidate(X, 0.1, 2**62, 1.0)), "memories must sum within 64-bit"),
+        ],
+    )
+    def test_sums_over_the_blocks_must_be_representable(self, cells, message):
+        rows = tuple((c, Candidate(Y, 0.1, 1, 1.0)) for c in cells)
+        with pytest.raises(ValueError, match=message):
+            AllocationProblem.from_candidates((ProblemBlock(0, "b0"), ProblemBlock(1, "b1")), rows, 100, 2.0)
+
+    @pytest.mark.parametrize(
+        "settings, cause",
+        [
+            ({"gamma": 1e308}, "gamma 1e+308"),
+            ({"gamma": 2e307}, "gamma 2e+307"),  # each cell finite, the sum over 3 blocks not
+            ({"weights": RiskWeights(lambda_pref=1e308), "prefer": ["adamw"]}, "lambda_pref 1e+308"),
+            ({"weights": RiskWeights(w_A=1e308, w_M=1e308)}, "the risk weights"),
+        ],
+    )
+    def test_overflowing_objective_terms_name_their_cause(self, settings, cause):
+        signals = {i: RiskSignals(1.0, 1.0, 0.5, 0.5, {32: 0.0, 16: 0.1, 8: 0.5}) for i in range(3)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = re.escape(f"{cause} makes the objective terms of 3 blocks overflow when summed")
+            with pytest.raises(AllocationBuildError, match=f"^{message}$"):
+                build_problem(_specs3(), {}, signals=signals, **settings)
+            assert build_problem(_specs3(), {}, signals=signals, gamma=1e300, weights=RiskWeights(lambda_pref=1e300),
+                                 prefer=["adamw"]).mem_budget > 0
 
     def test_from_candidates_drops_excluded_rows(self):
         blocks = (ProblemBlock(0, "b0"), ProblemBlock(1, "b1"))

@@ -224,6 +224,15 @@ class TestAllocate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget ratio must be positive and finite, got inf" in err
 
+    @pytest.mark.parametrize("ratio, budget", [("1e308", "inf"), ("1e18", "2.048e+21")])
+    def test_budget_beyond_64_bit_integers_is_one_error_line(self, trace_path, ratio, budget, capsys):
+        # A finite ratio whose byte count is not finite, or does not fit in int64.
+        code = dispatch(["allocate", "--trace", str(trace_path), "--budget-ratio", ratio, "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: budget ratio {float(ratio)} gives a memory budget of {budget} bytes, beyond 64-bit integers"
+        ]
+
     def test_infeasible_exit_code(self, trace_path, capsys):
         excludes = []
         for fam in ("adam", "sgd", "sgdm", "sgdw", "sgdwm", "adafactor"):
@@ -368,6 +377,26 @@ class TestAllocate:
         code = dispatch(["allocate", "--trace", str(trace_path), "--prefer", "sgd", flag, "inf", "--quiet"])
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be finite, got inf"]
+
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--gamma", "1e308"], "gamma 1e+308"),
+            (["--lambda-pref", "1e308", "--prefer", "adamw"], "lambda_pref 1e+308"),
+        ],
+    )
+    def test_finite_flag_whose_terms_overflow_names_the_flag(self, flags, setting, trace_path, capsys):
+        # --gamma 1e308 overflows a cell; --lambda-pref 1e308 leaves each cell
+        # finite, but the two blocks' preferred cells sum to -inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["allocate", "--trace", str(trace_path), *flags, "--quiet"])
+            assert code == EXIT_INPUT_ERROR
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {setting} makes the objective terms of 2 blocks overflow when summed"
+            ]
+            flags[1] = "1e300"
+            assert dispatch(["allocate", "--trace", str(trace_path), *flags, "--quiet"]) == EXIT_OK
 
     @pytest.mark.parametrize("steps", ["1", "0", "-3"])
     def test_window_below_two_names_the_flag(self, steps, trace_path, capsys):
